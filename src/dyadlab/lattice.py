@@ -7,8 +7,11 @@ two and every corner is a dyadic rational times H, all cell volumes and
 partition identities are exact in binary floating point.
 
 Shifted lattices (the three per-axis shifts 0, 1/3, 2/3) are geometry
-only: their cubes carry exact rational corners and are used as integration
-domains against the base-tree cell partition, never as carriers of data.
+only: they are integration domains against the base-tree cell partition,
+never carriers of data.  `ShiftedLattice` and `one_third_cover` keep exact
+`Fraction` corners; the d = 1 interval engine at the end of this module
+counts every shifted endpoint as an exact integer number of sixths of a
+finest cell and batches whole (shift, level) families as integer arrays.
 """
 
 from __future__ import annotations
@@ -136,10 +139,6 @@ class DyadicTree:
         for level in range(top + 1):
             yield from self.cubes_at_level(level)
 
-    def n_cubes(self, max_level: int | None = None) -> int:
-        top = self.depth if max_level is None else max_level
-        return sum(2 ** (self.dim * k) for k in range(top + 1))
-
     def cell_cube(self, flat_index: int) -> "Cube":
         index = np.unravel_index(flat_index, self.shape)
         return Cube(self, self.depth, tuple(int(i) for i in index))
@@ -188,11 +187,6 @@ class Cube:
         s = self.side
         return tuple(-self.tree.half_width + i * s for i in self.index)
 
-    @property
-    def center(self) -> tuple[float, ...]:
-        s = self.side
-        return tuple(c + 0.5 * s for c in self.corner)
-
     def __repr__(self) -> str:
         return f"Cube(level={self.level}, index={self.index})"
 
@@ -217,13 +211,6 @@ class Cube:
                 )
             )
         return out
-
-    def child_containing(self, finer: "Cube") -> "Cube":
-        """The child of self on the chain toward `finer` (finer must be strictly inside)."""
-        if not (self.contains(finer) and finer.level > self.level):
-            raise LatticeError("argument is not strictly inside this cube")
-        shift = finer.level - self.level - 1
-        return Cube(self.tree, self.level + 1, tuple(i >> shift for i in finer.index))
 
     def contains(self, other: "Cube") -> bool:
         if other.level < self.level:
@@ -467,7 +454,11 @@ class ShiftedLattice:
         return ShiftedCube(alpha, level, index, s)
 
     def cubes_overlapping_window(self, alpha: tuple[Fraction, ...], level: int) -> Iterator[ShiftedCube]:
-        """All level-`level` cubes of lattice alpha meeting the open root window."""
+        """All level-`level` cubes of lattice alpha meeting the open root window.
+
+        One cube at a time with rational corners; `shifted_intervals_1d` is
+        the batched d = 1 form, and this is its reference enumeration.
+        """
         s = self.side_frac(level)
         sign = -1 if level % 2 else 1
         h = Fraction(self.tree.half_width)
@@ -531,27 +522,103 @@ def one_third_cover(
     )
 
 
-def box_cell_overlap_1d(tree: DyadicTree, lo: Fraction, hi: Fraction) -> tuple[int, int, np.ndarray]:
-    """Exact overlap lengths of [lo, hi) with the finest cells (d=1 helper).
+# -- the d = 1 interval engine ---------------------------------------------------
+#
+# Every shifted-lattice endpoint in d = 1 is an integer number of sixths of a
+# finest cell, counted from the origin the lattices are anchored at, so one
+# (shift, level) family is one integer array and its cell overlaps are exact
+# integer arithmetic.  Sliding windows have exact binary endpoints and share
+# the same overlap code in floats.  Intervals that touch equally many cells
+# share one (intervals x cells) table, so row sums give masses and means.
 
-    Returns (first_cell, last_cell_exclusive, overlap_lengths).  Interior
-    cells are whole by construction; only the two boundary cells need the
-    exact rational intersection (endpoints may be thirds).
+
+def shifted_intervals_1d(
+    tree: DyadicTree, inside: bool = True
+) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """Integer endpoints (lo, hi) of the shifted-lattice intervals, one family at a time.
+
+    Units are sixths of a finest cell from the origin: level-k interval j of
+    shift alpha is [L j + t, L (j + 1) + t) with L = 6 * 2^(N-k) and
+    t = (-1)^k 6 alpha 2^(N-k).  Families come in `ShiftedLattice.alphas`
+    order, then by level.  inside=True keeps the intervals inside the root
+    window, inside=False every interval meeting it.
     """
     if tree.dim != 1:
-        raise LatticeError("1d helper called on a higher-dimensional tree")
-    h = Fraction(tree.half_width)
-    cell = Fraction(tree.cell_side)
-    lo = max(Fraction(lo), -h)
-    hi = min(Fraction(hi), h)
-    if hi <= lo:
-        return 0, 0, np.zeros(0)
-    first = int(((lo + h) / cell).__floor__())
-    last = int(((hi + h) / cell).__ceil__())
-    lengths = np.full(last - first, float(cell))
-    a_first = -h + first * cell
-    lengths[0] = float(min(hi, a_first + cell) - lo)
-    if last - first > 1:
-        a_last = -h + (last - 1) * cell
-        lengths[-1] = float(hi - a_last)
-    return first, last, lengths
+        raise LatticeError("shifted scope is implemented for d=1 only")
+    half = 3 * 2**tree.depth  # H in sixths of a cell
+    for alpha in THIRD_SHIFTS:
+        for level in range(tree.depth + 1):
+            length = 6 * 2 ** (tree.depth - level)
+            t = (-1) ** level * int(6 * alpha) * 2 ** (tree.depth - level)
+            if inside:
+                j = np.arange(-((half + t) // length), (half - t) // length)
+            else:
+                j = np.arange((-half - t) // length, -((t - half) // length))
+            lo = length * j + t
+            yield lo, lo + length
+
+
+def from_sixths(tree: DyadicTree, u: np.ndarray) -> np.ndarray:
+    """Coordinates of integer positions counted in sixths of a cell from the origin.
+
+    With H a power of two the product u * cell_side is exact, so the one
+    division by 6 gives the float nearest the exact rational.
+    """
+    return u * tree.cell_side / 6
+
+
+@dataclass(frozen=True)
+class IntervalBatch:
+    """Intervals [lo, hi) inside the root window touching equally many finest cells (d = 1).
+
+    `cells` and `lengths` are (intervals x touched cells) tables of cell
+    indices and exact overlap lengths; `size` holds the exact interval
+    lengths and `rows` the positions of the intervals in the endpoint arrays
+    the batch was cut from.
+    """
+
+    tree: DyadicTree
+    rows: np.ndarray
+    lo: np.ndarray
+    hi: np.ndarray
+    size: np.ndarray
+    cells: np.ndarray
+    lengths: np.ndarray
+
+    def oscillation(self, values: np.ndarray) -> np.ndarray:
+        """int |b - <b>| dx over each interval, the mean taken against the overlaps."""
+        vals = values[self.cells]
+        mean = (vals * self.lengths).sum(axis=1) / self.lengths.sum(axis=1)
+        return (np.abs(vals - mean[:, None]) * self.lengths).sum(axis=1)
+
+    def max_onto_full_cells(self, out: np.ndarray, vals: np.ndarray) -> None:
+        """Raise `out` to each interval's value on the cells it covers whole."""
+        full = self.lengths >= self.tree.cell_side * (1.0 - 1e-12)
+        np.maximum.at(out, self.cells[full], np.broadcast_to(vals[:, None], full.shape)[full])
+
+
+def _cut_batches(tree, lo, hi, edges, coord) -> Iterator[IntervalBatch]:
+    """Group [lo, hi) by touched-cell count; `coord` turns endpoint units into coordinates."""
+    first = np.searchsorted(edges, lo, side="right") - 1
+    width = np.searchsorted(edges, hi, side="left") - first
+    for w in np.unique(width):
+        rows = np.flatnonzero(width == w)
+        cells = first[rows, None] + np.arange(w)
+        right = np.minimum(hi[rows, None], edges[cells + 1])
+        overlap = right - np.maximum(lo[rows, None], edges[cells])
+        yield IntervalBatch(tree, rows, coord(lo[rows]), coord(hi[rows]),
+                            coord(hi[rows] - lo[rows]), cells, coord(overlap))
+
+
+def shifted_batches(tree: DyadicTree) -> Iterator[IntervalBatch]:
+    """The shifted-lattice intervals inside the root window, one batch per (shift, level)."""
+    n = 2**tree.depth
+    edges = 6 * np.arange(n + 1) - 3 * n
+    for lo, hi in shifted_intervals_1d(tree):
+        yield from _cut_batches(tree, lo, hi, edges, lambda u: from_sixths(tree, u))
+
+
+def window_batches(tree: DyadicTree, lo: np.ndarray, hi: np.ndarray) -> Iterator[IntervalBatch]:
+    """Batches of intervals inside the window with exact binary float endpoints (d = 1)."""
+    lo, hi = np.asarray(lo, dtype=float), np.asarray(hi, dtype=float)
+    yield from _cut_batches(tree, lo, hi, tree.cell_edges(), lambda x: x)

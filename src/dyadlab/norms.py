@@ -15,7 +15,7 @@ from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
-from .lattice import Cube, DyadicTree, GridFunction, LatticeError
+from .lattice import Cube, DyadicTree, GridFunction, LatticeError, shifted_batches
 from .operators import (
     OperatorHandle,
     oscillation,
@@ -23,7 +23,7 @@ from .operators import (
     sharp_maximal,
 )
 from .sparse import FULL, SparseFamily, verify_sparse
-from .weights import BloomTriple, Weight
+from .weights import BloomTriple, Weight, batch_masses
 
 GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 DEFAULT_SEED = 0x5EED
@@ -87,24 +87,9 @@ def bmo_alpha_norm(b: GridFunction, nu: Weight, alpha: float, scope: str = "dyad
     for k in range(tree.depth + 1):
         best = max(best, float((oscs[k] / nus[k] ** expo).max()))
     if scope == "shifted":
-        from fractions import Fraction
-
-        from .lattice import ShiftedLattice, box_cell_overlap_1d
-        from .operators import _interval_oscillation
-
-        if tree.dim != 1:
-            raise LatticeError("shifted scope is implemented for d=1 only")
-        lattice = ShiftedLattice(tree)
-        h = Fraction(tree.half_width)
-        for a in lattice.alphas:
-            for level in range(tree.depth + 1):
-                for cube in lattice.cubes_overlapping_window(a, level):
-                    lo, hi = cube.axis_interval(0)
-                    if lo < -h or hi > h:
-                        continue
-                    first, last, lengths = box_cell_overlap_1d(tree, lo, hi)
-                    osc = _interval_oscillation(b, first, last, lengths)
-                    best = max(best, osc / nu.interval_mass(lo, hi) ** expo)
+        for batch in shifted_batches(tree):
+            vals = batch.oscillation(b.values) / batch_masses(nu, batch) ** expo
+            best = max(best, float(vals.max()))
     elif scope != "dyadic":
         raise ValueError(f"unknown scope {scope!r}")
     return best

@@ -9,9 +9,9 @@ identities hold exactly at matched quadrature nodes.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
@@ -20,15 +20,16 @@ from .lattice import (
     Cube,
     DyadicTree,
     GridFunction,
+    IntervalBatch,
     LatticeError,
-    ShiftedLattice,
-    box_cell_overlap_1d,
     coarsen_once,
     expand_to_cells,
     haar_difference_values,
     refine_once,
+    shifted_batches,
+    window_batches,
 )
-from .weights import Weight, level_masses_or_lebesgue
+from .weights import Weight, batch_cell_masses, batch_masses, level_masses_or_lebesgue
 
 
 def _averages_by_level(f: GridFunction, weight: Weight | None = None) -> list[np.ndarray]:
@@ -58,58 +59,14 @@ def maximal(f: GridFunction, weight: Weight | None = None, scope: str = "dyadic"
     return out
 
 
-def _interval_masses(weight: Weight | None, tree: DyadicTree, lo: Fraction, hi: Fraction):
-    """Per-cell overlap masses of a weight (or Lebesgue) on [lo, hi), d=1.
-
-    Power weights get exact partial-cell masses from the closed form;
-    cellwise-constant densities are exact by construction.
-    """
-    first, last, lengths = box_cell_overlap_1d(tree, lo, hi)
-    if weight is None:
-        return first, last, lengths, lengths
-    if weight.power is not None:
-        edges = tree.cell_edges()
-        masses = weight.cell_mass[first:last].copy()
-        for pos in (0, len(masses) - 1):  # only boundary cells can be partial
-            i = first + pos
-            if lengths[pos] < tree.cell_side * (1.0 - 1e-12):
-                a = max(lo, Fraction(float(edges[i])))
-                b = min(hi, Fraction(float(edges[i + 1])))
-                masses[pos] = weight.interval_mass(a, b)
-        return first, last, lengths, masses
-    frac = lengths / tree.cell_side
-    return first, last, lengths, weight.cell_mass[first:last] * frac
-
-
 def _shifted_average_sup(f: GridFunction, weight: Weight | None) -> np.ndarray:
     """Sup of weighted averages over shifted-lattice cubes fully inside the window (d=1)."""
-    tree = f.tree
-    if tree.dim != 1:
-        raise LatticeError("shifted scope is implemented for d=1 only")
-    lattice = ShiftedLattice(tree)
-    h = Fraction(tree.half_width)
-    out = np.zeros(tree.shape)
-    for alpha in lattice.alphas:
-        for level in range(tree.depth + 1):
-            for cube in lattice.cubes_overlapping_window(alpha, level):
-                lo, hi = cube.axis_interval(0)
-                if lo < -h or hi > h:
-                    continue
-                first, last, lengths, masses = _interval_masses(weight, tree, lo, hi)
-                total = masses.sum()
-                if total <= 0.0:
-                    continue
-                val = float((f.values[first:last] * masses).sum() / total)
-                _max_onto_full_cells(out, first, lengths, tree.cell_side, val)
+    out = np.zeros(f.tree.shape)
+    for batch in shifted_batches(f.tree):
+        masses = batch_cell_masses(weight, batch)
+        means = (f.values[batch.cells] * masses).sum(axis=1) / masses.sum(axis=1)
+        batch.max_onto_full_cells(out, means)
     return out
-
-
-def _max_onto_full_cells(out: np.ndarray, first: int, lengths: np.ndarray, cell: float, val: float):
-    full = lengths >= cell * (1.0 - 1e-12)
-    if full.any():
-        start = first + int(np.argmax(full))
-        stop = first + len(full) - int(np.argmax(full[::-1]))
-        np.maximum(out[start:stop], val, out=out[start:stop])
 
 
 def oscillation_levels(b: GridFunction) -> list[np.ndarray]:
@@ -150,67 +107,25 @@ def sharp_maximal(b: GridFunction, nu: Weight, scope: str = "dyadic") -> GridFun
         run = np.maximum(refine_once(run), oscs[k] / nu_levels[k])
     out = np.array(run, dtype=float).reshape(tree.shape)
     if scope in ("shifted", "window"):
-        out = np.maximum(out, _shifted_sharp_sup(b, nu))
+        batches: Iterable[IntervalBatch] = shifted_batches(tree)
         if scope == "window":
-            out = np.maximum(out, _sliding_sharp_sup(b, nu))
+            batches = itertools.chain(batches, window_batches(tree, *_sliding_windows(tree)))
+        for batch in batches:
+            batch.max_onto_full_cells(out, batch.oscillation(b.values) / batch_masses(nu, batch))
     elif scope != "dyadic":
         raise ValueError(f"unknown scope {scope!r}")
     return GridFunction(tree, out)
 
 
-def _sliding_sharp_sup(b: GridFunction, nu: Weight, n_scales: int = 4) -> np.ndarray:
-    """Quarter-stepped sliding windows at the top n_scales scales (d=1)."""
-    tree = b.tree
-    if tree.dim != 1:
-        raise LatticeError("window scope is one-dimensional")
-    out = np.zeros(tree.shape)
-    h = Fraction(tree.half_width)
+def _sliding_windows(tree: DyadicTree, n_scales: int = 4) -> tuple[np.ndarray, np.ndarray]:
+    """Quarter-stepped sliding windows [lo, hi) at the top n_scales scales (d=1)."""
+    lo, hi = [], []
     for j in range(n_scales):
-        scale = Fraction(tree.root_side) / 2**j
-        step = scale / 4
-        offset = -h
-        while offset + scale <= h:
-            first, last, lengths = box_cell_overlap_1d(tree, offset, offset + scale)
-            osc = _interval_oscillation(b, first, last, lengths)
-            mass = nu.interval_mass(offset, offset + scale)
-            _max_onto_full_cells(out, first, lengths, tree.cell_side, osc / mass)
-            offset += step
-    return out
-
-
-def _interval_oscillation(b: GridFunction, first: int, last: int, lengths: np.ndarray) -> float:
-    """int |b - mean| over an interval given exact cell overlaps (d=1)."""
-    vals = b.values[first:last]
-    total = lengths.sum()
-    if total <= 0.0:
-        return 0.0
-    mean = float((vals * lengths).sum() / total)
-    return float((np.abs(vals - mean) * lengths).sum())
-
-
-def _shifted_sharp_sup(b: GridFunction, nu: Weight) -> np.ndarray:
-    tree = b.tree
-    if tree.dim != 1:
-        raise LatticeError("shifted scope is implemented for d=1 only")
-    lattice = ShiftedLattice(tree)
-    h = Fraction(tree.half_width)
-    out = np.zeros(tree.shape)
-    for alpha in lattice.alphas:
-        for level in range(tree.depth + 1):
-            for cube in lattice.cubes_overlapping_window(alpha, level):
-                lo, hi = cube.axis_interval(0)
-                if lo < -h or hi > h:
-                    continue
-                first, last, lengths = box_cell_overlap_1d(tree, lo, hi)
-                osc = _interval_oscillation(b, first, last, lengths)
-                mass = nu.interval_mass(lo, hi)
-                val = osc / mass
-                frac = lengths / tree.cell_side
-                full = frac >= 1.0 - 1e-12
-                if full.any():
-                    sl = slice(first + int(np.argmax(full)), last - int(np.argmax(full[::-1])))
-                    np.maximum(out[sl], val, out=out[sl])
-    return out
+        scale = tree.root_side / 2**j
+        start = -tree.half_width + np.arange(4 * 2**j - 3) * (scale / 4)
+        lo.append(start)
+        hi.append(start + scale)
+    return np.concatenate(lo), np.concatenate(hi)
 
 
 def sharp_window_values(
@@ -228,22 +143,15 @@ def sharp_window_values(
     tree = b.tree
     if tree.dim != 1:
         raise LatticeError("window diagnostics are one-dimensional")
-    h = tree.half_width
-    edges = tree.cell_edges()
-    out = np.zeros(len(points))
-    for i, x in enumerate(points):
-        right = min(h, x + tree.cell_side)
-        lefts = np.linspace(-h, x, n_left, endpoint=False)
-        best = 0.0
-        for a in lefts:
-            lo = Fraction(float(edges[int(np.searchsorted(edges, a, side="right")) - 1]))
-            first, last, lengths = box_cell_overlap_1d(tree, lo, Fraction(float(right)))
-            osc = _interval_oscillation(b, first, last, lengths)
-            mass = nu.interval_mass(lo, Fraction(float(right)))
-            if mass > 0.0:
-                best = max(best, osc / mass)
-        out[i] = best
-    return out
+    h, edges = tree.half_width, tree.cell_edges()
+    points = np.asarray(points, dtype=float)
+    lefts = np.linspace(-h, points, n_left, endpoint=False, axis=1).ravel()
+    lo = edges[np.searchsorted(edges, lefts, side="right") - 1]
+    hi = np.repeat(np.minimum(h, points + tree.cell_side), n_left)
+    vals = np.zeros(len(lo))
+    for batch in window_batches(tree, lo, hi):
+        vals[batch.rows] = batch.oscillation(b.values) / batch_masses(nu, batch)
+    return vals.reshape(len(points), n_left).max(axis=1, initial=0.0)
 
 
 # -- paraproduct family --------------------------------------------------------

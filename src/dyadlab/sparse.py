@@ -45,15 +45,6 @@ class SparseFamily:
     measure: Weight | None = None  # None = Lebesgue
     stopping_mass_max: float = 0.0  # observed max of (stopping mass)/(node mass)
 
-    def witness_mass(self, cube: Cube) -> float:
-        """Mass of a cube's witness under the family's measure tag."""
-        return _claims_mass(self.tree, self.witnesses.get(cube, {}), self.measure)
-
-    def cube_mass(self, cube: Cube) -> float:
-        if self.measure is None:
-            return cube.volume
-        return self.measure.mass(cube)
-
     def indicator_stack(self) -> list[np.ndarray]:
         return coeff_stack(self.tree, {q: 1.0 for q in self.cubes})
 

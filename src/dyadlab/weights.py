@@ -19,18 +19,20 @@ import math
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from .lattice import (
     Cube,
     DyadicTree,
+    IntervalBatch,
     LatticeError,
-    ShiftedLattice,
-    box_cell_overlap_1d,
     coarsen_once,
     expand_to_cells,
+    from_sixths,
+    shifted_batches,
+    shifted_intervals_1d,
 )
 
 _GAUSS_NODES, _GAUSS_WEIGHTS = np.polynomial.legendre.leggauss(10)
@@ -228,13 +230,14 @@ class Weight:
 
     def interval_mass(self, lo: Fraction | float, hi: Fraction | float) -> float:
         """Mass of an arbitrary interval (d=1): closed form for power weights,
-        density-times-overlap otherwise (exact for cellwise-constant densities)."""
+        otherwise each cell's mass times the fraction of the cell covered."""
         if self.tree.dim != 1:
             raise LatticeError("interval_mass is one-dimensional")
         if self.power is not None:
             return power_interval_mass(float(lo), float(hi), self.power)
-        first, last, lengths = box_cell_overlap_1d(self.tree, Fraction(lo), Fraction(hi))
-        return float((self.density[first:last] * lengths).sum())
+        edges = self.tree.cell_edges()
+        covered = np.minimum(edges[1:], float(hi)) - np.maximum(edges[:-1], float(lo))
+        return float((self.cell_mass * (np.maximum(covered, 0.0) / self.tree.cell_side)).sum())
 
     def restrict(self, q0: Cube) -> "Weight":
         from .lattice import restrict_tree
@@ -243,6 +246,39 @@ class Weight:
         sl = q0.cell_slices()
         return Weight(sub, self.density[sl].copy(), self.cell_mass[sl].copy(), power=None,
                       singular=self.singular)
+
+
+def power_interval_masses(lo: np.ndarray, hi: np.ndarray, gamma: float) -> np.ndarray:
+    """`power_interval_mass` over paired endpoint arrays, one exact scalar call each."""
+    return np.array([power_interval_mass(a, b, gamma) for a, b in zip(lo.tolist(), hi.tolist())])
+
+
+def batch_cell_masses(weight: Weight | None, batch: IntervalBatch) -> np.ndarray:
+    """Per-cell masses of every interval of a batch (None is Lebesgue measure).
+
+    Each cell contributes its mass times the fraction of it covered; power
+    weights take the partial end cells from the closed form instead.
+    """
+    if weight is None:
+        return batch.lengths
+    cell = weight.tree.cell_side
+    masses = weight.cell_mass[batch.cells] * (batch.lengths / cell)
+    if weight.power is not None:
+        edges = weight.tree.cell_edges()
+        for col in (0, -1):  # only the end cells can be partial
+            part = np.flatnonzero(batch.lengths[:, col] < cell * (1.0 - 1e-12))
+            cells = batch.cells[part, col]
+            lo = np.maximum(batch.lo[part], edges[cells])
+            hi = np.minimum(batch.hi[part], edges[cells + 1])
+            masses[part, col] = power_interval_masses(lo, hi, weight.power)
+    return masses
+
+
+def batch_masses(weight: Weight, batch: IntervalBatch) -> np.ndarray:
+    """Mass of every interval of a batch: closed form for power weights, else cell masses summed."""
+    if weight.power is not None:
+        return power_interval_masses(batch.lo, batch.hi, weight.power)
+    return batch_cell_masses(weight, batch).sum(axis=1)
 
 
 def level_masses_or_lebesgue(tree: DyadicTree, weight: Weight | None) -> list[np.ndarray]:
@@ -305,15 +341,6 @@ def conjugate(p: float) -> float:
 # -- characteristics ----------------------------------------------------------
 
 
-def _shifted_cubes_1d(tree: DyadicTree) -> Iterable[tuple[Fraction, Fraction]]:
-    """Endpoint pairs of all shifted-lattice cubes meeting the window (d=1)."""
-    lattice = ShiftedLattice(tree)
-    for alpha in lattice.alphas:
-        for level in range(tree.depth + 1):
-            for cube in lattice.cubes_overlapping_window(alpha, level):
-                yield cube.axis_interval(0)
-
-
 def ap_characteristic(w: Weight, p: float, scope: str = "dyadic") -> float:
     """sup over cubes of <w>_Q <w^(-p'/p)>_Q^(p/p'), the strength of the weight at exponent p.
 
@@ -331,16 +358,11 @@ def ap_characteristic(w: Weight, p: float, scope: str = "dyadic") -> float:
         avg_d = dual.level_masses()[k] / vol
         best = max(best, float((avg_w * avg_d ** (p / pc)).max()))
     if scope == "shifted":
-        if w.tree.dim != 1:
-            raise LatticeError("shifted scope is implemented for d=1 only")
-        h = Fraction(w.tree.half_width)
-        for lo, hi in _shifted_cubes_1d(w.tree):
-            if lo < -h or hi > h:
-                continue  # grid data exists only inside the window
-            length = float(hi - lo)
-            mw = w.interval_mass(lo, hi)
-            md = dual.interval_mass(lo, hi)
-            best = max(best, (mw / length) * (md / length) ** (p / pc))
+        # only cubes inside the window: grid data exists nowhere else
+        for batch in shifted_batches(w.tree):
+            avg_w = batch_masses(w, batch) / batch.size
+            avg_d = batch_masses(dual, batch) / batch.size
+            best = max(best, float((avg_w * avg_d ** (p / pc)).max()))
     elif scope != "dyadic":
         raise ValueError(f"unknown scope {scope!r}")
     return best
@@ -516,36 +538,30 @@ def lower_joint_characteristic(t: BloomTriple) -> float:
     return best
 
 
-def joint_upper_integrand(t: BloomTriple, cube: Cube) -> float:
-    """The upper joint characteristic's integrand at one cube."""
-    cfg = t.cfg
-    vol = cube.volume
-    a = t.mu_dual.mass(cube) / vol
-    b = t.lam.mass(cube) / vol
-    c = t.nu.mass(cube) / vol
-    return a ** (1.0 / cfg.p_conj) * b ** (1.0 / cfg.q) * c**cfg.bloom_exponent
-
-
 def power_weight_cube_lower_bound(tree: DyadicTree, gamma: float, scope: str = "shifted") -> float:
     """Smallest C with side(Q)^(gamma+d) <= C * nu(Q) over the cube family, nu = |x|^gamma.
 
     Nonnegative powers give every cube mass at least proportional to its
     side raised to gamma+d; this measures the constant on the finite model.
+    scope="dyadic" sweeps the tree; scope="shifted" adds the three shifted
+    lattices (d=1 only).
     """
     if gamma < 0.0:
         raise ValueError("gamma must be nonnegative")
+    if scope not in ("dyadic", "shifted"):
+        raise ValueError(f"unknown scope {scope!r}")
     nu = Weight.power_weight(tree, gamma)
     d = tree.dim
     best = 0.0
     for k in range(tree.depth + 1):
         side = tree.side(k)
         best = max(best, float((side ** (gamma + d) / nu.level_masses()[k]).max()))
-    if scope == "shifted" and d == 1:
+    if scope == "shifted":
         # power masses are closed form, so shifted cubes poking past the
         # window still get their true mass
-        for lo, hi in _shifted_cubes_1d(tree):
-            mass = nu.interval_mass(lo, hi)
-            best = max(best, float(hi - lo) ** (gamma + d) / mass)
+        for lo, hi in shifted_intervals_1d(tree, inside=False):
+            mass = power_interval_masses(from_sixths(tree, lo), from_sixths(tree, hi), gamma)
+            best = max(best, float((from_sixths(tree, hi - lo) ** (gamma + d) / mass).max()))
     return best
 
 

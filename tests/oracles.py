@@ -62,6 +62,7 @@ from dyadlab.weights import (
     coeff_stack,
     fujii_wilson_ainfty,
     lower_joint_characteristic,
+    power_interval_mass,
     power_weight_cube_lower_bound,
     upper_joint_characteristic,
 )
@@ -601,6 +602,158 @@ def testing_inequality_battery():
         rhs = 2.0 * float(np.abs(pp.values[q.cell_slices()]).sum() * tree.cell_volume)
         worst = max(worst, lhs - rhs * (1.0 + 1e-9))
     return "testing inequality: slack <= 0", max(worst, 0.0), 0.0, 1e-12
+
+
+# -- Fraction references for the d = 1 interval engine -------------------------------
+#
+# The shifted and sliding-window functionals recomputed one interval at a
+# time with exact rational endpoints: lattice cubes from
+# `ShiftedLattice.cubes_overlapping_window`, cell overlaps from rational
+# intersections, and masses from the scalar closed form (power weights) or
+# density times overlap (all other weights).
+
+
+def reference_shifted_intervals(tree: DyadicTree):
+    """(alpha, level, [(lo, hi), ...]) per family: Fraction endpoints inside the window."""
+    lattice = ShiftedLattice(tree)
+    h = Fraction(tree.half_width)
+    for alpha in lattice.alphas:
+        for level in range(tree.depth + 1):
+            cubes = lattice.cubes_overlapping_window(alpha, level)
+            pairs = [cube.axis_interval(0) for cube in cubes]
+            yield alpha, level, [(lo, hi) for lo, hi in pairs if -h <= lo and hi <= h]
+
+
+def _reference_overlap(tree: DyadicTree, lo: Fraction, hi: Fraction):
+    """(first cell, exact overlap lengths) of [lo, hi) inside the window."""
+    h, cell = Fraction(tree.half_width), Fraction(tree.cell_side)
+    lo, hi = Fraction(lo), Fraction(hi)
+    first = math.floor((lo + h) / cell)
+    last = math.ceil((hi + h) / cell)
+    lengths = [
+        float(min(hi, -h + (i + 1) * cell) - max(lo, -h + i * cell)) for i in range(first, last)
+    ]
+    return first, np.array(lengths)
+
+
+def _reference_mass(w: Weight, lo: Fraction, hi: Fraction) -> float:
+    if w.power is not None:
+        return power_interval_mass(float(lo), float(hi), w.power)
+    first, lengths = _reference_overlap(w.tree, lo, hi)
+    return float((w.density[first:first + len(lengths)] * lengths).sum())
+
+
+def _reference_oscillation(b: GridFunction, lo: Fraction, hi: Fraction) -> float:
+    first, lengths = _reference_overlap(b.tree, lo, hi)
+    vals = b.values[first:first + len(lengths)]
+    mean = float((vals * lengths).sum() / lengths.sum())
+    return float((np.abs(vals - mean) * lengths).sum())
+
+
+def _reference_max_onto_full(out: np.ndarray, tree: DyadicTree, lo, hi, val: float):
+    first, lengths = _reference_overlap(tree, lo, hi)
+    for i, length in enumerate(lengths):
+        if length >= tree.cell_side * (1.0 - 1e-12):
+            out[first + i] = max(out[first + i], val)
+
+
+def _all_reference_intervals(tree: DyadicTree):
+    for _, _, pairs in reference_shifted_intervals(tree):
+        yield from pairs
+
+
+def reference_shifted_average_sup(f: GridFunction, weight: Weight | None) -> np.ndarray:
+    """Shifted part of `maximal(f, weight, scope="shifted")`, before the |f| and dyadic max."""
+    tree = f.tree
+    edges = [Fraction(float(e)) for e in tree.cell_edges()]
+    out = np.zeros(tree.shape)
+    for lo, hi in _all_reference_intervals(tree):
+        first, lengths = _reference_overlap(tree, lo, hi)
+        if weight is None:
+            masses = lengths
+        elif weight.power is not None:
+            masses = weight.cell_mass[first:first + len(lengths)].copy()
+            for pos in (0, len(masses) - 1):
+                i = first + pos
+                if lengths[pos] < tree.cell_side * (1.0 - 1e-12):
+                    a, b = max(lo, edges[i]), min(hi, edges[i + 1])
+                    masses[pos] = power_interval_mass(float(a), float(b), weight.power)
+        else:
+            masses = weight.cell_mass[first:first + len(lengths)] * (lengths / tree.cell_side)
+        val = float((f.values[first:first + len(lengths)] * masses).sum() / masses.sum())
+        _reference_max_onto_full(out, tree, lo, hi, val)
+    return out
+
+
+def _reference_sharp_over(b: GridFunction, nu: Weight, intervals) -> np.ndarray:
+    out = np.zeros(b.tree.shape)
+    for lo, hi in intervals:
+        val = _reference_oscillation(b, lo, hi) / _reference_mass(nu, lo, hi)
+        _reference_max_onto_full(out, b.tree, lo, hi, val)
+    return out
+
+
+def reference_shifted_sharp_sup(b: GridFunction, nu: Weight) -> np.ndarray:
+    return _reference_sharp_over(b, nu, _all_reference_intervals(b.tree))
+
+
+def reference_sliding_sharp_sup(b: GridFunction, nu: Weight, n_scales: int = 4) -> np.ndarray:
+    tree = b.tree
+    h = Fraction(tree.half_width)
+    windows = []
+    for j in range(n_scales):
+        scale = Fraction(tree.root_side) / 2**j
+        offset = -h
+        while offset + scale <= h:
+            windows.append((offset, offset + scale))
+            offset += scale / 4
+    return _reference_sharp_over(b, nu, windows)
+
+
+def reference_sharp_window_values(b: GridFunction, nu: Weight, points, n_left: int) -> np.ndarray:
+    tree = b.tree
+    h, edges = tree.half_width, tree.cell_edges()
+    out = np.zeros(len(points))
+    for i, x in enumerate(points):
+        right = Fraction(min(h, x + tree.cell_side))
+        best = 0.0
+        for a in np.linspace(-h, x, n_left, endpoint=False):
+            lo = Fraction(float(edges[int(np.searchsorted(edges, a, side="right")) - 1]))
+            best = max(best, _reference_oscillation(b, lo, right) / _reference_mass(nu, lo, right))
+        out[i] = best
+    return out
+
+
+def reference_bmo_shifted(b: GridFunction, nu: Weight, alpha: float) -> float:
+    expo = 1.0 + alpha / b.tree.dim
+    best = 0.0
+    for lo, hi in _all_reference_intervals(b.tree):
+        best = max(best, _reference_oscillation(b, lo, hi) / _reference_mass(nu, lo, hi) ** expo)
+    return best
+
+
+def reference_ap_shifted(w: Weight, p: float) -> float:
+    pc = p / (p - 1.0)
+    dual = w.pointwise_power(-pc / p)
+    best = 0.0
+    for lo, hi in _all_reference_intervals(w.tree):
+        length = float(hi - lo)
+        mw, md = _reference_mass(w, lo, hi), _reference_mass(dual, lo, hi)
+        best = max(best, (mw / length) * (md / length) ** (p / pc))
+    return best
+
+
+def reference_cube_lower_bound_shifted(tree: DyadicTree, gamma: float) -> float:
+    """Shifted part of `power_weight_cube_lower_bound`, over every cube meeting the window."""
+    lattice = ShiftedLattice(tree)
+    best = 0.0
+    for alpha in lattice.alphas:
+        for level in range(tree.depth + 1):
+            for cube in lattice.cubes_overlapping_window(alpha, level):
+                lo, hi = cube.axis_interval(0)
+                mass = power_interval_mass(float(lo), float(hi), gamma)
+                best = max(best, float(hi - lo) ** (gamma + tree.dim) / mass)
+    return best
 
 
 def run_all():
