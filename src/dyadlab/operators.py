@@ -4,7 +4,8 @@ Maximal functions and the weighted sharp maximal function are one
 downward sweep each; paraproducts and martingale transforms are exact
 level sums; the discrete Hilbert transform is the midpoint-quadrature
 kernel sum with the diagonal cell excluded, so the off-support bilinear
-identities hold exactly at matched quadrature nodes.
+identities hold exactly at matched quadrature nodes.  That kernel sum is
+a Toeplitz product, applied by FFT on its circulant embedding.
 """
 
 from __future__ import annotations
@@ -282,11 +283,15 @@ def sparse_op_exponent(f: GridFunction, cubes: Iterable[Cube], s: float) -> Grid
 
 @dataclass(frozen=True)
 class KernelSpec1D:
-    """An off-diagonal kernel with midpoint quadrature, diagonal cells excluded.
+    """A convolution kernel K(x, y) = k(x - y), midpoint quadrature, diagonal cells excluded.
 
-    `size_constant` asserts the usual decay |K(x,y)| <= C/|x-y| when the
-    matrix is built; antisymmetric kernels make the discrete bilinear
-    identities exact at matched nodes.
+    On the uniform grid of cell centers a convolution kernel depends only
+    on the lag i - j, so it is built as one vector of 2N - 1 lags
+    (`kernel_lags`), and the Hilbert kernel is applied by FFT on the
+    circulant embedding of its lags.  `size_constant` asserts
+    the usual decay |K(x,y)| <= C/|x-y| when the lags are built;
+    antisymmetric kernels make the discrete bilinear identities exact at
+    matched nodes.
     """
 
     name: str
@@ -297,39 +302,56 @@ class KernelSpec1D:
 
 HILBERT_KERNEL = KernelSpec1D("hilbert", lambda x, y: 1.0 / (x - y))
 
-_KERNEL_CACHE: dict[tuple[str, int, float], np.ndarray] = {}
+_HILBERT_SPECTRUM: dict[DyadicTree, np.ndarray] = {}
+
+
+def kernel_lags(tree: DyadicTree, spec: KernelSpec1D = HILBERT_KERNEL) -> np.ndarray:
+    """Quadrature weights K(x_i, x_j) * vol by lag: entry m + N - 1 is lag m = i - j, |m| < N.
+
+    The kernel is evaluated at K(x_m, x_0) and K(x_0, x_m) only, and its
+    invariants are checked on those 2N - 1 values.
+    """
+    if tree.dim != 1:
+        raise LatticeError("kernel quadrature is one-dimensional")
+    x = tree.cell_centers()
+    with np.errstate(divide="ignore", invalid="ignore"):
+        below = np.asarray(spec.evaluate(x, x[0]), dtype=float)  # lags 0 .. N-1
+        above = np.asarray(spec.evaluate(x[0], x), dtype=float)  # lags 0 .. -(N-1)
+    below[0] = above[0] = 0.0
+    dist = x - x[0]
+    if np.any(np.maximum(np.abs(below), np.abs(above)) * dist > spec.size_constant * (1.0 + 1e-12)):
+        raise LatticeError(f"kernel {spec.name!r} violates its declared size bound")
+    if spec.antisymmetric and not np.allclose(below, -above, atol=1e-14):
+        raise LatticeError(f"kernel {spec.name!r} is not antisymmetric")
+    return np.concatenate([above[:0:-1], below]) * tree.cell_volume
 
 
 def kernel_matrix(tree: DyadicTree, spec: KernelSpec1D = HILBERT_KERNEL) -> np.ndarray:
-    """Midpoint-quadrature matrix of a kernel, with its invariants checked."""
-    if tree.dim != 1:
-        raise LatticeError("kernel quadrature is one-dimensional")
-    key = (spec.name, tree.depth, tree.half_width)
-    cached = _KERNEL_CACHE.get(key)
-    if cached is not None:
-        return cached
-    x = tree.cell_centers()
-    with np.errstate(divide="ignore", invalid="ignore"):
-        vals = np.asarray(spec.evaluate(x[:, None], x[None, :]), dtype=float)
-    np.fill_diagonal(vals, 0.0)
-    off = ~np.eye(len(x), dtype=bool)
-    diff = np.abs(x[:, None] - x[None, :])
-    if np.any(np.abs(vals[off]) * diff[off] > spec.size_constant * (1.0 + 1e-12)):
-        raise LatticeError(f"kernel {spec.name!r} violates its declared size bound")
-    if spec.antisymmetric and not np.allclose(vals, -vals.T, atol=1e-14):
-        raise LatticeError(f"kernel {spec.name!r} is not antisymmetric")
-    mat = vals * tree.cell_volume
-    _KERNEL_CACHE.clear()  # keep at most one kernel resident
-    _KERNEL_CACHE[key] = mat
-    return mat
+    """Dense N x N quadrature matrix lags[i - j]; for test oracles, never on an apply path."""
+    lags = kernel_lags(tree, spec)
+    n = tree.n_cells
+    return lags[np.subtract.outer(np.arange(n), np.arange(n)) + n - 1]
 
 
-def hilbert_matrix(tree: DyadicTree) -> np.ndarray:
-    return kernel_matrix(tree, HILBERT_KERNEL)
+def _hilbert_apply(tree: DyadicTree, rows: np.ndarray) -> np.ndarray:
+    """kernel_matrix(tree) @ row for every row of `rows`, by one batched rfft/irfft pair.
+
+    The products are circular convolutions with the length-2N circulant
+    embedding of the lags; the rfft of one tree's embedding is kept resident.
+    """
+    n = tree.n_cells
+    spectrum = _HILBERT_SPECTRUM.get(tree)
+    if spectrum is None:
+        lags = kernel_lags(tree)
+        # first column of the circulant: lags 0 .. N-1, one zero, lags -(N-1) .. -1
+        spectrum = np.fft.rfft(np.concatenate([lags[n - 1:], [0.0], lags[:n - 1]]))
+        _HILBERT_SPECTRUM.clear()
+        _HILBERT_SPECTRUM[tree] = spectrum
+    return np.fft.irfft(np.fft.rfft(rows, 2 * n) * spectrum, 2 * n)[..., :n]
 
 
 def hilbert_transform(f: GridFunction) -> GridFunction:
-    return GridFunction(f.tree, hilbert_matrix(f.tree) @ f.values)
+    return GridFunction(f.tree, _hilbert_apply(f.tree, f.values))
 
 
 def hilbert_at(f: GridFunction, x: float) -> float:
@@ -341,20 +363,20 @@ def hilbert_at(f: GridFunction, x: float) -> float:
 
 
 def commutator(b: GridFunction, f: GridFunction) -> GridFunction:
-    """b * Hf - H(b f) with the discrete Hilbert transform."""
+    """b * Hf - H(b f) with the discrete Hilbert transform; Hf and H(bf) share one FFT pair."""
     if b.tree != f.tree:
         raise LatticeError("b and f live on different trees")
-    mat = hilbert_matrix(b.tree)
-    return GridFunction(b.tree, b.values * (mat @ f.values) - mat @ (b.values * f.values))
+    hf, hbf = _hilbert_apply(b.tree, np.stack([f.values, b.values * f.values]))
+    return GridFunction(b.tree, b.values * hf - hbf)
 
 
 def commutator_bilinear(b: GridFunction, f: GridFunction, g: GridFunction) -> float:
     """Double-sum form sum_{i != j} (b_i - b_j) K(x_i, x_j) f_j g_i vol^2.
 
-    Identical quadrature to `commutator`, so the two agree exactly, with
-    or without support separation.
+    The same quadrature as `commutator`, summed densely: the test oracle
+    for the FFT apply, with or without support separation.
     """
-    mat = hilbert_matrix(b.tree)
+    mat = kernel_matrix(b.tree)
     weighted = mat * (b.values[:, None] - b.values[None, :])
     return float(g.values @ (weighted @ f.values) * b.tree.cell_volume)
 
