@@ -66,12 +66,28 @@ def refine_once(arr: np.ndarray) -> np.ndarray:
     return out
 
 
-def expand_to_cells(arr: np.ndarray, level: int, depth: int) -> np.ndarray:
-    """Broadcast a level-`level` array onto the finest cells."""
-    out = arr
-    for _ in range(depth - level):
-        out = refine_once(out)
+def coarsen_to(cells: np.ndarray, level: int) -> np.ndarray:
+    """Sums of a finest-cell array over every level-`level` cube, one pairwise step at a time."""
+    out = cells
+    while out.shape[0] > 2**level:
+        out = coarsen_once(out)
     return out
+
+
+def as_blocks(cells: np.ndarray, level: int) -> np.ndarray:
+    """View a finest-cell array as (level-`level` cube, cell within it) axis pairs.
+
+    A level array meets the view in one broadcast through `per_block`, and
+    reshaping a result to the cell shape restores the cell layout; axes
+    1, 3, ... run over the cells of each cube.
+    """
+    n, k = cells.shape[0], 2**level
+    return cells.reshape(tuple(m for _ in cells.shape for m in (k, n // k)))
+
+
+def per_block(arr: np.ndarray) -> np.ndarray:
+    """A per-level array shaped to broadcast against `as_blocks` at its level."""
+    return arr.reshape(tuple(m for s in arr.shape for m in (s, 1)))
 
 
 class DyadicTree:
@@ -380,18 +396,6 @@ def haar_difference(b: GridFunction, cube: Cube) -> GridFunction:
     for child in cube.children():
         out[child.cell_slices()] = average(b, child) - mean_q
     return GridFunction(b.tree, out)
-
-
-def haar_difference_values(b: GridFunction, cube: Cube) -> np.ndarray:
-    """Values of the Haar-type difference on the cells of `cube` only."""
-    sl = cube.cell_slices()
-    out = np.empty_like(b.values[sl])
-    mean_q = float(b.values[sl].mean())
-    span = 2 ** (b.tree.depth - cube.level - 1)
-    for offsets in itertools.product((0, 1), repeat=b.tree.dim):
-        child_sl = tuple(slice(o * span, (o + 1) * span) for o in offsets)
-        out[child_sl] = b.values[sl][child_sl].mean() - mean_q
-    return out
 
 
 # -- shifted lattices and the one-third covering -----------------------------

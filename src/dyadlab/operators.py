@@ -23,14 +23,22 @@ from .lattice import (
     GridFunction,
     IntervalBatch,
     LatticeError,
+    as_blocks,
     coarsen_once,
-    expand_to_cells,
-    haar_difference_values,
+    coarsen_to,
+    per_block,
     refine_once,
     shifted_batches,
     window_batches,
 )
-from .weights import Weight, batch_cell_masses, batch_masses, level_masses_or_lebesgue
+from .weights import (
+    Weight,
+    batch_cell_masses,
+    batch_masses,
+    coeff_stack,
+    cube_stack,
+    level_masses_or_lebesgue,
+)
 
 
 def _averages_by_level(f: GridFunction, weight: Weight | None = None) -> list[np.ndarray]:
@@ -76,11 +84,8 @@ def oscillation_levels(b: GridFunction) -> list[np.ndarray]:
     avgs = _averages_by_level(b)
     out = []
     for k in range(tree.depth + 1):
-        dev = np.abs(b.values - expand_to_cells(avgs[k], k, tree.depth))
-        agg = dev
-        for _ in range(tree.depth - k):
-            agg = coarsen_once(agg)
-        out.append(agg * tree.cell_volume)
+        dev = np.abs(as_blocks(b.values, k) - per_block(avgs[k])).reshape(tree.shape)
+        out.append(coarsen_to(dev, k) * tree.cell_volume)
     return out
 
 
@@ -156,48 +161,70 @@ def sharp_window_values(
 
 
 # -- paraproduct family --------------------------------------------------------
+#
+# A cube collection enters as a per-level stack (`weights.cube_stack`), and a
+# level sum sum_Q c_Q D_Q a is one top-down pass: the level-k term lives on
+# the children of the level-k cubes, and the running sum is refined once per
+# level, so each cell adds its terms coarse to fine.
 
 
-def paraproduct(b: GridFunction, f: GridFunction, cubes: Iterable[Cube] | None = None) -> GridFunction:
+def _top_down(terms: Sequence[np.ndarray]) -> np.ndarray:
+    """Sum of per-level arrays, each broadcast onto its subcubes, at the last one's level.
+
+    terms[j + 1] lies one level below terms[j]; acc = refine_once(acc) + term.
+    """
+    acc = 0.0 + terms[0]
+    for term in terms[1:]:
+        acc = refine_once(acc) + term
+    return acc
+
+
+def _haar_terms(
+    avg: Sequence[np.ndarray], coeffs: Sequence[np.ndarray], start: int = 0
+) -> list[np.ndarray]:
+    """(avg[k+1] - avg[k]) coeffs[k] on level k + 1, for k = start .. depth - 1."""
+    return [(avg[k + 1] - refine_once(avg[k])) * refine_once(coeffs[k])
+            for k in range(start, len(avg) - 1)]
+
+
+def _haar_sum(
+    tree: DyadicTree, avg: Sequence[np.ndarray], coeffs: Sequence[np.ndarray]
+) -> np.ndarray:
+    """sum_Q coeffs_Q (avg_children - avg_Q) on the cells, by one top-down pass."""
+    terms = _haar_terms(avg, coeffs)
+    return _top_down(terms) if terms else np.zeros(tree.shape)
+
+
+def paraproduct(b: GridFunction, f: GridFunction, cubes: Iterable | None = None) -> GridFunction:
     """Sum over cubes of (difference of b-averages) times the f-average.
 
     With cubes=None the sum runs over every non-leaf tree cube; passing an
-    explicit collection gives the partial operator used by the domination
-    experiments.  Linear in both arguments; exact finite sums.
+    explicit collection (`Cube`s, or a per-level stack of multiplicities)
+    gives the partial operator used by the domination experiments; leaf
+    cubes contribute nothing.  Linear in both arguments; exact finite sums.
     """
     tree = b.tree
     if f.tree != tree:
         raise LatticeError("b and f live on different trees")
-    if cubes is None:
-        bavg = _averages_by_level(b)
-        favg = _averages_by_level(f)
-        out = np.zeros(tree.shape)
-        upper = expand_to_cells(bavg[0], 0, tree.depth)
-        for k in range(tree.depth):
-            lower = expand_to_cells(bavg[k + 1], k + 1, tree.depth)
-            out += (lower - upper) * expand_to_cells(favg[k], k, tree.depth)
-            upper = lower
-        return GridFunction(tree, out)
-    out = np.zeros(tree.shape)
-    for cube in cubes:
-        if cube.is_leaf():
-            continue
-        sl = cube.cell_slices()
-        out[sl] += haar_difference_values(b, cube) * float(f.values[sl].mean())
-    return GridFunction(tree, out)
+    favg = _averages_by_level(f)
+    if cubes is not None:
+        favg = [c * a for c, a in zip(cube_stack(tree, cubes), favg)]
+    return GridFunction(tree, _haar_sum(tree, _averages_by_level(b), favg))
 
 
 def paraproduct_adjoint(b: GridFunction, g: GridFunction) -> GridFunction:
     """Adjoint of the paraproduct in the unweighted pairing: sum_Q <D_Q b, g> / |Q| on Q."""
     tree = b.tree
+    if tree.depth == 0:
+        return GridFunction(tree, np.zeros(tree.shape))
     bavg = _averages_by_level(b)
     gsum = g.level_sums()
-    out = np.zeros(tree.shape)
-    for k in range(tree.depth):
-        inner = coarsen_once(bavg[k + 1] * gsum[k + 1]) - bavg[k] * gsum[k]
-        inner *= tree.cell_volume / tree.volume(k)
-        out += expand_to_cells(inner, k, tree.depth)
-    return GridFunction(tree, out)
+    terms = [
+        (coarsen_once(bavg[k + 1] * gsum[k + 1]) - bavg[k] * gsum[k])
+        * (tree.cell_volume / tree.volume(k))
+        for k in range(tree.depth)
+    ]
+    return GridFunction(tree, refine_once(_top_down(terms)))
 
 
 def martingale_transform(f: GridFunction, coeffs) -> GridFunction:
@@ -207,21 +234,8 @@ def martingale_transform(f: GridFunction, coeffs) -> GridFunction:
     or a dict {Cube: v}.
     """
     tree = f.tree
-    favg = _averages_by_level(f)
-    if isinstance(coeffs, dict):
-        out = np.zeros(tree.shape)
-        for cube, v in coeffs.items():
-            if v == 0.0 or cube.is_leaf():
-                continue
-            out[cube.cell_slices()] += v * haar_difference_values(f, cube)
-        return GridFunction(tree, out)
-    out = np.zeros(tree.shape)
-    upper = expand_to_cells(favg[0], 0, tree.depth)
-    for k in range(tree.depth):
-        lower = expand_to_cells(favg[k + 1], k + 1, tree.depth)
-        out += (lower - upper) * expand_to_cells(np.asarray(coeffs[k], dtype=float), k, tree.depth)
-        upper = lower
-    return GridFunction(tree, out)
+    stack = coeff_stack(tree, coeffs) if isinstance(coeffs, dict) else cube_stack(tree, coeffs)
+    return GridFunction(tree, _haar_sum(tree, _averages_by_level(f), stack))
 
 
 def weak_level_set_bound(g: GridFunction, f_l1: float, constant: float, thresholds: np.ndarray) -> float:
@@ -243,39 +257,45 @@ def weak_level_set_bound(g: GridFunction, f_l1: float, constant: float, threshol
 
 
 def sparse_op(
-    b: GridFunction, f: GridFunction, cubes: Iterable[Cube], variant: str = "plain"
+    b: GridFunction, f: GridFunction, cubes: Iterable, variant: str = "plain"
 ) -> GridFunction:
     """The positive sparse operators built from oscillation of b.
 
     variant="plain":   sum_Q |b - <b>_Q| <f>_Q 1_Q
     variant="adjoint": sum_Q <|b - <b>_Q| f>_Q 1_Q
+
+    `cubes` is a list of `Cube`s or a per-level stack of multiplicities.
     """
+    if variant not in ("plain", "adjoint"):
+        raise ValueError(f"unknown variant {variant!r}")
     tree = b.tree
+    bavg, favg = _averages_by_level(b), _averages_by_level(f)
+    cell_axes = tuple(range(1, 2 * tree.dim, 2))
     out = np.zeros(tree.shape)
-    for cube in cubes:
-        sl = cube.cell_slices()
-        bq = float(b.values[sl].mean())
-        dev = np.abs(b.values[sl] - bq)
+    for k, c in enumerate(cube_stack(tree, cubes)):
+        if not c.any():
+            continue
+        dev = np.abs(as_blocks(b.values, k) - per_block(bavg[k]))
+        cells = as_blocks(out, k)  # a view: adding to it adds to out
         if variant == "plain":
-            out[sl] += dev * float(f.values[sl].mean())
-        elif variant == "adjoint":
-            out[sl] += float((dev * f.values[sl]).mean())
+            cells += dev * per_block(c * favg[k])
         else:
-            raise ValueError(f"unknown variant {variant!r}")
+            mean = (dev * as_blocks(f.values, k)).mean(axis=cell_axes, keepdims=True)
+            cells += per_block(c) * mean
     return GridFunction(tree, out)
 
 
-def sparse_op_exponent(f: GridFunction, cubes: Iterable[Cube], s: float) -> GridFunction:
+def sparse_op_exponent(f: GridFunction, cubes: Iterable, s: float) -> GridFunction:
     """sum_Q ((1/|Q|^s) int_Q |f|^s)^(1/s) 1_Q for s in (0, 1]."""
     if not 0.0 < s <= 1.0:
         raise ValueError("exponent s must lie in (0, 1]")
     tree = f.tree
-    out = np.zeros(tree.shape)
-    for cube in cubes:
-        sl = cube.cell_slices()
-        val = (np.abs(f.values[sl]) ** s).sum() * tree.cell_volume / cube.volume**s
-        out[sl] += val ** (1.0 / s)
-    return GridFunction(tree, out)
+    sums = GridFunction(tree, np.abs(f.values) ** s).level_sums()
+    terms = [
+        c * (sums[k] * tree.cell_volume / tree.volume(k) ** s) ** (1.0 / s)
+        for k, c in enumerate(cube_stack(tree, cubes))
+    ]
+    return GridFunction(tree, _top_down(terms))
 
 
 # -- singular kernels, Hilbert transform, commutator (d=1) ------------------------

@@ -17,13 +17,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Iterable
 
 import numpy as np
 
-from .lattice import Cube, DyadicTree, GridFunction, LatticeError
-from .operators import _averages_by_level
-from .weights import Weight, carleson_norm, coeff_stack
+from .lattice import Cube, DyadicTree, GridFunction, LatticeError, refine_once
+from .operators import _averages_by_level, _haar_terms, _top_down, oscillation_levels, paraproduct
+from .weights import Weight, carleson_norm, coeff_stack, parse_weight
 
 FULL, LO_HALF, HI_HALF = "full", "lo", "hi"
 
@@ -258,19 +259,32 @@ def paraproduct_sparse_dominate(
 def domination_rhs(family: SparseFamily, b: GridFunction, f: GridFunction) -> np.ndarray:
     """sum over family cubes of <|b - <b>_S|>_S <|f|>_S 1_S, on the cells."""
     tree = family.tree
-    out = np.zeros(tree.shape)
-    for cube in family.cubes:
-        sl = cube.cell_slices()
-        bq = float(b.values[sl].mean())
-        osc_avg = float(np.abs(b.values[sl] - bq).mean())
-        out[sl] += osc_avg * float(np.abs(f.values[sl]).mean())
-    return out
+    oscs = oscillation_levels(b)
+    fabs = _averages_by_level(f.abs())
+    terms = [
+        ind * (oscs[k] / tree.volume(k)) * fabs[k]
+        for k, ind in enumerate(family.indicator_stack())
+    ]
+    return _top_down(terms)
 
 
-def partial_sum(b: GridFunction, f: GridFunction, cubes: Iterable[Cube]) -> GridFunction:
-    """sum_{Q in F} D_Q b <f>_Q via direct per-cube accumulation."""
-    from .operators import paraproduct
+def domination_bound(
+    family: SparseFamily, b: GridFunction, f: GridFunction, constant: float | None = None
+) -> np.ndarray:
+    """constant * domination_rhs, the constant defaulting to 2^(d+5)."""
+    constant = 2.0 ** (family.tree.dim + 5) if constant is None else constant
+    return constant * domination_rhs(family, b, f)
 
+
+def pointwise_dominated(lhs: np.ndarray, bound: np.ndarray) -> tuple[bool, float]:
+    """|lhs| <= bound on every cell, to 1e-12 of max(max |lhs|, 1); returns (ok, max gap)."""
+    worst = float((np.abs(lhs) - bound).max())
+    scale = max(float(np.abs(lhs).max()), 1.0)
+    return worst <= 1e-12 * scale, worst
+
+
+def partial_sum(b: GridFunction, f: GridFunction, cubes: Iterable) -> GridFunction:
+    """sum_{Q in F} D_Q b <f>_Q for a list of `Cube`s or a per-level stack."""
     return paraproduct(b, f, cubes=cubes)
 
 
@@ -282,13 +296,22 @@ def domination_check(
     constant: float | None = None,
 ) -> tuple[bool, float]:
     """Pointwise check |lhs| <= constant * RHS; returns (ok, max violation)."""
-    d = family.tree.dim
-    constant = 2.0 ** (d + 5) if constant is None else constant
-    rhs = domination_rhs(family, b, f)
-    gap = np.abs(lhs.values) - constant * rhs
-    worst = float(gap.max())
-    scale = max(float(np.abs(lhs.values).max()), 1.0)
-    return worst <= 1e-12 * scale, worst
+    return pointwise_dominated(lhs.values, domination_bound(family, b, f, constant))
+
+
+def domination_envelope(b: GridFunction, f: GridFunction, q0: Cube) -> np.ndarray:
+    """sup over sub-collections F of cubes inside q0 of |sum_{Q in F} D_Q b <f>_Q|, on q0's cells.
+
+    At a fixed cell the partial sum over any chosen collection is maximized
+    by taking all positive terms (or all negative ones), so the supremum is
+    max(sum of positive parts, sum of negative parts): two top-down passes.
+    """
+    terms = _haar_terms(_averages_by_level(b), _averages_by_level(f), start=q0.level)
+    if not terms:
+        return np.zeros(b.values[q0.cell_slices()].shape)
+    pos = _top_down([np.maximum(t, 0.0) for t in terms])
+    neg = _top_down([np.maximum(-t, 0.0) for t in terms])
+    return np.maximum(pos, neg)[q0.cell_slices()]
 
 
 def domination_worst_case(
@@ -298,61 +321,75 @@ def domination_worst_case(
     q0: Cube | None = None,
     constant: float | None = None,
 ) -> tuple[bool, float]:
-    """Exact check over EVERY sub-collection at once.
+    """Exact check over EVERY sub-collection at once, through `domination_envelope`.
 
-    At a fixed cell the partial sum over any chosen collection is maximized
-    by taking all positive terms (or all negative ones), so the supremum
-    over sub-collections of |sum D_Q b <f>_Q| equals
-    max(sum of positive parts, sum of negative parts), computed in one
-    level sweep.  Returns (ok, worst gap) against constant * RHS; this
-    subsumes any randomized sub-collection battery.
+    Returns (ok, worst gap) against constant * RHS on q0; this subsumes any
+    randomized sub-collection battery.
     """
-    from .lattice import expand_to_cells
+    q0 = family.tree.root() if q0 is None else q0
+    bound = domination_bound(family, b, f, constant)[q0.cell_slices()]
+    return pointwise_dominated(domination_envelope(b, f, q0), bound)
 
-    tree = family.tree
-    if q0 is None:
-        q0 = tree.root()
-    d = tree.dim
-    constant = 2.0 ** (d + 5) if constant is None else constant
-    bavg = _averages_by_level(b)
-    favg = _averages_by_level(f)
-    pos = np.zeros(tree.shape)
-    neg = np.zeros(tree.shape)
-    upper = expand_to_cells(bavg[q0.level], q0.level, tree.depth)
-    for k in range(q0.level, tree.depth):
-        lower = expand_to_cells(bavg[k + 1], k + 1, tree.depth)
-        term = (lower - upper) * expand_to_cells(favg[k], k, tree.depth)
-        pos += np.maximum(term, 0.0)
-        neg += np.maximum(-term, 0.0)
-        upper = lower
-    envelope = np.maximum(pos, neg)
-    sl = q0.cell_slices()
-    gap = envelope[sl] - constant * domination_rhs(family, b, f)[sl]
-    worst = float(gap.max())
-    scale = max(float(envelope[sl].max()), 1.0)
-    return worst <= 1e-12 * scale, worst
+
+@lru_cache(maxsize=None)
+def _draw_order(dim: int, height: int) -> tuple[np.ndarray, ...]:
+    """Draw positions of the non-leaf cubes of a subtree `height` levels deep.
+
+    The order is the pre-order of a depth-first walk that pushes
+    `Cube.children()` in order and pops the last one, so a child visits
+    after the subtrees of its later siblings.  Entry j holds the positions
+    of the cubes j levels below the subtree's root.
+    """
+    fan = 2**dim
+    # non-leaf cubes in a subtree rooted j levels down
+    sizes = [sum(fan**i for i in range(height - j)) for j in range(height + 1)]
+    order = [np.zeros((1,) * dim, dtype=np.int64)] if height else []
+    for j in range(1, height):
+        bits = np.indices((2**j,) * dim) % 2
+        rank = sum(bits[a] << (dim - 1 - a) for a in range(dim))  # place in children()
+        order.append(refine_once(order[-1]) + 1 + (fan - 1 - rank) * sizes[j])
+    return tuple(order)
 
 
 def random_subcollection(
     tree: DyadicTree, q0: Cube, rng: np.random.Generator, inclusion: float | None = None
-) -> list[Cube]:
-    """A random set of non-leaf cubes inside q0 (for quantifier sweeps)."""
+) -> list[np.ndarray]:
+    """A random set of non-leaf cubes inside q0 (for quantifier sweeps), as a 0/1 stack.
+
+    Each cube is kept when its uniform draw falls below the inclusion
+    probability.  The draws come from one `rng.random` call, in the
+    depth-first order of `_draw_order`, so the generator advances exactly
+    as a cube-by-cube walk would.
+    """
     p = rng.uniform(0.2, 0.8) if inclusion is None else inclusion
-    cubes = []
-    stack = [q0]
-    while stack:
-        q = stack.pop()
-        if q.is_leaf():
-            continue
-        if rng.random() < p:
-            cubes.append(q)
-        stack.extend(q.children())
-    return cubes
+    order = _draw_order(tree.dim, tree.depth - q0.level)
+    draws = rng.random(sum(pos.size for pos in order))
+    stack = [np.zeros((2**k,) * tree.dim) for k in range(tree.depth + 1)]
+    for j, pos in enumerate(order):
+        span = 2**j
+        inside = tuple(slice(i * span, (i + 1) * span) for i in q0.index)
+        stack[q0.level + j][inside] = draws[pos] < p
+    return stack
 
 
 # -- serialization ----------------------------------------------------------------
 
-_MEASURE_TAGS = {None: "lebesgue"}
+
+def _measure_tag(measure: Weight | None) -> str:
+    """`lebesgue`, `power(<gamma>)` for a power weight, else `unnamed`."""
+    if measure is None:
+        return "lebesgue"
+    if measure.power is not None:
+        return f"power({measure.power!r})"
+    return "unnamed"
+
+
+def _measure_from_tag(tag: str | None, tree: DyadicTree) -> Weight | None:
+    if tag == "lebesgue":
+        return None
+    if tag is not None and tag.startswith("power("):
+        return parse_weight(tag, tree)
+    raise ValueError(f"cannot rebuild the sparseness measure {tag!r} from text")
 
 
 def family_to_text(family: SparseFamily) -> str:
@@ -365,7 +402,8 @@ def family_to_text(family: SparseFamily) -> str:
     tree = family.tree
     lines = [
         f"# dyadlab sparse family v1 dim={tree.dim} depth={tree.depth} "
-        f"half_width={tree.half_width!r} gamma={family.gamma!r} measure=lebesgue"
+        f"half_width={tree.half_width!r} gamma={family.gamma!r} "
+        f"measure={_measure_tag(family.measure)}"
     ]
     for cube in family.cubes:
         claims = family.witnesses.get(cube, {})
@@ -401,6 +439,7 @@ def family_from_text(text: str) -> SparseFamily:
     fields = dict(part.split("=", 1) for part in header.split()[5:])
     tree = DyadicTree(int(fields["dim"]), int(fields["depth"]), float(fields["half_width"]))
     gamma = float(fields["gamma"])
+    measure = _measure_from_tag(fields.get("measure"), tree)
     cubes: list[Cube] = []
     witnesses: dict[Cube, dict[int, str]] = {}
     for line in lines[1:]:
@@ -422,4 +461,4 @@ def family_from_text(text: str) -> SparseFamily:
                 claims[int(tok)] = FULL
         cubes.append(cube)
         witnesses[cube] = claims
-    return SparseFamily(tree=tree, cubes=cubes, witnesses=witnesses, gamma=gamma, measure=None)
+    return SparseFamily(tree=tree, cubes=cubes, witnesses=witnesses, gamma=gamma, measure=measure)

@@ -19,7 +19,7 @@ import math
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -28,9 +28,11 @@ from .lattice import (
     DyadicTree,
     IntervalBatch,
     LatticeError,
+    as_blocks,
     coarsen_once,
-    expand_to_cells,
+    coarsen_to,
     from_sixths,
+    per_block,
     shifted_batches,
     shifted_intervals_1d,
 )
@@ -371,29 +373,20 @@ def ap_characteristic(w: Weight, p: float, scope: str = "dyadic") -> float:
 def fujii_wilson_ainfty(w: Weight, mu: Weight | None = None) -> float:
     """sup_Q (1/w(Q)) int_Q sup_{R in D(Q), R ni x} w(R)/mu(R) dmu.
 
-    Single downward sweep carrying the running max of the cube ratios per
-    cell, then one upward aggregation per level.
+    One sweep up the tree carrying the running max of the cube ratios per
+    cell; at each level the integrand is summed over that level's cubes.
     """
     tree = w.tree
     w_levels = w.level_masses()
     mu_levels = level_masses_or_lebesgue(tree, mu)
     mu_cell = mu_levels[tree.depth]
-    # running[k] at cell resolution: max over R on the chain between levels k..depth
-    running = w_levels[tree.depth] / mu_levels[tree.depth]
+    # running: max over the cubes R between level k and the cell
+    running = w_levels[tree.depth] / mu_cell
     best = 1.0
-    inner = [None] * (tree.depth + 1)
-    inner[tree.depth] = running
-    for k in range(tree.depth - 1, -1, -1):
-        ratio_k = expand_to_cells(w_levels[k] / mu_levels[k], k, tree.depth)
-        running = np.maximum(ratio_k, running)
-        inner[k] = running
-    for k in range(tree.depth + 1):
-        numer = inner[k] * mu_cell
-        # sum the cell integrand over each level-k cube
-        agg = numer
-        for _ in range(tree.depth - k):
-            agg = coarsen_once(agg)
-        best = max(best, float((agg / w_levels[k]).max()))
+    for k in range(tree.depth, -1, -1):
+        ratio_k = per_block(w_levels[k] / mu_levels[k])
+        running = np.maximum(ratio_k, as_blocks(running, k)).reshape(tree.shape)
+        best = max(best, float((coarsen_to(running * mu_cell, k) / w_levels[k]).max()))
     return best
 
 
@@ -421,6 +414,27 @@ def coeff_stack(tree: DyadicTree, entries: dict[Cube, float] | None = None) -> l
     if entries:
         for cube, value in entries.items():
             stack[cube.level][cube.index] = value
+    return stack
+
+
+def cube_stack(tree: DyadicTree, cubes: Iterable) -> list[np.ndarray]:
+    """A cube collection as per-level counts in `coeff_stack` shape.
+
+    A cube listed twice counts twice.  A per-level stack (arrays, not
+    cubes) passes through as floats; a stack without the finest level
+    gets a zero one.
+    """
+    items = list(cubes)
+    if items and isinstance(items[0], np.ndarray):
+        stack = [np.asarray(level, dtype=float) for level in items]
+        if len(stack) == tree.depth:
+            stack.append(np.zeros(tree.shape))
+        if [a.shape for a in stack] != [(2**k,) * tree.dim for k in range(tree.depth + 1)]:
+            raise LatticeError("per-level stack does not match the tree")
+        return stack
+    stack = coeff_stack(tree)
+    for cube in items:
+        stack[cube.level][cube.index] += 1.0
     return stack
 
 

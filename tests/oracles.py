@@ -21,8 +21,10 @@ from dyadlab.lattice import (
     GridFunction,
     ShiftedLattice,
     average,
+    coarsen_once,
     haar_difference,
     one_third_cover,
+    refine_once,
 )
 from dyadlab.norms import (
     discretized_sharp_sup,
@@ -37,6 +39,7 @@ from dyadlab.norms import (
     ProbePair,
 )
 from dyadlab.operators import (
+    _averages_by_level,
     commutator,
     commutator_bilinear,
     hilbert_at,
@@ -64,6 +67,7 @@ from dyadlab.weights import (
     carleson_norm,
     coeff_stack,
     fujii_wilson_ainfty,
+    level_masses_or_lebesgue,
     lower_joint_characteristic,
     power_interval_mass,
     power_weight_cube_lower_bound,
@@ -897,6 +901,165 @@ def reference_cube_lower_bound_shifted(tree: DyadicTree, gamma: float) -> float:
                 mass = power_interval_mass(float(lo), float(hi), gamma)
                 best = max(best, float(hi - lo) ** (gamma + tree.dim) / mass)
     return best
+
+
+# -- references for the per-level stacks ------------------------------------------------
+#
+# The level sums as they were written before the top-down pass: every level
+# array broadcast to the cells by repeated refinement, then added per level.
+# Each cell adds the same terms in the same order as the one-pass forms, so
+# those must agree bit for bit.  The cube-collection references loop over
+# `Cube`s with `haar_difference` and slice means, and agree to rounding.
+
+
+def reference_expand_to_cells(arr: np.ndarray, level: int, depth: int) -> np.ndarray:
+    for _ in range(depth - level):
+        arr = refine_once(arr)
+    return arr
+
+
+def reference_paraproduct(b: GridFunction, f: GridFunction) -> np.ndarray:
+    tree = b.tree
+    bavg, favg = _averages_by_level(b), _averages_by_level(f)
+    out = np.zeros(tree.shape)
+    upper = reference_expand_to_cells(bavg[0], 0, tree.depth)
+    for k in range(tree.depth):
+        lower = reference_expand_to_cells(bavg[k + 1], k + 1, tree.depth)
+        out += (lower - upper) * reference_expand_to_cells(favg[k], k, tree.depth)
+        upper = lower
+    return out
+
+
+def reference_paraproduct_adjoint(b: GridFunction, g: GridFunction) -> np.ndarray:
+    tree = b.tree
+    bavg, gsum = _averages_by_level(b), g.level_sums()
+    out = np.zeros(tree.shape)
+    for k in range(tree.depth):
+        inner = coarsen_once(bavg[k + 1] * gsum[k + 1]) - bavg[k] * gsum[k]
+        inner *= tree.cell_volume / tree.volume(k)
+        out += reference_expand_to_cells(inner, k, tree.depth)
+    return out
+
+
+def reference_martingale_stack(f: GridFunction, coeffs) -> np.ndarray:
+    tree = f.tree
+    favg = _averages_by_level(f)
+    out = np.zeros(tree.shape)
+    upper = reference_expand_to_cells(favg[0], 0, tree.depth)
+    for k in range(tree.depth):
+        lower = reference_expand_to_cells(favg[k + 1], k + 1, tree.depth)
+        out += (lower - upper) * reference_expand_to_cells(coeffs[k], k, tree.depth)
+        upper = lower
+    return out
+
+
+def reference_envelope(b: GridFunction, f: GridFunction, q0: Cube) -> np.ndarray:
+    tree = b.tree
+    bavg, favg = _averages_by_level(b), _averages_by_level(f)
+    pos, neg = np.zeros(tree.shape), np.zeros(tree.shape)
+    upper = reference_expand_to_cells(bavg[q0.level], q0.level, tree.depth)
+    for k in range(q0.level, tree.depth):
+        lower = reference_expand_to_cells(bavg[k + 1], k + 1, tree.depth)
+        term = (lower - upper) * reference_expand_to_cells(favg[k], k, tree.depth)
+        pos += np.maximum(term, 0.0)
+        neg += np.maximum(-term, 0.0)
+        upper = lower
+    return np.maximum(pos, neg)[q0.cell_slices()]
+
+
+def reference_oscillation_levels(b: GridFunction) -> list[np.ndarray]:
+    tree = b.tree
+    avgs = _averages_by_level(b)
+    out = []
+    for k in range(tree.depth + 1):
+        agg = np.abs(b.values - reference_expand_to_cells(avgs[k], k, tree.depth))
+        for _ in range(tree.depth - k):
+            agg = coarsen_once(agg)
+        out.append(agg * tree.cell_volume)
+    return out
+
+
+def reference_fujii_wilson(w: Weight, mu: Weight | None) -> float:
+    tree = w.tree
+    w_levels = w.level_masses()
+    mu_levels = level_masses_or_lebesgue(tree, mu)
+    mu_cell = mu_levels[tree.depth]
+    running = w_levels[tree.depth] / mu_levels[tree.depth]
+    inner = [None] * (tree.depth + 1)
+    inner[tree.depth] = running
+    for k in range(tree.depth - 1, -1, -1):
+        ratio_k = reference_expand_to_cells(w_levels[k] / mu_levels[k], k, tree.depth)
+        running = np.maximum(ratio_k, running)
+        inner[k] = running
+    best = 1.0
+    for k in range(tree.depth + 1):
+        agg = inner[k] * mu_cell
+        for _ in range(tree.depth - k):
+            agg = coarsen_once(agg)
+        best = max(best, float((agg / w_levels[k]).max()))
+    return best
+
+
+def reference_random_subcollection(tree: DyadicTree, q0: Cube, rng: np.random.Generator,
+                                   inclusion: float | None = None) -> list[Cube]:
+    """The cube-by-cube walk: pop a cube, draw once if it is not a leaf, push its children."""
+    p = rng.uniform(0.2, 0.8) if inclusion is None else inclusion
+    cubes = []
+    stack = [q0]
+    while stack:
+        q = stack.pop()
+        if q.is_leaf():
+            continue
+        if rng.random() < p:
+            cubes.append(q)
+        stack.extend(q.children())
+    return cubes
+
+
+def reference_partial_paraproduct(b: GridFunction, f: GridFunction, cubes) -> np.ndarray:
+    out = np.zeros(b.tree.shape)
+    for q in cubes:
+        if not q.is_leaf():
+            out += haar_difference(b, q).values * average(f, q)
+    return out
+
+
+def reference_martingale_dict(f: GridFunction, coeffs: dict) -> np.ndarray:
+    out = np.zeros(f.tree.shape)
+    for q, v in coeffs.items():
+        if not q.is_leaf():
+            out += v * haar_difference(f, q).values
+    return out
+
+
+def reference_sparse_op(b: GridFunction, f: GridFunction, cubes, variant: str) -> np.ndarray:
+    out = np.zeros(b.tree.shape)
+    for q in cubes:
+        sl = q.cell_slices()
+        dev = np.abs(b.values[sl] - b.values[sl].mean())
+        if variant == "plain":
+            out[sl] += dev * f.values[sl].mean()
+        else:
+            out[sl] += (dev * f.values[sl]).mean()
+    return out
+
+
+def reference_sparse_op_exponent(f: GridFunction, cubes, s: float) -> np.ndarray:
+    out = np.zeros(f.tree.shape)
+    for q in cubes:
+        sl = q.cell_slices()
+        val = (np.abs(f.values[sl]) ** s).sum() * f.tree.cell_volume / q.volume**s
+        out[sl] += val ** (1.0 / s)
+    return out
+
+
+def reference_domination_rhs(cubes, b: GridFunction, f: GridFunction) -> np.ndarray:
+    out = np.zeros(b.tree.shape)
+    for q in cubes:
+        sl = q.cell_slices()
+        osc = np.abs(b.values[sl] - b.values[sl].mean()).mean()
+        out[sl] += osc * np.abs(f.values[sl]).mean()
+    return out
 
 
 def run_all():

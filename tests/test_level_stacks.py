@@ -1,0 +1,245 @@
+"""Cube collections as per-level stacks, and the one-pass level sums.
+
+The top-down pass adds each cell's terms in the order the per-level
+broadcast loops in `oracles` did, so paraproduct, adjoint, martingale
+transform (stack path), envelope, oscillation levels and the Fujii-Wilson
+constant must match those references bit for bit.  Operators taking a
+cube collection are checked against per-cube loops built on
+`haar_difference` and slice means, to relative 1e-12.  The stack drawn by
+`random_subcollection` must select the cubes of the cube-by-cube walk and
+leave the generator where that walk leaves it.
+"""
+
+import numpy as np
+import pytest
+
+from dyadlab.lattice import Cube, DyadicTree, GridFunction
+from dyadlab.norms import discretized_sharp_sup
+from dyadlab.operators import (
+    martingale_transform,
+    oscillation_levels,
+    paraproduct,
+    paraproduct_adjoint,
+    sparse_op,
+    sparse_op_exponent,
+)
+from dyadlab.scenarios import ScenarioConfig, make_family
+from dyadlab.sparse import (
+    SparseFamily,
+    domination_envelope,
+    domination_rhs,
+    family_from_text,
+    family_to_text,
+    paraproduct_sparse_dominate,
+    random_subcollection,
+    verify_sparse,
+)
+from dyadlab.weights import BloomTriple, Weight, cube_stack, fujii_wilson_ainfty, parse_weight
+
+import oracles
+
+SHAPES = [(1, n) for n in (0, 1, 6, 12)] + [(2, n) for n in (1, 4, 7)]
+
+
+def _fields(dim: int, depth: int, count: int, seed: int = 0) -> list[GridFunction]:
+    tree = DyadicTree(dim, depth, 2.0)
+    rng = np.random.default_rng(seed + 10 * dim + depth)
+    return [GridFunction(tree, rng.standard_t(3, size=tree.shape)) for _ in range(count)]
+
+
+def _assert_close(got: np.ndarray, want: np.ndarray):
+    scale = max(float(np.abs(want).max(initial=0.0)), 1e-300)
+    assert float(np.abs(got - want).max(initial=0.0)) <= 1e-12 * scale
+
+
+# -- one-pass level sums, bit for bit ----------------------------------------------------
+
+
+@pytest.mark.parametrize("dim,depth", SHAPES)
+def test_paraproduct_and_adjoint_bit_identical(dim, depth):
+    b, f = _fields(dim, depth, 2)
+    assert np.array_equal(paraproduct(b, f).values, oracles.reference_paraproduct(b, f))
+    assert np.array_equal(
+        paraproduct_adjoint(b, f).values, oracles.reference_paraproduct_adjoint(b, f)
+    )
+
+
+@pytest.mark.parametrize("dim,depth", SHAPES)
+def test_martingale_stack_bit_identical(dim, depth):
+    (f,) = _fields(dim, depth, 1)
+    rng = np.random.default_rng(depth)
+    coeffs = [rng.choice([-1.0, 0.0, 0.5, 1.0], size=(2**k,) * dim) for k in range(depth)]
+    got = martingale_transform(f, coeffs).values
+    assert np.array_equal(got, oracles.reference_martingale_stack(f, coeffs))
+
+
+@pytest.mark.parametrize("dim,depth", SHAPES)
+def test_envelope_bit_identical(dim, depth):
+    b, f = _fields(dim, depth, 2)
+    tree = b.tree
+    starts = [tree.root()] + ([Cube(tree, 1, (1,) * dim)] if depth >= 1 else [])
+    for q0 in starts:
+        assert np.array_equal(domination_envelope(b, f, q0), oracles.reference_envelope(b, f, q0))
+
+
+@pytest.mark.parametrize("dim,depth", SHAPES)
+def test_oscillation_levels_bit_identical(dim, depth):
+    (b,) = _fields(dim, depth, 1)
+    got, want = oscillation_levels(b), oracles.reference_oscillation_levels(b)
+    assert len(got) == len(want)
+    for g, w in zip(got, want):
+        assert np.array_equal(g, w)
+
+
+@pytest.mark.parametrize("dim,depth", SHAPES)
+def test_fujii_wilson_bit_identical(dim, depth):
+    tree = DyadicTree(dim, depth, 2.0)
+    rng = np.random.default_rng(depth + 7 * dim)
+    w = Weight(tree, np.exp(rng.normal(size=tree.shape)))
+    mu = Weight(tree, np.exp(rng.normal(size=tree.shape)))
+    for m in (None, mu):
+        assert fujii_wilson_ainfty(w, m) == oracles.reference_fujii_wilson(w, m)
+
+
+# -- cube collections against per-cube loops ---------------------------------------------
+
+
+def _collections(tree: DyadicTree) -> dict[str, list[Cube]]:
+    rng = np.random.default_rng(tree.depth)
+    every = list(tree.cubes())
+    some = [every[i] for i in rng.choice(len(every), size=min(len(every), 9), replace=False)]
+    leaf = tree.cell_cube(tree.n_cells - 1)
+    return {
+        "empty": [],
+        "random": some,
+        "repeated": some + some[:3] + [tree.root()],
+        "leaves": [leaf, tree.cell_cube(0), leaf],
+        "all": every,
+    }
+
+
+COLLECTION_SHAPES = [(1, 0), (1, 1), (1, 6), (2, 1), (2, 4)]
+
+
+@pytest.mark.parametrize("dim,depth", COLLECTION_SHAPES)
+def test_partial_paraproduct_against_cube_loop(dim, depth):
+    b, f = _fields(dim, depth, 2, seed=1)
+    for cubes in _collections(b.tree).values():
+        want = oracles.reference_partial_paraproduct(b, f, cubes)
+        _assert_close(paraproduct(b, f, cubes).values, want)
+        _assert_close(paraproduct(b, f, cube_stack(b.tree, cubes)).values, want)
+    leaves = _collections(b.tree)["leaves"]
+    assert np.array_equal(paraproduct(b, f, leaves).values, np.zeros(b.tree.shape))
+
+
+@pytest.mark.parametrize("dim,depth", COLLECTION_SHAPES)
+@pytest.mark.parametrize("variant", ["plain", "adjoint"])
+def test_sparse_op_against_cube_loop(dim, depth, variant):
+    b, f = _fields(dim, depth, 2, seed=2)
+    for cubes in _collections(b.tree).values():
+        want = oracles.reference_sparse_op(b, f, cubes, variant)
+        _assert_close(sparse_op(b, f, cubes, variant).values, want)
+
+
+@pytest.mark.parametrize("dim,depth", COLLECTION_SHAPES)
+@pytest.mark.parametrize("s", [0.5, 1.0])
+def test_sparse_op_exponent_against_cube_loop(dim, depth, s):
+    (f,) = _fields(dim, depth, 1, seed=3)
+    for cubes in _collections(f.tree).values():
+        want = oracles.reference_sparse_op_exponent(f, cubes, s)
+        _assert_close(sparse_op_exponent(f, cubes, s).values, want)
+
+
+@pytest.mark.parametrize("dim,depth", COLLECTION_SHAPES)
+def test_martingale_dict_against_cube_loop(dim, depth):
+    (f,) = _fields(dim, depth, 1, seed=4)
+    rng = np.random.default_rng(depth)
+    for cubes in _collections(f.tree).values():
+        coeffs = {q: float(rng.normal()) for q in cubes}
+        want = oracles.reference_martingale_dict(f, coeffs)
+        _assert_close(martingale_transform(f, coeffs).values, want)
+
+
+@pytest.mark.parametrize("dim,depth", COLLECTION_SHAPES)
+def test_domination_rhs_against_cube_loop(dim, depth):
+    b, f = _fields(dim, depth, 2, seed=5)
+    tree = b.tree
+    for cubes in _collections(tree).values():
+        distinct = list(dict.fromkeys(cubes))  # a family holds each cube once
+        family = SparseFamily(tree, distinct, {}, gamma=1.0)
+        want = oracles.reference_domination_rhs(distinct, b, f)
+        _assert_close(domination_rhs(family, b, f), want)
+
+
+def test_stack_of_wrong_shape_is_refused():
+    tree = DyadicTree(1, 3, 1.0)
+    with pytest.raises(ValueError):
+        cube_stack(tree, [np.zeros(1), np.zeros(3)])
+
+
+# -- the random sub-collection keeps the generator's stream ------------------------------
+
+
+@pytest.mark.parametrize("dim,depth", [(1, 6), (1, 1), (2, 4), (2, 1)])
+@pytest.mark.parametrize("seed", [0, 1, 7, 2024])
+def test_random_subcollection_matches_cube_walk(dim, depth, seed):
+    tree = DyadicTree(dim, depth, 1.0)
+    starts = [tree.root(), Cube(tree, 1, (1,) * dim), tree.cell_cube(tree.n_cells // 3)]
+    rng, ref = np.random.default_rng(seed), np.random.default_rng(seed)
+    for q0 in starts:
+        for inclusion in (None, 0.5):
+            stack = random_subcollection(tree, q0, rng, inclusion)
+            cubes = oracles.reference_random_subcollection(tree, q0, ref, inclusion)
+            want = cube_stack(tree, cubes)
+            assert len(stack) == tree.depth + 1
+            for got_level, want_level in zip(stack, want):
+                assert np.array_equal(got_level, want_level)
+            assert rng.random() == ref.random()
+
+
+# -- sparse-family text keeps its measure ------------------------------------------------
+
+
+def _norms_family(dim: int, depth: int, mu: str) -> SparseFamily:
+    """The nu-sparse family `run_norms` writes, built the way it builds it."""
+    cfg = ScenarioConfig(dim=dim, depth=depth, mu=mu, b_family="random-haar")
+    tree = cfg.tree()
+    triple = BloomTriple(parse_weight(cfg.mu, tree), parse_weight(cfg.lam, tree), cfg.exponents())
+    b = make_family(cfg.b_family, tree, 1, np.random.default_rng(cfg.seed))[0]
+    return discretized_sharp_sup(b, triple.nu, cfg.exponents().r).certificate
+
+
+@pytest.mark.parametrize("dim,depth,mu", [(1, 8, "lebesgue"), (1, 8, "power(1.0)"),
+                                          (2, 4, "power(1.0)")])
+def test_sparse_text_round_trips_its_measure(dim, depth, mu):
+    family = _norms_family(dim, depth, mu)
+    assert family.measure is not None and family.measure.power is not None
+    text = family_to_text(family)
+    assert f"measure=power({family.measure.power!r})" in text.splitlines()[0]
+    back = family_from_text(text)
+    assert back.measure.power == family.measure.power
+    assert np.array_equal(back.measure.cell_mass, family.measure.cell_mass)
+    assert verify_sparse(back) == verify_sparse(family)
+    assert family_to_text(back) == text
+
+
+def test_lebesgue_family_reloads_lebesgue():
+    tree = DyadicTree(1, 5, 1.0)
+    rng = np.random.default_rng(3)
+    b, f = (GridFunction(tree, rng.normal(size=tree.shape)) for _ in range(2))
+    family = paraproduct_sparse_dominate(b, f)
+    text = family_to_text(family)
+    assert text.splitlines()[0].endswith("measure=lebesgue")
+    assert family_from_text(text).measure is None
+
+
+def test_unnamed_measure_is_refused_on_reload():
+    tree = DyadicTree(1, 3, 1.0)
+    root = tree.root()
+    density = np.linspace(1.0, 2.0, tree.n_cells)
+    family = SparseFamily(tree, [root], {root: {0: "full"}}, gamma=0.1,
+                          measure=Weight.from_density(tree, density))
+    text = family_to_text(family)
+    assert text.splitlines()[0].endswith("measure=unnamed")
+    with pytest.raises(ValueError):
+        family_from_text(text)
