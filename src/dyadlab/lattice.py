@@ -90,6 +90,13 @@ def per_block(arr: np.ndarray) -> np.ndarray:
     return arr.reshape(tuple(m for s in arr.shape for m in (s, 1)))
 
 
+def as_rows(cells: np.ndarray, level: int) -> np.ndarray:
+    """Each level-`level` cube's cells as one contiguous row, in the C order of its slice."""
+    d = cells.ndim
+    blocks = as_blocks(cells, level).transpose(*range(0, 2 * d, 2), *range(1, 2 * d, 2))
+    return blocks.reshape((2**level,) * d + (-1,))
+
+
 class DyadicTree:
     """A complete dyadic tree over the root cube [-H, H)^d.
 

@@ -15,14 +15,14 @@ from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
-from .lattice import Cube, DyadicTree, GridFunction, LatticeError, shifted_batches
+from .lattice import Cube, DyadicTree, GridFunction, LatticeError, as_rows, shifted_batches
 from .operators import (
     OperatorHandle,
     oscillation,
     oscillation_levels,
     sharp_maximal,
 )
-from .sparse import FULL, SparseFamily, verify_sparse
+from .sparse import SparseFamily, owned_cells, principal_cubes, verify_sparse
 from .weights import BloomTriple, Weight, batch_masses
 
 GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
@@ -191,21 +191,15 @@ def trace_is_convex(trace: Sequence[tuple[float, float]], rel_tol: float = 1e-9)
 # -- discretized sharp supremum ---------------------------------------------------
 
 
-def _median_oscillation(b: GridFunction, cube: Cube) -> float:
-    """inf_c int_Q |b - c| dx; the minimizer is a pointwise median (cells share volume)."""
-    vals = b.values[cube.cell_slices()].ravel()
-    med = float(np.median(vals))
-    return float(np.abs(vals - med).sum() * b.tree.cell_volume)
-
-
 def discretized_sharp_sup(
     b: GridFunction, nu: Weight, r: float, gamma: float = 0.25
 ) -> NormReport:
     """Principal-cubes lower functional for the sharp maximal norm.
 
     Builds a stopping family by doubling of the normalized oscillation
-    tau_Q / nu(Q) (tau the median oscillation), verifies (gamma, nu)
-    sparseness of the result, and reports
+    tau_Q / nu(Q) (tau the median oscillation inf_c int_Q |b - c| dx, whose
+    minimizer is a pointwise median since cells share volume), verifies
+    (gamma, nu) sparseness of the result, and reports
 
         (sum over family of (osc_S / nu(S))^r nu(S))^(1/r).
 
@@ -215,39 +209,16 @@ def discretized_sharp_sup(
     """
     tree = b.tree
     nus = nu.level_masses()
+    phi = []
+    for k in range(tree.depth + 1):
+        rows = as_rows(b.values, k)
+        tau = np.abs(rows - np.median(rows, axis=-1)[..., None]).sum(axis=-1) * tree.cell_volume
+        phi.append(tau / nus[k])
 
-    def phi(cube: Cube) -> float:
-        return _median_oscillation(b, cube) / nus[cube.level][cube.index]
-
-    principal: list[Cube] = []
-    children: dict[Cube, list[Cube]] = {}
-    stack = [tree.root()]
-    while stack:
-        p = stack.pop()
-        principal.append(p)
-        phip = phi(p)
-        stops: list[Cube] = []
-
-        def scan(q: Cube):
-            for child in q.children():
-                if phi(child) > 2.0 * phip:
-                    stops.append(child)
-                elif not child.is_leaf():
-                    scan(child)
-
-        if not p.is_leaf():
-            scan(p)
-        children[p] = stops
-        stack.extend(stops)
-
-    witnesses: dict[Cube, dict[int, str]] = {}
-    for p in principal:
-        keep = np.zeros(tree.shape, dtype=bool)
-        keep[p.cell_slices()] = True
-        for s in children[p]:
-            keep[s.cell_slices()] = False
-        witnesses[p] = {int(i): FULL for i in np.flatnonzero(keep.ravel())}
-
+    # the state is the principal cube's phi; a cube stops where its phi is over twice that
+    principal, owner = principal_cubes(
+        tree.root(), lambda k: (phi[k],), lambda k, ref: (phi[k] > 2.0 * ref[0], ref))
+    witnesses = owned_cells(principal, owner)
     family = SparseFamily(
         tree=tree, cubes=principal, witnesses=witnesses, gamma=gamma, measure=nu
     )

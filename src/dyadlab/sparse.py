@@ -6,11 +6,12 @@ stored as claims on finest cells; a claim is the whole cell or one of its
 two halves along axis 0 (halves arise only when a finest-level stopping
 cube must share its single cell with its parent's witness).
 
-The constructor `paraproduct_sparse_dominate` runs the two coupled
-stopping conditions exactly: the average-growth test on |f|, and the
-existential partial-sum test, whose supremum over sub-collections of an
-upward chain is computable in closed form as the larger of the summed
-positive parts and summed negative parts.
+Both stopping-time constructions are one top-down pass, `principal_cubes`:
+level by level a cube inherits its principal cube's state, and stops by a
+rule.  The paraproduct rule stops where <|f|> passes 4 times the principal's
+or a chain partial sum passes a_Q (its supremum over sub-collections is
+the larger of the summed positive and negative parts); the rule of
+`norms.discretized_sharp_sup` stops where tau/nu passes twice the principal's.
 """
 
 from __future__ import annotations
@@ -18,11 +19,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterable
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
-from .lattice import Cube, DyadicTree, GridFunction, LatticeError, refine_once
+from .lattice import Cube, DyadicTree, GridFunction, LatticeError, as_rows, refine_once
 from .operators import _averages_by_level, _haar_terms, _top_down, oscillation_levels, paraproduct
 from .weights import Weight, carleson_norm, coeff_stack, parse_weight
 
@@ -122,6 +123,55 @@ def carleson_from_sparse(family: SparseFamily, measure: Weight | None = None,
     return value
 
 
+# -- the stopping-time engine ----------------------------------------------------
+
+
+def _below(q0: Cube, levels: Sequence[np.ndarray]) -> list[np.ndarray]:
+    """Per-level arrays cut to the cubes inside q0, from q0's level down."""
+    return [arr[tuple(slice(i << j, (i + 1) << j) for i in q0.index)]
+            for j, arr in enumerate(levels[q0.level:])]
+
+
+def principal_cubes(
+    q0: Cube,
+    fresh: Callable[[int], tuple[np.ndarray, ...]],
+    advance: Callable[[int, tuple[np.ndarray, ...]], tuple[np.ndarray, tuple[np.ndarray, ...]]],
+) -> tuple[list[Cube], np.ndarray]:
+    """The principal cubes of a stopping rule below q0, by one top-down pass.
+
+    Cubes j levels below q0 carry their principal's state, refined from
+    level j - 1; `advance(j, state)` returns the stop mask and the state
+    carried on, and a stopping cube becomes principal with state
+    `fresh(j)` (`fresh(0)` is q0's).  Returns the principal cubes in the
+    walk order of `_draw_order` (q0 first, later children first) and, per
+    finest cell, the position of its deepest principal cube (-1 outside q0).
+    """
+    tree, height = q0.tree, q0.tree.depth - q0.level
+    state, found = fresh(0), [np.ones((1,) * tree.dim, dtype=bool)]
+    owner = np.zeros((1,) * tree.dim, dtype=np.int64)  # principal ids, in the order found
+    for j in range(1, height + 1):
+        stop, state = advance(j, tuple(refine_once(s) for s in state))
+        state = tuple(np.where(stop, new, old) for new, old in zip(fresh(j), state))
+        owner = refine_once(owner)
+        owner[stop] = owner.max() + 1 + np.arange(np.count_nonzero(stop))
+        found.append(stop)
+    order = _draw_order(tree.dim, height + 1)
+    walk = np.argsort(np.concatenate([pos[mask] for pos, mask in zip(order, found)]))
+    cubes = [Cube(tree, q0.level + j, tuple(int(i) for i in (np.array(q0.index) << j) + idx))
+             for j, mask in enumerate(found) for idx in np.argwhere(mask)]
+    cells = np.full(tree.shape, -1, dtype=np.int64)
+    cells[q0.cell_slices()] = np.argsort(walk)[owner]
+    return [cubes[i] for i in walk], cells
+
+
+def owned_cells(cubes: list[Cube], owner: np.ndarray) -> dict[Cube, dict[int, str]]:
+    """Whole-cell witness claims from `principal_cubes`' owner array, cells ascending."""
+    cells = np.argsort(owner, axis=None, kind="stable")
+    bounds = np.searchsorted(owner.ravel()[cells], np.arange(len(cubes) + 1)).tolist()
+    cells = cells.tolist()
+    return {q: dict.fromkeys(cells[lo:hi], FULL) for q, lo, hi in zip(cubes, bounds, bounds[1:])}
+
+
 # -- the stopping-time constructor ----------------------------------------------
 
 
@@ -140,8 +190,9 @@ def paraproduct_sparse_dominate(
     <|f|>_P > 4 <|f|>_Q, or with some chain sub-collection between P and Q
     whose partial sum exceeds 2^5 <|b-<b>_Q|>_Q <|f|>_Q on P; the latter
     supremum equals max(sum of positive parts, sum of negative parts) and
-    is evaluated exactly.  The per-node stopping mass is checked against
-    half the node's volume at runtime.
+    is evaluated exactly.  An iterate on which b is constant stops
+    nothing.  The per-node stopping mass is checked against half the
+    node's volume at runtime.
     """
     tree = b.tree
     if f.tree != tree:
@@ -151,68 +202,37 @@ def paraproduct_sparse_dominate(
     d = tree.dim
     gamma = 2.0 ** -(d + 2)
 
-    bavg = _averages_by_level(b)
-    fabs = _averages_by_level(f.abs())
-    fsig = _averages_by_level(f)
-
-    if fabs[q0.level][q0.index] == 0.0 and float(np.abs(f.values).max()) != 0.0:
+    bavg, fabs, fsig = (_below(q0, _averages_by_level(g)) for g in (b, f.abs(), f))
+    if fabs[0].item() == 0.0 and float(np.abs(f.values).max()) != 0.0:
         raise LatticeError("zero |f|-average over the root of a nonzero f")
 
-    stilde: list[Cube] = []
-    stopping_children: dict[Cube, list[Cube]] = {}
-    mass_ratio_max = 0.0
+    rows = [as_rows(b.values[q0.cell_slices()], j) for j in range(len(bavg))]
+    # an iterate's state: <|f|>, a_q = 2^5 <|b - <b>|> <|f|>, whether b varies on it,
+    # and the chain's summed positive and negative parts
+    thresholds = [32.0 * np.abs(r - a[..., None]).mean(axis=-1) * fa
+                  for r, a, fa in zip(rows, bavg, fabs)]
+    varies = [r.min(axis=-1) < r.max(axis=-1) for r in rows]
+    terms = [None] + _haar_terms(bavg, fsig)
 
-    stack = [q0]
-    while stack:
-        q = stack.pop()
-        stilde.append(q)
-        if q.is_leaf():
-            stopping_children[q] = []
-            continue
-        osc_avg = float(
-            np.abs(b.values[q.cell_slices()] - bavg[q.level][q.index]).mean()
-        )
-        fbar = float(fabs[q.level][q.index])
-        a_q = 32.0 * osc_avg * fbar
-        if osc_avg == 0.0:
-            # b constant on q: every difference below vanishes, nothing to chase
-            stopping_children[q] = []
-            continue
-        stops: list[Cube] = []
+    def fresh(j):
+        zero = np.zeros(fabs[j].shape)
+        return fabs[j], thresholds[j], varies[j], zero, zero
 
-        def scan(parent: Cube, pos: float, neg: float):
-            pavg = bavg[parent.level][parent.index]
-            favg_parent = fsig[parent.level][parent.index]
-            for child in parent.children():
-                c = (bavg[child.level][child.index] - pavg) * favg_parent
-                cpos = pos + max(c, 0.0)
-                cneg = neg + max(-c, 0.0)
-                if fabs[child.level][child.index] > 4.0 * fbar or max(cpos, cneg) > a_q:
-                    stops.append(child)
-                elif not child.is_leaf():
-                    scan(child, cpos, cneg)
+    def advance(j, state):
+        fbar, a_q, live, pos, neg = state
+        pos, neg = pos + np.maximum(terms[j], 0.0), neg + np.maximum(-terms[j], 0.0)
+        stop = live & ((fabs[j] > 4.0 * fbar) | (np.maximum(pos, neg) > a_q))
+        return stop, (fbar, a_q, live, pos, neg)
 
-        scan(q, 0.0, 0.0)
-        stop_mass = sum(p.volume for p in stops)
-        ratio = stop_mass / q.volume
-        mass_ratio_max = max(mass_ratio_max, ratio)
+    stilde, owner = principal_cubes(q0, fresh, advance)
+    witnesses = owned_cells(stilde, owner)
+    size = np.array([q.cell_count() for q in stilde])
+    ratios = (size - np.array([len(witnesses[q]) for q in stilde])) / size
+    for q, ratio in zip(stilde, ratios):
         if ratio > 0.5 + 1e-12:
             raise StoppingMassError(
                 f"stopping cubes carry {ratio:.4f} of the node volume at {q}, above 1/2"
             )
-        stopping_children[q] = stops
-        stack.extend(stops)
-
-    # witnesses for the iterate cubes: everything not claimed by stopping cubes
-    witnesses: dict[Cube, dict[int, str]] = {}
-    for q in stilde:
-        claimed = np.zeros(tree.shape, dtype=bool)
-        for p in stopping_children[q]:
-            claimed[p.cell_slices()] = True
-        keep = np.zeros(tree.shape, dtype=bool)
-        keep[q.cell_slices()] = True
-        keep &= ~claimed
-        witnesses[q] = {int(i): FULL for i in np.flatnonzero(keep.ravel())}
 
     # add the parents of the non-root members, paying for their witnesses
     # out of one stopping child's surplus
@@ -252,7 +272,7 @@ def paraproduct_sparse_dominate(
         witnesses=witnesses,
         gamma=gamma,
         measure=None,
-        stopping_mass_max=mass_ratio_max,
+        stopping_mass_max=float(ratios.max()),
     )
 
 

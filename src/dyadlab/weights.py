@@ -283,10 +283,11 @@ def batch_masses(weight: Weight, batch: IntervalBatch) -> np.ndarray:
     return batch_cell_masses(weight, batch).sum(axis=1)
 
 
-def level_masses_or_lebesgue(tree: DyadicTree, weight: Weight | None) -> list[np.ndarray]:
+def level_masses_or_lebesgue(tree: DyadicTree, weight: Weight | None) -> list:
+    """Per-level cube masses; Lebesgue ones are the scalars `tree.volume(k)`, to broadcast."""
     if weight is not None:
         return weight.level_masses()
-    return [np.full((2**k,) * tree.dim, tree.volume(k)) for k in range(tree.depth + 1)]
+    return [tree.volume(k) for k in range(tree.depth + 1)]
 
 
 # -- exponent bookkeeping ------------------------------------------------------

@@ -20,10 +20,13 @@ from dyadlab.lattice import (
     DyadicTree,
     GridFunction,
     ShiftedLattice,
+    as_blocks,
     average,
     coarsen_once,
+    coarsen_to,
     haar_difference,
     one_third_cover,
+    per_block,
     refine_once,
 )
 from dyadlab.norms import (
@@ -36,7 +39,9 @@ from dyadlab.norms import (
     q_ge_p_testing,
     sequential_testing_functional,
     weight_necessity_bound,
+    NormReport,
     ProbePair,
+    sharp_maximal_r_norm,
 )
 from dyadlab.operators import (
     _averages_by_level,
@@ -46,6 +51,7 @@ from dyadlab.operators import (
     martingale_transform,
     maximal,
     multiplication_handle,
+    oscillation,
     paraproduct,
     paraproduct_handle,
     sharp_maximal,
@@ -54,10 +60,16 @@ from dyadlab.operators import (
     weak_level_set_bound,
 )
 from dyadlab.sparse import (
+    FULL,
+    HI_HALF,
+    LO_HALF,
+    SparseFamily,
+    StoppingMassError,
     domination_check,
     domination_rhs,
     partial_sum,
     paraproduct_sparse_dominate,
+    verify_sparse,
 )
 from dyadlab.weights import (
     BloomTriple,
@@ -751,6 +763,42 @@ def whole_line_sharp_sup_slope_unit_bump():
     return "sharp window: whole-line slope on [2, 3.95], bump radius 1", slope, -1.02, 1e-2
 
 
+@oracle
+def scalar_lebesgue_masses():
+    """Scalar Lebesgue level masses give the bits of the per-cube `np.full` arrays.
+
+    `_averages_by_level`, `carleson_norm` and `fujii_wilson_ainfty` with no
+    measure, against their formulas evaluated on full arrays of `tree.volume(k)`.
+    """
+    same = True
+    for dim, depth, half_width in ((1, 6, 1.0), (1, 7, 3.0), (2, 4, 0.7), (2, 5, 5.0)):
+        tree = DyadicTree(dim, depth, half_width)
+        full = [np.full((2**k,) * dim, tree.volume(k)) for k in range(depth + 1)]
+        rng = np.random.default_rng(depth)
+        f = GridFunction(tree, rng.standard_t(3, size=tree.shape))
+        sums = f.level_sums()
+        want = [sums[k] * tree.cell_volume / full[k] for k in range(depth + 1)]
+        same &= all(np.array_equal(a, w) for a, w in zip(_averages_by_level(f), want))
+
+        coeffs = [rng.random((2**k,) * dim) for k in range(depth + 1)]
+        acc = np.abs(coeffs[depth]) * full[depth]
+        packing = float((acc / full[depth]).max())
+        for k in range(depth - 1, -1, -1):
+            acc = coarsen_once(acc) + np.abs(coeffs[k]) * full[k]
+            packing = max(packing, float((acc / full[k]).max()))
+        same &= carleson_norm(coeffs, None, tree) == packing
+
+        w = Weight(tree, np.exp(rng.standard_normal(tree.shape)))
+        w_levels = w.level_masses()
+        running, ainfty = w_levels[depth] / full[depth], 1.0
+        for k in range(depth, -1, -1):
+            ratio_k = per_block(w_levels[k] / full[k])
+            running = np.maximum(ratio_k, as_blocks(running, k)).reshape(tree.shape)
+            ainfty = max(ainfty, float((coarsen_to(running * full[depth], k) / w_levels[k]).max()))
+        same &= fujii_wilson_ainfty(w) == ainfty
+    return "lebesgue level masses: scalars against np.full arrays", float(same), 1.0, 0.0
+
+
 # -- Fraction references for the d = 1 interval engine -------------------------------
 #
 # The shifted and sliding-window functionals recomputed one interval at a
@@ -1060,6 +1108,162 @@ def reference_domination_rhs(cubes, b: GridFunction, f: GridFunction) -> np.ndar
         osc = np.abs(b.values[sl] - b.values[sl].mean()).mean()
         out[sl] += osc * np.abs(f.values[sl]).mean()
     return out
+
+
+# -- the recursive stopping-time constructors, kept as references -----------------------
+
+
+def reference_paraproduct_sparse_dominate(
+    b: GridFunction, f: GridFunction, q0: Cube | None = None
+) -> SparseFamily:
+    """The cube-by-cube constructor: pop an iterate, scan its subtree for stopping cubes.
+
+    An iterate on which b is constant is decided exactly, by min == max.
+    Testing `osc_avg == 0.0` instead reads b as varying on a constant
+    block whose rounded average differs from its value (H = 3 or 5), and
+    then stops cubes by the growth of |f| alone.
+    """
+    tree = b.tree
+    if q0 is None:
+        q0 = tree.root()
+    d = tree.dim
+    bavg = _averages_by_level(b)
+    fabs = _averages_by_level(f.abs())
+    fsig = _averages_by_level(f)
+
+    stilde: list[Cube] = []
+    stopping_children: dict[Cube, list[Cube]] = {}
+    mass_ratio_max = 0.0
+    stack = [q0]
+    while stack:
+        q = stack.pop()
+        stilde.append(q)
+        if q.is_leaf():
+            stopping_children[q] = []
+            continue
+        vals = b.values[q.cell_slices()]
+        osc_avg = float(np.abs(vals - bavg[q.level][q.index]).mean())
+        fbar = float(fabs[q.level][q.index])
+        a_q = 32.0 * osc_avg * fbar
+        if vals.min() == vals.max():
+            stopping_children[q] = []
+            continue
+        stops: list[Cube] = []
+
+        def scan(parent: Cube, pos: float, neg: float):
+            pavg = bavg[parent.level][parent.index]
+            favg_parent = fsig[parent.level][parent.index]
+            for child in parent.children():
+                c = (bavg[child.level][child.index] - pavg) * favg_parent
+                cpos = pos + max(c, 0.0)
+                cneg = neg + max(-c, 0.0)
+                if fabs[child.level][child.index] > 4.0 * fbar or max(cpos, cneg) > a_q:
+                    stops.append(child)
+                elif not child.is_leaf():
+                    scan(child, cpos, cneg)
+
+        scan(q, 0.0, 0.0)
+        stop_mass = sum(p.volume for p in stops)
+        ratio = stop_mass / q.volume
+        mass_ratio_max = max(mass_ratio_max, ratio)
+        if ratio > 0.5 + 1e-12:
+            raise StoppingMassError(
+                f"stopping cubes carry {ratio:.4f} of the node volume at {q}, above 1/2"
+            )
+        stopping_children[q] = stops
+        stack.extend(stops)
+
+    witnesses: dict[Cube, dict[int, str]] = {}
+    for q in stilde:
+        keep = np.zeros(tree.shape, dtype=bool)
+        keep[q.cell_slices()] = True
+        for p in stopping_children[q]:
+            keep[p.cell_slices()] = False
+        witnesses[q] = {int(i): FULL for i in np.flatnonzero(keep.ravel())}
+
+    members = set(stilde)
+    family_cubes = list(stilde)
+    half_cells = 2 ** (d + 1)
+    for q in stilde:
+        if q == q0:
+            continue
+        parent = q.parent()
+        if parent in members:
+            continue
+        members.add(parent)
+        family_cubes.append(parent)
+        need_parent = -(-parent.cell_count() // half_cells)
+        need_donor = -(-q.cell_count() // half_cells)
+        donor_claims = witnesses[q]
+        if 2 * len(donor_claims) - need_parent < need_donor:
+            raise AssertionError("witness split infeasible")
+        cells_sorted = sorted(donor_claims)
+        take_full, leftover_half = divmod(need_parent, 2)
+        parent_claims: dict[int, str] = {}
+        for cell in cells_sorted[len(cells_sorted) - take_full:]:
+            parent_claims[cell] = FULL
+            del donor_claims[cell]
+        if leftover_half:
+            split_cell = max(donor_claims)
+            parent_claims[split_cell] = HI_HALF
+            donor_claims[split_cell] = LO_HALF
+        witnesses[parent] = parent_claims
+    return SparseFamily(tree=tree, cubes=family_cubes, witnesses=witnesses,
+                        gamma=2.0 ** -(d + 2), stopping_mass_max=mass_ratio_max)
+
+
+def reference_discretized_sharp_sup(b: GridFunction, nu: Weight, r: float,
+                                    gamma: float = 0.25) -> NormReport:
+    """The recursive principal-cube walk, one median per visited cube."""
+    tree = b.tree
+    nus = nu.level_masses()
+
+    def phi(cube: Cube) -> float:
+        vals = b.values[cube.cell_slices()].ravel()
+        med = float(np.median(vals))
+        return float(np.abs(vals - med).sum() * tree.cell_volume) / nus[cube.level][cube.index]
+
+    principal: list[Cube] = []
+    children: dict[Cube, list[Cube]] = {}
+    stack = [tree.root()]
+    while stack:
+        p = stack.pop()
+        principal.append(p)
+        phip = phi(p)
+        stops: list[Cube] = []
+
+        def scan(q: Cube):
+            for child in q.children():
+                if phi(child) > 2.0 * phip:
+                    stops.append(child)
+                elif not child.is_leaf():
+                    scan(child)
+
+        if not p.is_leaf():
+            scan(p)
+        children[p] = stops
+        stack.extend(stops)
+
+    witnesses: dict[Cube, dict[int, str]] = {}
+    for p in principal:
+        keep = np.zeros(tree.shape, dtype=bool)
+        keep[p.cell_slices()] = True
+        for s in children[p]:
+            keep[s.cell_slices()] = False
+        witnesses[p] = {int(i): FULL for i in np.flatnonzero(keep.ravel())}
+    family = SparseFamily(tree=tree, cubes=principal, witnesses=witnesses, gamma=gamma,
+                          measure=nu)
+    ok, worst = verify_sparse(family)
+    total = 0.0
+    for p in principal:
+        osc = oscillation(b, p)
+        mass = float(nus[p.level][p.index])
+        if osc > 0.0:
+            total += (osc / mass) ** r * mass
+    value = total ** (1.0 / r) if total > 0.0 else 0.0
+    sharp_norm = sharp_maximal_r_norm(b, nu, r).value
+    details = {"sparse_ok": float(ok), "worst_witness_ratio": worst, "sharp_norm": sharp_norm}
+    return NormReport(value, "sparse-sup", certificate=family, details=details)
 
 
 def run_all():

@@ -1,0 +1,116 @@
+"""The one top-down stopping pass against the recursive constructors it replaced.
+
+`paraproduct_sparse_dominate` and `discretized_sharp_sup` both build their
+principal cubes with `sparse.principal_cubes`.  They must give what the
+cube-by-cube walks kept in `oracles` give: the same cubes in the same
+order, the same witness claims in the same order, the same stopping-mass
+ratio, report value and details, and the same sparse-family text.
+"""
+
+import numpy as np
+import pytest
+
+from dyadlab.lattice import Cube, DyadicTree, GridFunction
+from dyadlab.norms import discretized_sharp_sup
+from dyadlab.operators import oscillation_levels
+from dyadlab.scenarios import random_haar_sum, spiky_field
+from dyadlab.sparse import family_to_text, paraproduct_sparse_dominate, verify_sparse
+from dyadlab.weights import Weight, parse_weight
+
+import oracles
+
+SHAPES = [(1, n) for n in (0, 1, 6, 10)] + [(2, n) for n in (1, 4, 6)]
+# a random Haar sum needs a non-leaf cube
+CASES = [(d, n, kind) for d, n in SHAPES for kind in ("constant", "spiky", "random-haar")
+         if n or kind != "random-haar"]
+
+
+def _field(kind: str, tree: DyadicTree, rng: np.random.Generator) -> GridFunction:
+    if kind == "constant":
+        return GridFunction.constant(tree, 1.5)
+    if kind == "spiky":
+        return spiky_field(tree, rng, sigma=3.0)
+    return random_haar_sum(tree, rng)
+
+
+def _starts(tree: DyadicTree) -> list[Cube]:
+    """q0 as the root, as a non-root inner cube (when the tree has one) and as a leaf."""
+    inner = [Cube(tree, 1, (1,) * tree.dim)] if tree.depth > 1 else []
+    return [tree.root()] + inner + [Cube(tree, tree.depth, (min(tree.depth, 1),) * tree.dim)]
+
+
+def _assert_same_family(got, want):
+    assert got.cubes == want.cubes
+    assert [list(got.witnesses[q].items()) for q in got.cubes] == [
+        list(want.witnesses[q].items()) for q in want.cubes
+    ]
+    assert got.stopping_mass_max == want.stopping_mass_max
+    assert got.gamma == want.gamma
+    assert family_to_text(got) == family_to_text(want)
+    assert verify_sparse(got) == verify_sparse(want)
+
+
+@pytest.mark.parametrize("dim,depth,b_kind", CASES)
+@pytest.mark.parametrize("f_kind", ["spiky", "zero"])
+def test_paraproduct_family_matches_recursive_walk(dim, depth, b_kind, f_kind):
+    tree = DyadicTree(dim, depth, 2.0)
+    rng = np.random.default_rng(100 * dim + depth)
+    for _ in range(3):
+        b = _field(b_kind, tree, rng)
+        f = GridFunction.constant(tree, 0.0)
+        if f_kind == "spiky":
+            f = spiky_field(tree, rng, sigma=3.0)
+        for q0 in _starts(tree):
+            _assert_same_family(
+                paraproduct_sparse_dominate(b, f, q0),
+                oracles.reference_paraproduct_sparse_dominate(b, f, q0),
+            )
+
+
+# a power weight vanishes on the one cell of depth 0
+SHARP_CASES = [case + (m,) for case in CASES for m in ("lebesgue", "power(1.0)")
+               if case[1] or m == "lebesgue"]
+
+
+@pytest.mark.parametrize("dim,depth,b_kind,measure", SHARP_CASES)
+def test_sharp_sup_matches_recursive_walk(dim, depth, b_kind, measure):
+    tree = DyadicTree(dim, depth, 2.0)
+    nu = Weight.lebesgue(tree) if measure == "lebesgue" else parse_weight(measure, tree)
+    rng = np.random.default_rng(10 * dim + depth)
+    for _ in range(2):
+        b = _field(b_kind, tree, rng)
+        got = discretized_sharp_sup(b, nu, 4.0)
+        want = oracles.reference_discretized_sharp_sup(b, nu, 4.0)
+        assert (got.value, got.method, got.details) == (want.value, want.method, want.details)
+        _assert_same_family(got.certificate, want.certificate)
+
+
+def _piecewise_constant(tree: DyadicTree, rng: np.random.Generator, level: int = 2) -> GridFunction:
+    values = rng.standard_normal((2**level,) * tree.dim)
+    for axis in range(tree.dim):
+        values = np.repeat(values, 2 ** (tree.depth - level), axis=axis)
+    return GridFunction(tree, values)
+
+
+@pytest.mark.parametrize("dim,depth", [(1, 10), (2, 6)])
+@pytest.mark.parametrize("half_width", [3.0, 5.0])
+def test_constant_b_skip_is_exact(dim, depth, half_width):
+    """b constant on a cube is decided from its values, not from a rounded oscillation.
+
+    At these H the rounded average of a constant block can differ from its
+    value, so `oscillation_levels` reads some constant level-2 cubes as
+    varying; the constructor must still stop nothing inside them.
+    """
+    tree = DyadicTree(dim, depth, half_width)
+    rng = np.random.default_rng(dim + depth)
+    misread = 0
+    for _ in range(8):
+        b = _piecewise_constant(tree, rng)
+        f = spiky_field(tree, rng, sigma=3.0)
+        misread += int(np.count_nonzero(oscillation_levels(b)[2]))
+        for q0 in _starts(tree):
+            _assert_same_family(
+                paraproduct_sparse_dominate(b, f, q0),
+                oracles.reference_paraproduct_sparse_dominate(b, f, q0),
+            )
+    assert misread > 0
