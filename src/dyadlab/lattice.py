@@ -51,17 +51,23 @@ def _reduce_axis(arr: np.ndarray, axis: int) -> np.ndarray:
     return arr.reshape(shape).sum(axis=axis + 1)
 
 
-def coarsen_once(arr: np.ndarray) -> np.ndarray:
+def _cube_axes(arr: np.ndarray, dim: int | None) -> range:
+    """The cube axes of arr: all of them, or the trailing `dim` (leading axes hold rows)."""
+    return range(0 if dim is None else arr.ndim - dim, arr.ndim)
+
+
+def coarsen_once(arr: np.ndarray, dim: int | None = None) -> np.ndarray:
+    """Sum each 2^d block of children into its parent entry."""
     out = arr
-    for axis in range(arr.ndim):
+    for axis in _cube_axes(arr, dim):
         out = _reduce_axis(out, axis)
     return out
 
 
-def refine_once(arr: np.ndarray) -> np.ndarray:
+def refine_once(arr: np.ndarray, dim: int | None = None) -> np.ndarray:
     """Broadcast each entry onto its 2^d children."""
     out = arr
-    for axis in range(arr.ndim):
+    for axis in _cube_axes(arr, dim):
         out = np.repeat(out, 2, axis=axis)
     return out
 
@@ -95,6 +101,14 @@ def as_rows(cells: np.ndarray, level: int) -> np.ndarray:
     d = cells.ndim
     blocks = as_blocks(cells, level).transpose(*range(0, 2 * d, 2), *range(1, 2 * d, 2))
     return blocks.reshape((2**level,) * d + (-1,))
+
+
+def level_sums(tree: "DyadicTree", cells: np.ndarray) -> list[np.ndarray]:
+    """Per-level cube sums of cell arrays shaped (..., *tree.shape), coarsest first."""
+    sums = [cells]
+    for _ in range(tree.depth):
+        sums.append(coarsen_once(sums[-1], tree.dim))
+    return sums[::-1]
 
 
 class DyadicTree:
@@ -359,11 +373,7 @@ class GridFunction:
 
     def level_sums(self) -> list[np.ndarray]:
         """Per-level arrays of cell-value sums; entry k has shape (2^k,)^d."""
-        sums = [None] * (self.tree.depth + 1)
-        sums[self.tree.depth] = self.values
-        for k in range(self.tree.depth - 1, -1, -1):
-            sums[k] = coarsen_once(sums[k + 1])
-        return sums
+        return level_sums(self.tree, self.values)
 
     def restrict(self, q0: Cube) -> "GridFunction":
         sub = restrict_tree(self.tree, q0)

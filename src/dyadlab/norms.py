@@ -244,9 +244,101 @@ def discretized_sharp_sup(
 
 # -- empirical operator norm -------------------------------------------------------
 
+# cells held per lockstep group: a group runs max(1, _GROUP_CELLS // n_cells) starts
+_GROUP_CELLS = 4096
+
+
+def _row_norms(rows: np.ndarray, masses, p: float) -> list[float]:
+    """(sum over cells of |row|^p mass)^(1/p) for every row of `rows`.
+
+    Each row's sum is raised as a scalar: numpy's array power can differ
+    from the scalar one in the last bit.
+    """
+    sums = (np.abs(rows) ** p * masses).reshape(len(rows), -1).sum(axis=1)
+    return [float(s ** (1.0 / p)) for s in sums]
+
 
 def _weighted_norm(vals: np.ndarray, masses, p: float) -> float:
-    return float((np.abs(vals) ** p * masses).sum() ** (1.0 / p))
+    return _row_norms(vals[None], masses, p)[0]
+
+
+def _column(values: Sequence[float], rows: np.ndarray) -> np.ndarray:
+    """One scalar per row, shaped to broadcast against the stack `rows`."""
+    return np.array(values).reshape((-1,) + (1,) * (rows.ndim - 1))
+
+
+def _log_gradients(U: OperatorHandle, v: np.ndarray, mum, lamm, p: float, q: float):
+    """Gradients of log ||Uv||_{L^q(lam)} - log ||v||_{L^p(mu)} for the rows of v.
+
+    A row with Uv = 0 (or v = 0) gets the zero gradient.
+    """
+    u = U.apply(v)
+    a, bn = _row_norms(u, lamm, q), _row_norms(v, mum, p)
+    live = [i for i in range(len(v)) if a[i] != 0.0 and bn[i] != 0.0]
+    g = np.zeros(v.shape)
+    if live:
+        u, w = u[live], v[live]
+        ga = U.adjoint(lamm * np.abs(u) ** (q - 1.0) * np.sign(u)) / _column(
+            [a[i] ** q for i in live], u)
+        gb = mum * np.abs(w) ** (p - 1.0) * np.sign(w) / _column([bn[i] ** p for i in live], w)
+        g[live] = ga - gb
+    return g
+
+
+def _ratios(U: OperatorHandle, rows: np.ndarray, mum, lamm, p: float, q: float):
+    """||U row||_{L^q(lam)} / ||row||_{L^p(mu)} per row (0 for a zero row), and the denominators."""
+    dens = _row_norms(rows, mum, p)
+    nums = _row_norms(U.apply(rows), lamm, q)
+    return [num / den if den != 0.0 else 0.0 for num, den in zip(nums, dens)], dens
+
+
+def _ascend(U: OperatorHandle, v: np.ndarray, mum, lamm, p: float, q: float,
+            iterations: int) -> tuple[list[float], np.ndarray, int]:
+    """Backtracking ascent of every row of v (each of unit L^p(mu) norm), in lockstep.
+
+    Returns the rows' final ratios, the final rows and the number of trials.
+    """
+    n = len(v)
+    r_cur = _ratios(U, v, mum, lamm, p, q)[0]
+    step = [1.0] * n
+    left = [iterations] * n  # gradients each row may still take
+    g = np.zeros(v.shape)
+    gn = [0.0] * n
+    wanting = list(range(n)) if iterations > 0 else []  # rows whose next move is a gradient
+    searching: list[int] = []  # rows with a direction and a step to try
+    evals = 0
+    while wanting or searching:
+        if wanting:
+            grads = _log_gradients(U, v[wanting], mum, lamm, p, q)
+            g[wanting] = grads
+            norms = np.sqrt((grads * grads).reshape(len(wanting), -1).sum(axis=1))
+            for i, norm in zip(wanting, norms):
+                left[i] -= 1
+                gn[i] = float(norm)
+                if gn[i] >= 1e-15:
+                    searching.append(i)
+            wanting = []
+        # a row whose step has run out has failed its line search
+        searching = [i for i in searching if step[i] > 1e-12]
+        if not searching:
+            continue
+        w = v[searching] + _column([step[i] for i in searching], v) * g[searching] / _column(
+            [gn[i] for i in searching], v)
+        r_new, dens = _ratios(U, w, mum, lamm, p, q)
+        evals += len(searching)
+        still = []
+        for j, i in enumerate(searching):
+            if r_new[j] > r_cur[i] * (1.0 + 1e-13):
+                v[i] = w[j] / dens[j]
+                r_cur[i] = r_new[j]
+                step[i] *= 1.8
+                if left[i] > 0:
+                    wanting.append(i)
+            else:
+                step[i] *= 0.5
+                still.append(i)
+        searching = still
+    return r_cur, v, evals
 
 
 def empirical_operator_norm(
@@ -265,27 +357,21 @@ def empirical_operator_norm(
 
     Normalized gradient ascent on the Rayleigh-type ratio with backtracking
     line search, restarted from structured starts (indicators, two-level
-    Haar bumps, supplied extras) and seeded random fields.  The trace of
-    best-so-far values is monotone by construction.
+    Haar bumps, supplied extras) and seeded random fields.  A start of zero
+    norm is skipped.  Each start keeps its own step, takes at most
+    `iterations` gradients, and stops on a vanishing gradient or a failed
+    line search.
+
+    The starts run in lockstep, in consecutive groups of
+    max(1, 4096 // n_cells) rows: each round `U.apply`/`U.adjoint` take the
+    gradients of the rows that need one as one stack, then one line-search
+    trial of every row still searching as another.  Per-row norms and
+    their powers are raised as scalars, so every row follows the bits of a
+    start run on its own.  The trace of best-so-far values, in start
+    order, is monotone by construction; `ratio_evals` counts the trials.
     """
     mum = mu.cell_mass if mu is not None else np.full(tree.shape, tree.cell_volume)
     lamm = lam.cell_mass if lam is not None else np.full(tree.shape, tree.cell_volume)
-
-    def ratio(v: np.ndarray) -> float:
-        denom = _weighted_norm(v, mum, p)
-        if denom == 0.0:
-            return 0.0
-        return _weighted_norm(U.apply(v), lamm, q) / denom
-
-    def log_grad(v: np.ndarray) -> np.ndarray:
-        u = U.apply(v)
-        a = _weighted_norm(u, lamm, q)
-        bn = _weighted_norm(v, mum, p)
-        if a == 0.0 or bn == 0.0:
-            return np.zeros_like(v)
-        ga = U.adjoint(lamm * np.abs(u) ** (q - 1.0) * np.sign(u)) / a**q
-        gb = mum * np.abs(v) ** (p - 1.0) * np.sign(v) / bn**p
-        return ga - gb
 
     starts: list[np.ndarray] = []
     starts.append(np.ones(tree.shape))
@@ -306,40 +392,26 @@ def empirical_operator_norm(
     for _ in range(max(0, restarts - len(starts))):
         starts.append(rng.normal(size=tree.shape))
 
+    group = max(1, _GROUP_CELLS // tree.n_cells)
+    finals: list[tuple[float, np.ndarray]] = []  # (ratio, row) of each start run, in start order
+    evals = 0
+    for lo in range(0, len(starts), group):
+        v = np.stack(starts[lo:lo + group])
+        nv = _row_norms(v, mum, p)
+        live = [i for i, n in enumerate(nv) if n != 0.0]
+        if not live:
+            continue
+        ratios, rows, trials = _ascend(
+            U, v[live] / _column([nv[i] for i in live], v), mum, lamm, p, q, iterations)
+        evals += trials
+        finals.extend(zip(ratios, rows))
+
     best_val = 0.0
     best_vec = starts[0].copy()
     trace: list[float] = []
-    evals = 0
-    for v0 in starts:
-        v = np.array(v0, dtype=float)
-        nv = _weighted_norm(v, mum, p)
-        if nv == 0.0:
-            continue
-        v = v / nv
-        r_cur = ratio(v)
-        step = 1.0
-        for _ in range(iterations):
-            g = log_grad(v)
-            gn = float(np.sqrt((g * g).sum()))
-            if gn < 1e-15:
-                break
-            improved = False
-            while step > 1e-12:
-                w = v + step * g / gn
-                r_new = ratio(w)
-                evals += 1
-                if r_new > r_cur * (1.0 + 1e-13):
-                    v = w / _weighted_norm(w, mum, p)
-                    r_cur = r_new
-                    step *= 1.8
-                    improved = True
-                    break
-                step *= 0.5
-            if not improved:
-                break
-        if r_cur > best_val:
-            best_val = r_cur
-            best_vec = v.copy()
+    for ratio, row in finals:
+        if ratio > best_val:
+            best_val, best_vec = ratio, row.copy()
         trace.append(best_val)
 
     return NormReport(

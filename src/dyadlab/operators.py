@@ -26,6 +26,7 @@ from .lattice import (
     as_blocks,
     coarsen_once,
     coarsen_to,
+    level_sums,
     per_block,
     refine_once,
     shifted_batches,
@@ -41,16 +42,19 @@ from .weights import (
 )
 
 
+def _level_averages(
+    tree: DyadicTree, rows: np.ndarray, weight: Weight | None = None
+) -> list[np.ndarray]:
+    """Per-level weighted averages over every cube, for cell arrays shaped (..., *tree.shape)."""
+    masses = level_masses_or_lebesgue(tree, weight)
+    if weight is not None:
+        rows = rows * weight.cell_mass / tree.cell_volume
+    return [s * tree.cell_volume / m for s, m in zip(level_sums(tree, rows), masses)]
+
+
 def _averages_by_level(f: GridFunction, weight: Weight | None = None) -> list[np.ndarray]:
     """Per-level arrays of weighted averages of f over every cube."""
-    tree = f.tree
-    masses = level_masses_or_lebesgue(tree, weight)
-    if weight is None:
-        sums = f.level_sums()
-        return [sums[k] * tree.cell_volume / masses[k] for k in range(tree.depth + 1)]
-    weighted = GridFunction(tree, f.values * weight.cell_mass / tree.cell_volume)
-    sums = weighted.level_sums()
-    return [sums[k] * tree.cell_volume / masses[k] for k in range(tree.depth + 1)]
+    return _level_averages(f.tree, f.values, weight)
 
 
 def maximal(f: GridFunction, weight: Weight | None = None, scope: str = "dyadic") -> GridFunction:
@@ -165,34 +169,69 @@ def sharp_window_values(
 # A cube collection enters as a per-level stack (`weights.cube_stack`), and a
 # level sum sum_Q c_Q D_Q a is one top-down pass: the level-k term lives on
 # the children of the level-k cubes, and the running sum is refined once per
-# level, so each cell adds its terms coarse to fine.
+# level, so each cell adds its terms coarse to fine.  Every array here may
+# carry leading row axes before its cube axes; `dim` names the cube axes.
 
 
-def _top_down(terms: Sequence[np.ndarray]) -> np.ndarray:
+def _top_down(terms: Sequence[np.ndarray], dim: int | None = None) -> np.ndarray:
     """Sum of per-level arrays, each broadcast onto its subcubes, at the last one's level.
 
     terms[j + 1] lies one level below terms[j]; acc = refine_once(acc) + term.
     """
     acc = 0.0 + terms[0]
     for term in terms[1:]:
-        acc = refine_once(acc) + term
+        acc = refine_once(acc, dim) + term
     return acc
 
 
+def _haar_differences(avg: Sequence[np.ndarray], start: int = 0) -> list[np.ndarray]:
+    """avg[k + 1] - avg[k] on level k + 1, for k = start .. depth - 1."""
+    return [avg[k + 1] - refine_once(avg[k]) for k in range(start, len(avg) - 1)]
+
+
 def _haar_terms(
-    avg: Sequence[np.ndarray], coeffs: Sequence[np.ndarray], start: int = 0
+    diffs: Sequence[np.ndarray], coeffs: Sequence[np.ndarray], dim: int | None = None
 ) -> list[np.ndarray]:
-    """(avg[k+1] - avg[k]) coeffs[k] on level k + 1, for k = start .. depth - 1."""
-    return [(avg[k + 1] - refine_once(avg[k])) * refine_once(coeffs[k])
-            for k in range(start, len(avg) - 1)]
+    """diffs[k] coeffs[k] on level k + 1: Haar differences times their cubes' coefficients."""
+    return [d * refine_once(c, dim) for d, c in zip(diffs, coeffs)]
 
 
 def _haar_sum(
-    tree: DyadicTree, avg: Sequence[np.ndarray], coeffs: Sequence[np.ndarray]
+    tree: DyadicTree, diffs: Sequence[np.ndarray], coeffs: Sequence[np.ndarray]
 ) -> np.ndarray:
     """sum_Q coeffs_Q (avg_children - avg_Q) on the cells, by one top-down pass."""
-    terms = _haar_terms(avg, coeffs)
-    return _top_down(terms) if terms else np.zeros(tree.shape)
+    terms = _haar_terms(diffs, coeffs, tree.dim)
+    if not terms:
+        return np.zeros(coeffs[0].shape[:coeffs[0].ndim - tree.dim] + tree.shape)
+    return _top_down(terms, tree.dim)
+
+
+def _paraproduct_rows(
+    tree: DyadicTree, bdiffs: Sequence[np.ndarray], rows: np.ndarray, cubes: Iterable | None = None
+) -> np.ndarray:
+    """The paraproduct of b's Haar differences `bdiffs` on rows shaped (..., *tree.shape).
+
+    A per-level stack `cubes` with leading row axes gives one partial sum per row.
+    """
+    favg = _level_averages(tree, rows)
+    if cubes is not None:
+        favg = [c * a for c, a in zip(cube_stack(tree, cubes), favg)]
+    return _haar_sum(tree, bdiffs, favg)
+
+
+def _paraproduct_adjoint_rows(
+    tree: DyadicTree, bavg: Sequence[np.ndarray], rows: np.ndarray
+) -> np.ndarray:
+    """The paraproduct adjoint for b's level averages `bavg`, on rows shaped (..., *tree.shape)."""
+    if tree.depth == 0:
+        return np.zeros(rows.shape)
+    gsum = level_sums(tree, rows)
+    terms = [
+        (coarsen_once(bavg[k + 1] * gsum[k + 1], tree.dim) - bavg[k] * gsum[k])
+        * (tree.cell_volume / tree.volume(k))
+        for k in range(tree.depth)
+    ]
+    return refine_once(_top_down(terms, tree.dim), tree.dim)
 
 
 def paraproduct(b: GridFunction, f: GridFunction, cubes: Iterable | None = None) -> GridFunction:
@@ -206,25 +245,13 @@ def paraproduct(b: GridFunction, f: GridFunction, cubes: Iterable | None = None)
     tree = b.tree
     if f.tree != tree:
         raise LatticeError("b and f live on different trees")
-    favg = _averages_by_level(f)
-    if cubes is not None:
-        favg = [c * a for c, a in zip(cube_stack(tree, cubes), favg)]
-    return GridFunction(tree, _haar_sum(tree, _averages_by_level(b), favg))
+    bdiffs = _haar_differences(_averages_by_level(b))
+    return GridFunction(tree, _paraproduct_rows(tree, bdiffs, f.values, cubes))
 
 
 def paraproduct_adjoint(b: GridFunction, g: GridFunction) -> GridFunction:
     """Adjoint of the paraproduct in the unweighted pairing: sum_Q <D_Q b, g> / |Q| on Q."""
-    tree = b.tree
-    if tree.depth == 0:
-        return GridFunction(tree, np.zeros(tree.shape))
-    bavg = _averages_by_level(b)
-    gsum = g.level_sums()
-    terms = [
-        (coarsen_once(bavg[k + 1] * gsum[k + 1]) - bavg[k] * gsum[k])
-        * (tree.cell_volume / tree.volume(k))
-        for k in range(tree.depth)
-    ]
-    return GridFunction(tree, refine_once(_top_down(terms)))
+    return GridFunction(b.tree, _paraproduct_adjoint_rows(b.tree, _averages_by_level(b), g.values))
 
 
 def martingale_transform(f: GridFunction, coeffs) -> GridFunction:
@@ -235,7 +262,7 @@ def martingale_transform(f: GridFunction, coeffs) -> GridFunction:
     """
     tree = f.tree
     stack = coeff_stack(tree, coeffs) if isinstance(coeffs, dict) else cube_stack(tree, coeffs)
-    return GridFunction(tree, _haar_sum(tree, _averages_by_level(f), stack))
+    return GridFunction(tree, _haar_sum(tree, _haar_differences(_averages_by_level(f)), stack))
 
 
 def weak_level_set_bound(g: GridFunction, f_l1: float, constant: float, thresholds: np.ndarray) -> float:
@@ -382,12 +409,17 @@ def hilbert_at(f: GridFunction, x: float) -> float:
     return float((f.values[mask] / diff[mask]).sum() * f.tree.cell_volume)
 
 
+def _commutator_rows(b: GridFunction, rows: np.ndarray) -> np.ndarray:
+    """b * Hf - H(b f) for every row f of `rows`; all Hf and H(bf) share one FFT pair."""
+    hf, hbf = _hilbert_apply(b.tree, np.stack([rows, b.values * rows]))
+    return b.values * hf - hbf
+
+
 def commutator(b: GridFunction, f: GridFunction) -> GridFunction:
     """b * Hf - H(b f) with the discrete Hilbert transform; Hf and H(bf) share one FFT pair."""
     if b.tree != f.tree:
         raise LatticeError("b and f live on different trees")
-    hf, hbf = _hilbert_apply(b.tree, np.stack([f.values, b.values * f.values]))
-    return GridFunction(b.tree, b.values * hf - hbf)
+    return GridFunction(b.tree, _commutator_rows(b, f.values))
 
 
 def commutator_bilinear(b: GridFunction, f: GridFunction, g: GridFunction) -> float:
@@ -453,7 +485,12 @@ def commutator_test_pairs(b: GridFunction, cube: Cube):
 
 @dataclass
 class OperatorHandle:
-    """A linear operator on cell arrays with its unweighted-pairing adjoint."""
+    """A linear operator on cell arrays with its unweighted-pairing adjoint.
+
+    `apply` and `adjoint` take one cell array (`tree.shape`) or a stack of
+    rows (`(..., *tree.shape)`), and act on each row alone, with the same
+    bits as on that row by itself.
+    """
 
     name: str
     apply: Callable[[np.ndarray], np.ndarray]
@@ -470,27 +507,21 @@ def multiplication_handle(b: GridFunction) -> OperatorHandle:
 
 
 def paraproduct_handle(b: GridFunction) -> OperatorHandle:
+    """The paraproduct with symbol b; b's level averages and Haar differences are taken once."""
     tree = b.tree
-
-    def apply(v):
-        return paraproduct(b, GridFunction(tree, v)).values
-
-    def adjoint(v):
-        return paraproduct_adjoint(b, GridFunction(tree, v)).values
-
-    return OperatorHandle("paraproduct", apply, adjoint)
+    bavg = _averages_by_level(b)
+    bdiffs = _haar_differences(bavg)
+    return OperatorHandle(
+        "paraproduct",
+        lambda v: _paraproduct_rows(tree, bdiffs, v),
+        lambda v: _paraproduct_adjoint_rows(tree, bavg, v),
+    )
 
 
 def commutator_handle(b: GridFunction) -> OperatorHandle:
-    tree = b.tree
-
-    def apply(v):
-        return commutator(b, GridFunction(tree, v)).values
-
-    def adjoint(v):
-        return -commutator(b, GridFunction(tree, v)).values
-
-    return OperatorHandle("hilbert-commutator", apply, adjoint)
+    return OperatorHandle(
+        "hilbert-commutator", lambda v: _commutator_rows(b, v), lambda v: -_commutator_rows(b, v)
+    )
 
 
 def zero_handle(tree: DyadicTree) -> OperatorHandle:

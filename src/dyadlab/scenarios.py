@@ -33,6 +33,7 @@ from .sparse import (
     domination_check,
     domination_worst_case,
     partial_sum,
+    partial_sums,
     paraproduct_sparse_dominate,
     pointwise_dominated,
     random_subcollection,
@@ -348,9 +349,11 @@ def run_domination(cfg: ScenarioConfig) -> dict:
         if not ok_env:
             failures += 1
         bound = domination_bound(family, b, f)  # one right-hand side for every sub-collection
-        for _ in range(cfg.subcollections):
-            sub = random_subcollection(tree, tree.root(), rng)
-            ok2, slack = pointwise_dominated(partial_sum(b, f, sub).values, bound)
+        subs = [random_subcollection(tree, tree.root(), rng) for _ in range(cfg.subcollections)]
+        if not subs:
+            continue
+        for lhs in partial_sums(b, f, [np.stack(level) for level in zip(*subs)]):
+            ok2, slack = pointwise_dominated(lhs, bound)
             worst_slack = max(worst_slack, slack)
             if not ok2:
                 failures += 1

@@ -24,7 +24,15 @@ from typing import Callable, Iterable, Sequence
 import numpy as np
 
 from .lattice import Cube, DyadicTree, GridFunction, LatticeError, as_rows, refine_once
-from .operators import _averages_by_level, _haar_terms, _top_down, oscillation_levels, paraproduct
+from .operators import (
+    _averages_by_level,
+    _haar_differences,
+    _haar_terms,
+    _paraproduct_rows,
+    _top_down,
+    oscillation_levels,
+    paraproduct,
+)
 from .weights import Weight, carleson_norm, coeff_stack, parse_weight
 
 FULL, LO_HALF, HI_HALF = "full", "lo", "hi"
@@ -212,7 +220,7 @@ def paraproduct_sparse_dominate(
     thresholds = [32.0 * np.abs(r - a[..., None]).mean(axis=-1) * fa
                   for r, a, fa in zip(rows, bavg, fabs)]
     varies = [r.min(axis=-1) < r.max(axis=-1) for r in rows]
-    terms = [None] + _haar_terms(bavg, fsig)
+    terms = [None] + _haar_terms(_haar_differences(bavg), fsig)
 
     def fresh(j):
         zero = np.zeros(fabs[j].shape)
@@ -308,6 +316,18 @@ def partial_sum(b: GridFunction, f: GridFunction, cubes: Iterable) -> GridFuncti
     return paraproduct(b, f, cubes=cubes)
 
 
+def partial_sums(b: GridFunction, f: GridFunction, stacks: Sequence[np.ndarray]) -> np.ndarray:
+    """`partial_sum` for many collections at once, by one top-down pass.
+
+    `stacks` is a per-level stack whose levels carry a leading row axis,
+    one row per collection; row i of the result is collection i's sum.
+    """
+    if f.tree != b.tree:
+        raise LatticeError("b and f live on different trees")
+    bdiffs = _haar_differences(_averages_by_level(b))
+    return _paraproduct_rows(b.tree, bdiffs, f.values, stacks)
+
+
 def domination_check(
     lhs: GridFunction,
     family: SparseFamily,
@@ -326,7 +346,8 @@ def domination_envelope(b: GridFunction, f: GridFunction, q0: Cube) -> np.ndarra
     by taking all positive terms (or all negative ones), so the supremum is
     max(sum of positive parts, sum of negative parts): two top-down passes.
     """
-    terms = _haar_terms(_averages_by_level(b), _averages_by_level(f), start=q0.level)
+    diffs = _haar_differences(_averages_by_level(b), start=q0.level)
+    terms = _haar_terms(diffs, _averages_by_level(f)[q0.level:])
     if not terms:
         return np.zeros(b.values[q0.cell_slices()].shape)
     pos = _top_down([np.maximum(t, 0.0) for t in terms])

@@ -423,14 +423,16 @@ def cube_stack(tree: DyadicTree, cubes: Iterable) -> list[np.ndarray]:
 
     A cube listed twice counts twice.  A per-level stack (arrays, not
     cubes) passes through as floats; a stack without the finest level
-    gets a zero one.
+    gets a zero one.  Its levels may share leading row axes, one row per
+    collection, for the batched partial operators.
     """
     items = list(cubes)
     if items and isinstance(items[0], np.ndarray):
         stack = [np.asarray(level, dtype=float) for level in items]
+        rows = stack[0].shape[:stack[0].ndim - tree.dim]
         if len(stack) == tree.depth:
-            stack.append(np.zeros(tree.shape))
-        if [a.shape for a in stack] != [(2**k,) * tree.dim for k in range(tree.depth + 1)]:
+            stack.append(np.zeros(rows + tree.shape))
+        if [a.shape for a in stack] != [rows + (2**k,) * tree.dim for k in range(tree.depth + 1)]:
             raise LatticeError("per-level stack does not match the tree")
         return stack
     stack = coeff_stack(tree)

@@ -1266,6 +1266,111 @@ def reference_discretized_sharp_sup(b: GridFunction, nu: Weight, r: float,
     return NormReport(value, "sparse-sup", certificate=family, details=details)
 
 
+# -- the sequential operator-norm ascent -------------------------------------------
+#
+# `empirical_operator_norm` runs its starts in lockstep; this is the same
+# ascent one start at a time, as it ran before, and the lockstep estimator
+# must match it bit for bit.
+
+
+def _reference_weighted_norm(vals: np.ndarray, masses, p: float) -> float:
+    return float((np.abs(vals) ** p * masses).sum() ** (1.0 / p))
+
+
+def reference_empirical_operator_norm(
+    U,
+    mu: Weight | None,
+    lam: Weight | None,
+    p: float,
+    q: float,
+    tree: DyadicTree,
+    restarts: int = 64,
+    iterations: int = 60,
+    seed: int = 0x5EED,
+    extra_starts=(),
+) -> NormReport:
+    mum = mu.cell_mass if mu is not None else np.full(tree.shape, tree.cell_volume)
+    lamm = lam.cell_mass if lam is not None else np.full(tree.shape, tree.cell_volume)
+
+    def ratio(v: np.ndarray) -> float:
+        denom = _reference_weighted_norm(v, mum, p)
+        if denom == 0.0:
+            return 0.0
+        return _reference_weighted_norm(U.apply(v), lamm, q) / denom
+
+    def log_grad(v: np.ndarray) -> np.ndarray:
+        u = U.apply(v)
+        a = _reference_weighted_norm(u, lamm, q)
+        bn = _reference_weighted_norm(v, mum, p)
+        if a == 0.0 or bn == 0.0:
+            return np.zeros_like(v)
+        ga = U.adjoint(lamm * np.abs(u) ** (q - 1.0) * np.sign(u)) / a**q
+        gb = mum * np.abs(v) ** (p - 1.0) * np.sign(v) / bn**p
+        return ga - gb
+
+    starts: list[np.ndarray] = []
+    starts.append(np.ones(tree.shape))
+    for level in range(min(2, tree.depth) + 1):
+        for cube in tree.cubes_at_level(level):
+            ind = np.zeros(tree.shape)
+            ind[cube.cell_slices()] = 1.0
+            starts.append(ind)
+    for cube in tree.cubes_at_level(min(1, tree.depth)):
+        bump = np.zeros(tree.shape)
+        kids = cube.children() if not cube.is_leaf() else []
+        for j, kid in enumerate(kids):
+            bump[kid.cell_slices()] = 1.0 if j % 2 == 0 else -1.0
+        starts.append(bump)
+    starts.extend(np.asarray(s, dtype=float) for s in extra_starts)
+    rng = np.random.default_rng(seed)
+    for _ in range(max(0, restarts - len(starts))):
+        starts.append(rng.normal(size=tree.shape))
+
+    best_val = 0.0
+    best_vec = starts[0].copy()
+    trace: list[float] = []
+    evals = 0
+    for v0 in starts:
+        v = np.array(v0, dtype=float)
+        nv = _reference_weighted_norm(v, mum, p)
+        if nv == 0.0:
+            continue
+        v = v / nv
+        r_cur = ratio(v)
+        step = 1.0
+        for _ in range(iterations):
+            g = log_grad(v)
+            gn = float(np.sqrt((g * g).sum()))
+            if gn < 1e-15:
+                break
+            improved = False
+            while step > 1e-12:
+                w = v + step * g / gn
+                r_new = ratio(w)
+                evals += 1
+                if r_new > r_cur * (1.0 + 1e-13):
+                    v = w / _reference_weighted_norm(w, mum, p)
+                    r_cur = r_new
+                    step *= 1.8
+                    improved = True
+                    break
+                step *= 0.5
+            if not improved:
+                break
+        if r_cur > best_val:
+            best_val = r_cur
+            best_vec = v.copy()
+        trace.append(best_val)
+
+    return NormReport(
+        value=best_val,
+        method="gradient-ascent",
+        certificate=best_vec,
+        trace=trace,
+        details={"restarts": float(len(starts)), "ratio_evals": float(evals)},
+    )
+
+
 def run_all():
     results = []
     for fn in CHECKS:

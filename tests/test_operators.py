@@ -395,9 +395,102 @@ class TestHandlePairing:
         rhs = float((f * handle.apply(g)).sum())
         assert lhs == pytest.approx(rhs, rel=1e-12)
 
+    @pytest.mark.parametrize("tree", [DyadicTree(1, 5, 1.0), DyadicTree(2, 3, 1.0)],
+                             ids=lambda t: f"d{t.dim}")
+    @pytest.mark.parametrize("factory", ["identity", "multiply", "paraproduct", "zero"])
+    def test_adjoint_pairing_per_row_of_a_stack(self, rng, tree, factory):
+        b = GridFunction(tree, rng.normal(size=tree.shape))
+        handle = _handles(b)[factory]
+        f, g = (rng.normal(size=(5,) + tree.shape) for _ in range(2))
+        cells = tuple(range(1, tree.dim + 1))
+        lhs = (handle.apply(f) * g).sum(axis=cells)
+        rhs = (f * handle.adjoint(g)).sum(axis=cells)
+        np.testing.assert_allclose(lhs, rhs, rtol=1e-12, atol=1e-12)
+
+    def test_commutator_apply_is_symmetric_per_row_of_a_stack(self, rng):
+        tree = DyadicTree(1, 8, 4.0)
+        b = rng.normal(size=tree.shape)
+        f, g = (rng.normal(size=(4,) + tree.shape) for _ in range(2))
+        handle = commutator_handle(GridFunction(tree, b))
+        lhs = (handle.apply(f) * g).sum(axis=1)
+        rhs = (f * handle.apply(g)).sum(axis=1)
+        np.testing.assert_allclose(lhs, rhs, rtol=1e-12)
+
     @pytest.mark.xfail(strict=True, reason="commutator adjoint has the wrong sign (ROADMAP item 1)")
     def test_commutator_adjoint_pairing(self, rng):
         tree = DyadicTree(1, 8, 4.0)
         b, f, g = (rng.normal(size=tree.shape) for _ in range(3))
         lhs, rhs = self._pairings(commutator_handle(GridFunction(tree, b)), f, g)
         assert lhs == pytest.approx(rhs, rel=1e-12)
+
+
+def _handles(b: GridFunction) -> dict:
+    tree = b.tree
+    out = {
+        "identity": identity_handle(tree),
+        "multiply": multiplication_handle(b),
+        "paraproduct": paraproduct_handle(b),
+        "zero": zero_handle(tree),
+    }
+    if tree.dim == 1:
+        out["commutator"] = commutator_handle(b)
+    return out
+
+
+class TestHandleRowStacks:
+    """Handles take a stack of rows (..., *tree.shape) and act on each row alone, bit for bit."""
+
+    TREES = [DyadicTree(1, 0, 1.0), DyadicTree(1, 6, 2.0), DyadicTree(2, 0, 1.0),
+             DyadicTree(2, 3, 1.0)]
+
+    @pytest.mark.parametrize("tree", TREES, ids=lambda t: f"d{t.dim}-N{t.depth}")
+    @pytest.mark.parametrize("side", ["apply", "adjoint"])
+    def test_stack_equals_rows(self, rng, tree, side):
+        b = GridFunction(tree, rng.normal(size=tree.shape))
+        rows = rng.normal(size=(7,) + tree.shape)
+        rows[3] = 0.0
+        for name, handle in _handles(b).items():
+            op = getattr(handle, side)
+            stacked = op(rows)
+            assert stacked.shape == rows.shape, name
+            for row, got in zip(rows, stacked):
+                single = op(row)
+                assert single.shape == tree.shape, name
+                assert np.array_equal(got, single), name
+
+    @pytest.mark.parametrize("tree", TREES[1::2], ids=lambda t: f"d{t.dim}")
+    def test_two_leading_axes(self, rng, tree):
+        b = GridFunction(tree, rng.normal(size=tree.shape))
+        rows = rng.normal(size=(2, 3) + tree.shape)
+        for name, handle in _handles(b).items():
+            for op in (handle.apply, handle.adjoint):
+                flat = op(rows.reshape((6,) + tree.shape))
+                assert np.array_equal(op(rows), flat.reshape(rows.shape)), name
+
+    @pytest.mark.parametrize("tree", TREES, ids=lambda t: f"d{t.dim}-N{t.depth}")
+    def test_paraproduct_handle_is_the_paraproduct(self, rng, tree):
+        b, f = (GridFunction(tree, rng.normal(size=tree.shape)) for _ in range(2))
+        handle = paraproduct_handle(b)
+        assert np.array_equal(handle.apply(f.values), paraproduct(b, f).values)
+        assert np.array_equal(handle.adjoint(f.values), paraproduct_adjoint(b, f).values)
+
+    def test_commutator_handle_is_the_commutator(self, rng):
+        tree = DyadicTree(1, 7, 4.0)
+        b, f = (GridFunction(tree, rng.normal(size=tree.shape)) for _ in range(2))
+        handle = commutator_handle(b)
+        assert np.array_equal(handle.apply(f.values), commutator(b, f).values)
+        assert np.array_equal(handle.adjoint(f.values), -commutator(b, f).values)
+
+    def test_paraproduct_handle_keeps_b_levels(self, rng, monkeypatch):
+        """b's level averages are taken when the handle is built, not on each apply."""
+        tree = DyadicTree(1, 5, 1.0)
+        b = GridFunction(tree, rng.normal(size=tree.shape))
+        handle = paraproduct_handle(b)
+        seen = []
+        original = operators._averages_by_level
+        monkeypatch.setattr(operators, "_averages_by_level",
+                            lambda f, w=None: seen.append(f) or original(f, w))
+        rows = rng.normal(size=(3,) + tree.shape)
+        handle.apply(rows)
+        handle.adjoint(rows)
+        assert seen == []

@@ -5,22 +5,31 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dyadlab.lattice import Cube, DyadicTree, GridFunction
+from dyadlab.lattice import Cube, DyadicTree, GridFunction, LatticeError
 from dyadlab.sparse import (
     FULL,
     SparseFamily,
     carleson_from_sparse,
+    domination_bound,
     domination_check,
     domination_worst_case,
     family_from_text,
     family_to_text,
     paraproduct_sparse_dominate,
     partial_sum,
+    partial_sums,
+    pointwise_dominated,
     random_subcollection,
     verify_sparse,
 )
-from dyadlab.scenarios import shrunken_family_counterexample, spiky_field
-from dyadlab.weights import Weight, fujii_wilson_ainfty
+from dyadlab.scenarios import (
+    ScenarioConfig,
+    make_family,
+    run_domination,
+    shrunken_family_counterexample,
+    spiky_field,
+)
+from dyadlab.weights import Weight, cube_stack, fujii_wilson_ainfty
 
 import oracles
 
@@ -251,3 +260,54 @@ class TestSerialization:
     def test_bad_header_rejected(self):
         with pytest.raises(ValueError):
             family_from_text("# not a family\n0 0 | 1-2\n")
+
+
+class TestBatchedPartialSums:
+    """`partial_sums` runs many sub-collections in one pass, with `partial_sum`'s bits per row."""
+
+    @pytest.mark.parametrize("dim,depth", [(1, 0), (1, 6), (2, 1), (2, 4)])
+    def test_rows_equal_partial_sum(self, rng, dim, depth):
+        tree = DyadicTree(dim, depth, 1.0)
+        b, f = (spiky_field(tree, rng, sigma=2.0) for _ in range(2))
+        subs = [random_subcollection(tree, tree.root(), rng) for _ in range(9)]
+        rows = partial_sums(b, f, [np.stack(level) for level in zip(*subs)])
+        assert rows.shape == (9,) + tree.shape
+        for row, sub in zip(rows, subs):
+            assert np.array_equal(row, partial_sum(b, f, sub).values)
+
+    def test_stack_without_finest_level(self, rng):
+        tree = DyadicTree(1, 5, 1.0)
+        b, f = (spiky_field(tree, rng, sigma=2.0) for _ in range(2))
+        subs = [random_subcollection(tree, tree.root(), rng)[:-1] for _ in range(3)]
+        rows = partial_sums(b, f, [np.stack(level) for level in zip(*subs)])
+        for row, sub in zip(rows, subs):
+            assert np.array_equal(row, partial_sum(b, f, sub).values)
+
+    def test_rows_must_agree_across_levels(self):
+        tree = DyadicTree(1, 3, 1.0)
+        stack = [np.zeros((4,) + (2**k,)) for k in range(tree.depth + 1)]
+        stack[2] = np.zeros((3, 4))
+        with pytest.raises(LatticeError):
+            cube_stack(tree, stack)
+
+    @pytest.mark.parametrize("dim,depth", [(1, 5), (2, 3)])
+    def test_battery_matches_per_collection_loop(self, tmp_path, dim, depth):
+        """run_domination's sampled slack equals the one-collection-at-a-time loop's."""
+        cfg = ScenarioConfig(dim=dim, depth=depth, half_width_exponent=0, trials=4,
+                             subcollections=7, b_family="spiky", f_family="spiky", seed=3,
+                             out_dir=str(tmp_path))
+        report = run_domination(cfg)
+        rng = np.random.default_rng(cfg.seed)
+        tree = cfg.tree()
+        worst = -np.inf
+        for _ in range(cfg.trials):
+            b = make_family(cfg.b_family, tree, 1, rng)[0]
+            f = make_family(cfg.f_family, tree, 1, rng)[0]
+            family = paraproduct_sparse_dominate(b, f)
+            assert verify_sparse(family)[0]
+            bound = domination_bound(family, b, f)
+            for _ in range(cfg.subcollections):
+                sub = random_subcollection(tree, tree.root(), rng)
+                worst = max(worst, pointwise_dominated(partial_sum(b, f, sub).values, bound)[1])
+        assert report["worst_domination_slack"] == worst
+        assert report["failures"] == 0
