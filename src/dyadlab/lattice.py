@@ -44,11 +44,9 @@ class CoverError(LatticeError):
 
 
 def _reduce_axis(arr: np.ndarray, axis: int) -> np.ndarray:
-    """Sum adjacent pairs along one axis (one coarsening step)."""
-    shape = list(arr.shape)
-    shape[axis] //= 2
-    shape.insert(axis + 1, 2)
-    return arr.reshape(shape).sum(axis=axis + 1)
+    """Sum adjacent pairs along one axis (one coarsening step), as even + odd entries."""
+    lead = (slice(None),) * axis
+    return arr[lead + (slice(0, None, 2),)] + arr[lead + (slice(1, None, 2),)]
 
 
 def _cube_axes(arr: np.ndarray, dim: int | None) -> range:

@@ -9,6 +9,7 @@ test for the quantity it certifies.
 
 from __future__ import annotations
 
+import itertools
 import math
 from fractions import Fraction
 from functools import lru_cache
@@ -960,6 +961,18 @@ def reference_cube_lower_bound_shifted(tree: DyadicTree, gamma: float) -> float:
 # `Cube`s with `haar_difference` and slice means, and agree to rounding.
 
 
+def reference_coarsen_once(arr: np.ndarray, dim: int | None = None) -> np.ndarray:
+    """One coarsening step as it was written before the pair sums: each cube
+    axis split into (parent, child) and the child axis summed."""
+    out = arr
+    for axis in range(0 if dim is None else arr.ndim - dim, arr.ndim):
+        shape = list(out.shape)
+        shape[axis] //= 2
+        shape.insert(axis + 1, 2)
+        out = out.reshape(shape).sum(axis=axis + 1)
+    return out
+
+
 def reference_expand_to_cells(arr: np.ndarray, level: int, depth: int) -> np.ndarray:
     for _ in range(depth - level):
         arr = refine_once(arr)
@@ -1369,6 +1382,86 @@ def reference_empirical_operator_norm(
         trace=trace,
         details={"restarts": float(len(starts)), "ratio_evals": float(evals)},
     )
+
+
+# -- reference for the d >= 2 power-weight quadrature -----------------------------------
+#
+# `Weight.power_weight` in d >= 2 as it ran before the resident quadrature
+# plan: the node radii rebuilt per call from meshgrids, and the cells at the
+# origin integrated by the subdividing per-box rule, one meshgrid Gauss rule
+# per box.  The plan must reproduce its densities and masses bit for bit.
+
+_REFERENCE_NODES, _REFERENCE_WEIGHTS = np.polynomial.legendre.leggauss(10)
+
+
+def _reference_power_box_mass(corner, side: float, gamma: float) -> float:
+    d = len(corner)
+
+    def box_touches_origin(c, s):
+        return all(ci <= 0.0 <= ci + s for ci in c)
+
+    def gauss(c, s):
+        half = 0.5 * s
+        pts = [c[i] + half * (_REFERENCE_NODES + 1.0) for i in range(d)]
+        grids = np.meshgrid(*pts, indexing="ij")
+        w = _REFERENCE_WEIGHTS * half
+        wgrid = np.ones(grids[0].shape)
+        for axis in range(d):
+            shape = [1] * d
+            shape[axis] = -1
+            wgrid = wgrid * w.reshape(shape)
+        rr = np.sqrt(sum(g**2 for g in grids))
+        return float((rr**gamma * wgrid).sum())
+
+    def recurse(c, s, depth):
+        if not box_touches_origin(c, s) or depth >= 30:
+            return gauss(c, s)
+        total = 0.0
+        half = 0.5 * s
+        for offs in itertools.product((0, 1), repeat=d):
+            sub = tuple(c[i] + offs[i] * half for i in range(d))
+            if box_touches_origin(sub, half):
+                total += recurse(sub, half, depth + 1)
+            else:
+                total += gauss(sub, half)
+        return total
+
+    if box_touches_origin(corner, side) and gamma <= -d:
+        mid = tuple(ci + 0.5 * side for ci in corner)
+        r = math.sqrt(sum(m**2 for m in mid))
+        if r == 0.0:
+            r = 0.25 * side * math.sqrt(d)
+        return r**gamma * side**d
+    return recurse(tuple(corner), float(side), 0)
+
+
+def reference_power_weight(tree: DyadicTree, gamma: float) -> tuple[np.ndarray, np.ndarray, bool]:
+    """(density, cell masses, singular) of |x|^gamma on a d >= 2 tree, per-call quadrature."""
+    d, s = tree.dim, tree.cell_side
+    corners = np.meshgrid(*(tree.cell_edges(a)[:-1] for a in range(d)), indexing="ij")
+    mids = [c + 0.5 * s for c in corners]
+    density = np.sqrt(sum(m**2 for m in mids)) ** gamma
+    half = 0.5 * s
+    node_grids = np.meshgrid(*([_REFERENCE_NODES] * d), indexing="ij")
+    wgrid = np.ones(node_grids[0].shape)
+    for axis in range(d):
+        shape = [1] * d
+        shape[axis] = -1
+        wgrid = wgrid * (_REFERENCE_WEIGHTS * half).reshape(shape)
+    rr2 = np.zeros(tree.shape + node_grids[0].shape)
+    expand = (...,) + (None,) * d
+    for axis in range(d):
+        pts = corners[axis][expand] + half * (node_grids[axis] + 1.0)
+        rr2 = rr2 + pts**2
+    mass = (np.sqrt(rr2) ** gamma * wgrid).sum(axis=tuple(range(d, 2 * d)))
+    touching = np.ones(tree.shape, dtype=bool)
+    for axis in range(d):
+        touching &= (corners[axis] <= 0.0) & (corners[axis] + s >= 0.0)
+    h = tree.half_width
+    for idx in zip(*np.nonzero(touching)):
+        corner = tuple(-h + i * s for i in idx)
+        mass[idx] = _reference_power_box_mass(corner, s, gamma)
+    return density, mass, gamma <= -d
 
 
 def run_all():

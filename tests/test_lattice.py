@@ -15,7 +15,10 @@ from dyadlab.lattice import (
     LatticeError,
     ShiftedLattice,
     average,
+    coarsen_once,
+    coarsen_to,
     haar_difference,
+    level_sums,
     one_third_cover,
     restrict_tree,
 )
@@ -55,6 +58,31 @@ class TestTreeGeometry:
         assert leaf.is_leaf()
         with pytest.raises(LatticeError):
             leaf.children()
+
+
+class TestPairSums:
+    """Coarsening adds even and odd entries; it must equal the reshape-sum it replaced."""
+
+    @pytest.mark.parametrize("dim,depth", [(1, 0), (1, 5), (2, 1), (2, 4), (3, 1), (3, 3)])
+    @pytest.mark.parametrize("rows", [(), (3,), (2, 3)])
+    def test_coarsening_matches_reshape_sum(self, dim, depth, rows, rng):
+        tree = DyadicTree(dim, depth, 1.0)
+        cells = rng.standard_t(3, size=rows + tree.shape)
+        want = [cells]
+        for _ in range(depth):
+            want.append(oracles.reference_coarsen_once(want[-1], dim))
+        want = want[::-1]
+        got = level_sums(tree, cells)
+        assert len(got) == len(want)
+        for g, w in zip(got, want):
+            assert g.shape == w.shape and np.array_equal(g, w)
+        if depth:
+            assert np.array_equal(coarsen_once(cells, dim), want[depth - 1])
+        if not rows:
+            if depth:
+                assert np.array_equal(coarsen_once(cells), want[depth - 1])
+            for k in range(depth + 1):
+                assert np.array_equal(coarsen_to(cells, k), want[k])
 
 
 class TestAverages:

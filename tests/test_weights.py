@@ -3,8 +3,9 @@
 import numpy as np
 import pytest
 
+from dyadlab import weights
 from dyadlab.lattice import Cube, DyadicTree, GridFunction
-from dyadlab.norms import lp_norm
+from dyadlab.norms import lp_norm, multiplier_objective
 from dyadlab.operators import maximal
 from dyadlab.weights import (
     BloomTriple,
@@ -77,6 +78,67 @@ class TestMasses:
             for n in (3, 4, 5)
         ]
         assert max(values) / min(values) < 1.05  # window in d=2 reaches to (p-1)d = 2
+
+
+PLAN_GAMMAS = [1.0, 1.0 / 3.0, -1.0 / 3.0, 0.0, -0.0, -1.0, -1.7, -2.0, -2.5, 2.3]
+
+
+def _assert_reference_power(tree, gamma):
+    """Density, masses and flag of the resident-plan quadrature equal the per-call one."""
+    density, mass, singular = oracles.reference_power_weight(tree, gamma)
+    w = Weight.power_weight(tree, gamma)
+    assert np.array_equal(w.density, density)
+    assert np.array_equal(w.cell_mass, mass)
+    assert w.singular == singular
+
+
+@pytest.fixture
+def plan_builds(monkeypatch):
+    """Count quadrature-plan builds, starting from an empty plan cache."""
+    builds = []
+    build = weights._build_quadrature_plan
+
+    def counting(tree):
+        builds.append(tree)
+        return build(tree)
+
+    monkeypatch.setattr(weights, "_QUADRATURE_PLAN", {})
+    monkeypatch.setattr(weights, "_build_quadrature_plan", counting)
+    return builds
+
+
+class TestQuadraturePlan:
+    @pytest.mark.parametrize("depth", [1, 2, 3, 4, 5])
+    @pytest.mark.parametrize("half_width", [1.0, 4.0])
+    @pytest.mark.parametrize("gamma", PLAN_GAMMAS)
+    def test_d2_matches_per_call_quadrature(self, depth, half_width, gamma):
+        _assert_reference_power(DyadicTree(2, depth, half_width), gamma)
+
+    @pytest.mark.parametrize("gamma", PLAN_GAMMAS)
+    def test_d3_matches_per_call_quadrature(self, gamma):
+        _assert_reference_power(DyadicTree(3, 2, 1.0), gamma)
+
+    def test_tree_sequence_rebuilds_only_on_change(self, plan_builds):
+        a, b = DyadicTree(2, 3, 1.0), DyadicTree(2, 3, 4.0)
+        for tree in (a, a, b, a):
+            for gamma in (1.0, -1.0 / 3.0, -2.5):
+                _assert_reference_power(tree, gamma)
+        assert plan_builds == [a, b, a]
+        assert list(weights._QUADRATURE_PLAN) == [a]
+
+    def test_one_build_per_report_tree(self, plan_builds, rng):
+        """Every d = 2 power-weight path of a norm report reuses the resident plan."""
+        tree = DyadicTree(2, 4, 4.0)
+        mu, lam = parse_weight("power(1.0)", tree), parse_weight("lebesgue", tree)
+        t = BloomTriple(mu, lam, ExponentConfig(4.0, 2.0, 2))
+        multiplier_objective(GridFunction(tree, rng.normal(size=tree.shape)), t.nu, t.cfg.r)(0.0)
+        power_weight_cube_lower_bound(tree, t.nu.power, scope="dyadic")
+        parse_weight("product(power(0.5),dual(power(0.5),2))", tree)
+        assert plan_builds == [tree]
+
+    def test_d1_builds_no_plan(self, plan_builds):
+        Weight.power_weight(DyadicTree(1, 5, 1.0), 0.5)
+        assert plan_builds == []
 
 
 class TestApCharacteristic:
