@@ -8,10 +8,11 @@ returns a `NormReport` whose certificate re-evaluates to the reported value.
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -65,8 +66,8 @@ class NormReport:
     def certificate_csv(self) -> str:
         if not isinstance(self.certificate, np.ndarray):
             raise TypeError("only grid-function certificates serialize to CSV")
-        flat = np.asarray(self.certificate).ravel()
-        return "\n".join(repr(float(x)) for x in flat) + "\n"
+        flat = np.asarray(self.certificate, dtype=float).ravel()
+        return "\n".join(map(repr, flat.tolist())) + "\n"
 
 
 def lp_norm(f: GridFunction, weight: Weight | None, p: float) -> float:
@@ -267,13 +268,19 @@ def _column(values: Sequence[float], rows: np.ndarray) -> np.ndarray:
     return np.array(values).reshape((-1,) + (1,) * (rows.ndim - 1))
 
 
-def _log_gradients(U: OperatorHandle, v: np.ndarray, mum, lamm, p: float, q: float):
+def _applied(U: OperatorHandle, rows: np.ndarray, mum, lamm, p: float, q: float):
+    """U applied to the rows, with ||U row||_{L^q(lam)} and ||row||_{L^p(mu)} per row."""
+    u = U.apply(rows)
+    return u, _row_norms(u, lamm, q), _row_norms(rows, mum, p)
+
+
+def _log_gradients(U: OperatorHandle, v: np.ndarray, u: np.ndarray, a: list[float],
+                   bn: list[float], mum, lamm, p: float, q: float):
     """Gradients of log ||Uv||_{L^q(lam)} - log ||v||_{L^p(mu)} for the rows of v.
 
-    A row with Uv = 0 (or v = 0) gets the zero gradient.
+    `u`, `a` and `bn` are `_applied(U, v, ...)`.  A row with Uv = 0 (or
+    v = 0) gets the zero gradient.
     """
-    u = U.apply(v)
-    a, bn = _row_norms(u, lamm, q), _row_norms(v, mum, p)
     live = [i for i in range(len(v)) if a[i] != 0.0 and bn[i] != 0.0]
     g = np.zeros(v.shape)
     if live:
@@ -285,11 +292,9 @@ def _log_gradients(U: OperatorHandle, v: np.ndarray, mum, lamm, p: float, q: flo
     return g
 
 
-def _ratios(U: OperatorHandle, rows: np.ndarray, mum, lamm, p: float, q: float):
-    """||U row||_{L^q(lam)} / ||row||_{L^p(mu)} per row (0 for a zero row), and the denominators."""
-    dens = _row_norms(rows, mum, p)
-    nums = _row_norms(U.apply(rows), lamm, q)
-    return [num / den if den != 0.0 else 0.0 for num, den in zip(nums, dens)], dens
+def _ratios(nums: list[float], dens: list[float]) -> list[float]:
+    """num / den per row of `_applied`'s norms, 0 for a row of zero norm."""
+    return [num / den if den != 0.0 else 0.0 for num, den in zip(nums, dens)]
 
 
 def _ascend(U: OperatorHandle, v: np.ndarray, mum, lamm, p: float, q: float,
@@ -297,9 +302,11 @@ def _ascend(U: OperatorHandle, v: np.ndarray, mum, lamm, p: float, q: float,
     """Backtracking ascent of every row of v (each of unit L^p(mu) norm), in lockstep.
 
     Returns the rows' final ratios, the final rows and the number of trials.
+    The first gradients reuse the apply that gave the rows' first ratios.
     """
     n = len(v)
-    r_cur = _ratios(U, v, mum, lamm, p, q)[0]
+    applied = _applied(U, v, mum, lamm, p, q)
+    r_cur = _ratios(*applied[1:])
     step = [1.0] * n
     left = [iterations] * n  # gradients each row may still take
     g = np.zeros(v.shape)
@@ -309,7 +316,10 @@ def _ascend(U: OperatorHandle, v: np.ndarray, mum, lamm, p: float, q: float,
     evals = 0
     while wanting or searching:
         if wanting:
-            grads = _log_gradients(U, v[wanting], mum, lamm, p, q)
+            if applied is None:
+                applied = _applied(U, v[wanting], mum, lamm, p, q)
+            grads = _log_gradients(U, v[wanting], *applied, mum, lamm, p, q)
+            applied = None
             g[wanting] = grads
             norms = np.sqrt((grads * grads).reshape(len(wanting), -1).sum(axis=1))
             for i, norm in zip(wanting, norms):
@@ -324,7 +334,8 @@ def _ascend(U: OperatorHandle, v: np.ndarray, mum, lamm, p: float, q: float,
             continue
         w = v[searching] + _column([step[i] for i in searching], v) * g[searching] / _column(
             [gn[i] for i in searching], v)
-        r_new, dens = _ratios(U, w, mum, lamm, p, q)
+        _, nums, dens = _applied(U, w, mum, lamm, p, q)
+        r_new = _ratios(nums, dens)
         evals += len(searching)
         still = []
         for j, i in enumerate(searching):
@@ -339,6 +350,35 @@ def _ascend(U: OperatorHandle, v: np.ndarray, mum, lamm, p: float, q: float,
                 still.append(i)
         searching = still
     return r_cur, v, evals
+
+
+def _structured_starts(tree: DyadicTree) -> Iterator[np.ndarray]:
+    """The constant, the indicators of the cubes of levels 0-2, and two-level Haar bumps."""
+    yield np.ones(tree.shape)
+    for level in range(min(2, tree.depth) + 1):
+        for cube in tree.cubes_at_level(level):
+            ind = np.zeros(tree.shape)
+            ind[cube.cell_slices()] = 1.0
+            yield ind
+    # a few Haar-type bumps
+    for cube in tree.cubes_at_level(min(1, tree.depth)):
+        bump = np.zeros(tree.shape)
+        kids = cube.children() if not cube.is_leaf() else []
+        for j, kid in enumerate(kids):
+            bump[kid.cell_slices()] = 1.0 if j % 2 == 0 else -1.0
+        yield bump
+
+
+def _starts(tree: DyadicTree, extras: list[np.ndarray], restarts: int,
+            seed: int) -> Iterator[np.ndarray]:
+    """The estimator's starts in order, each built when it is asked for: the
+    structured ones, the extras, then seeded normal fields up to `restarts` in all."""
+    count = 0
+    for count, start in enumerate(itertools.chain(_structured_starts(tree), extras), 1):
+        yield start
+    rng = np.random.default_rng(seed)
+    for _ in range(max(0, restarts - count)):
+        yield rng.normal(size=tree.shape)
 
 
 def empirical_operator_norm(
@@ -365,38 +405,25 @@ def empirical_operator_norm(
     The starts run in lockstep, in consecutive groups of
     max(1, 4096 // n_cells) rows: each round `U.apply`/`U.adjoint` take the
     gradients of the rows that need one as one stack, then one line-search
-    trial of every row still searching as another.  Per-row norms and
-    their powers are raised as scalars, so every row follows the bits of a
-    start run on its own.  The trace of best-so-far values, in start
-    order, is monotone by construction; `ratio_evals` counts the trials.
+    trial of every row still searching as another.  A group's starts are
+    built when it runs, and its results fold into the best so far before
+    the next group, so memory does not grow with `restarts`.  Per-row
+    norms and their powers are raised as scalars, so every row follows
+    the bits of a start run on its own.  The trace of best-so-far values,
+    in start order, is monotone by construction; `ratio_evals` counts the
+    trials.
     """
     mum = mu.cell_mass if mu is not None else np.full(tree.shape, tree.cell_volume)
     lamm = lam.cell_mass if lam is not None else np.full(tree.shape, tree.cell_volume)
 
-    starts: list[np.ndarray] = []
-    starts.append(np.ones(tree.shape))
-    for level in range(min(2, tree.depth) + 1):
-        for cube in tree.cubes_at_level(level):
-            ind = np.zeros(tree.shape)
-            ind[cube.cell_slices()] = 1.0
-            starts.append(ind)
-    # a few Haar-type bumps
-    for cube in tree.cubes_at_level(min(1, tree.depth)):
-        bump = np.zeros(tree.shape)
-        kids = cube.children() if not cube.is_leaf() else []
-        for j, kid in enumerate(kids):
-            bump[kid.cell_slices()] = 1.0 if j % 2 == 0 else -1.0
-        starts.append(bump)
-    starts.extend(np.asarray(s, dtype=float) for s in extra_starts)
-    rng = np.random.default_rng(seed)
-    for _ in range(max(0, restarts - len(starts))):
-        starts.append(rng.normal(size=tree.shape))
-
+    starts = _starts(tree, [np.asarray(s, dtype=float) for s in extra_starts], restarts, seed)
     group = max(1, _GROUP_CELLS // tree.n_cells)
-    finals: list[tuple[float, np.ndarray]] = []  # (ratio, row) of each start run, in start order
-    evals = 0
-    for lo in range(0, len(starts), group):
-        v = np.stack(starts[lo:lo + group])
+    n_starts = evals = 0
+    best_val, best_vec = 0.0, np.ones(tree.shape)  # the first start, if none runs
+    trace: list[float] = []
+    while chunk := list(itertools.islice(starts, group)):
+        n_starts += len(chunk)
+        v = np.stack(chunk)
         nv = _row_norms(v, mum, p)
         live = [i for i, n in enumerate(nv) if n != 0.0]
         if not live:
@@ -404,22 +431,17 @@ def empirical_operator_norm(
         ratios, rows, trials = _ascend(
             U, v[live] / _column([nv[i] for i in live], v), mum, lamm, p, q, iterations)
         evals += trials
-        finals.extend(zip(ratios, rows))
-
-    best_val = 0.0
-    best_vec = starts[0].copy()
-    trace: list[float] = []
-    for ratio, row in finals:
-        if ratio > best_val:
-            best_val, best_vec = ratio, row.copy()
-        trace.append(best_val)
+        for ratio, row in zip(ratios, rows):
+            if ratio > best_val:
+                best_val, best_vec = ratio, row.copy()
+            trace.append(best_val)
 
     return NormReport(
         value=best_val,
         method="gradient-ascent",
         certificate=best_vec,
         trace=trace,
-        details={"restarts": float(len(starts)), "ratio_evals": float(evals)},
+        details={"restarts": float(n_starts), "ratio_evals": float(evals)},
     )
 
 

@@ -263,13 +263,21 @@ def ap_window_grid(p: float) -> list[float]:
     return sorted(grid + mid_extra)
 
 
+def _depth_sweep(cfg: ScenarioConfig, first: int, step: int = 1) -> list[int]:
+    """The depths first, first + step, ... up to cfg.depth; an empty sweep is a ConfigError."""
+    depths = list(range(first, cfg.depth + 1, step))
+    if not depths:
+        raise ConfigError(f"depth {cfg.depth} is below the sweep's first depth {first}")
+    return depths
+
+
 def run_characteristics(cfg: ScenarioConfig, sweep: bool = True) -> dict:
     """Characteristic battery: configured weights plus the power-window sweep.
 
     One CSV row per (weight, characteristic, depth), with a divergence flag
     set by the factor-1.5-over-three-refinements rule.
     """
-    depths = list(range(cfg.depth_min, cfg.depth + 1))
+    depths = _depth_sweep(cfg, cfg.depth_min)
     rows: list[list[object]] = []
     results: dict[str, object] = {}
 
@@ -527,7 +535,7 @@ def run_counterexample(cfg: ScenarioConfig) -> dict:
     values (each diverges with depth while c stays off the plateau value),
     and the two empirical operator norms (stay bounded).
     """
-    depths = list(range(max(4, cfg.depth_min), cfg.depth + 1, 2))
+    depths = _depth_sweep(cfg, max(4, cfg.depth_min), 2)
     points = [
         counterexample_depth_point(
             d, cfg.half_width_exponent, restarts=cfg.restarts,

@@ -16,6 +16,7 @@ the larger of the summed positive and negative parts); the rule of
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from functools import lru_cache
@@ -33,11 +34,9 @@ from .operators import (
     oscillation_levels,
     paraproduct,
 )
-from .weights import Weight, carleson_norm, coeff_stack, parse_weight
+from .weights import Weight, carleson_norm, coeff_stack, parse_weight, power_interval_masses
 
 FULL, LO_HALF, HI_HALF = "full", "lo", "hi"
-
-_CLAIM_FRACTION = {FULL: 1.0, LO_HALF: 0.5, HI_HALF: 0.5}
 
 
 class StoppingMassError(AssertionError):
@@ -59,26 +58,50 @@ class SparseFamily:
         return coeff_stack(self.tree, {q: 1.0 for q in self.cubes})
 
 
-def _claims_mass(tree: DyadicTree, claims: dict[int, str], measure: Weight | None) -> float:
-    if not claims:
-        return 0.0
-    total = 0.0
+# the halves of its cell along axis 0 that a claim covers, as bits
+_CLAIM_BITS = {LO_HALF: 1, HI_HALF: 2, FULL: 3}
+
+
+def _claim_masses(tree: DyadicTree, cells: np.ndarray, bits: np.ndarray,
+                  measure: Weight | None) -> np.ndarray:
+    """The mass of each claim: its cell's, or half of it (exact halves for d = 1 powers)."""
+    full = bits == _CLAIM_BITS[FULL]
     if measure is None:
-        for kind in claims.values():
-            total += _CLAIM_FRACTION[kind] * tree.cell_volume
-        return total
-    flat_mass = measure.cell_mass.ravel()
-    for cell, kind in claims.items():
-        if kind == FULL:
-            total += flat_mass[cell]
-        elif measure.power is not None and tree.dim == 1:
-            edges = tree.cell_edges()
-            mid = (edges[cell] + edges[cell + 1]) / 2.0
-            lo, hi = (edges[cell], mid) if kind == LO_HALF else (mid, edges[cell + 1])
-            total += measure.interval_mass(lo, hi)
-        else:
-            total += 0.5 * flat_mass[cell]
-    return total
+        return np.where(full, 1.0, 0.5) * tree.cell_volume
+    masses = measure.cell_mass.ravel()[cells]
+    masses[~full] *= 0.5
+    if measure.power is not None and tree.dim == 1:
+        halves = np.flatnonzero(~full)
+        edges = tree.cell_edges()
+        left, right = edges[cells[halves]], edges[cells[halves] + 1]
+        mid = (left + right) / 2.0
+        lower = bits[halves] == _CLAIM_BITS[LO_HALF]
+        masses[halves] = power_interval_masses(
+            np.where(lower, left, mid), np.where(lower, mid, right), measure.power)
+    return masses
+
+
+def _inside(tree: DyadicTree, cubes: list[Cube], sizes: list[int], cells: np.ndarray) -> bool:
+    """Whether every claimed cell lies in its cube, the runs of `sizes` claims being the cubes'.
+
+    A cell is inside when its coordinates, shifted to the cube's level, are the cube's index.
+    """
+    n, d = tree.depth, tree.dim
+    inside = (cells >= 0) & (cells < tree.n_cells)
+    shift = np.repeat([n - cube.level for cube in cubes], sizes)
+    for a, index in enumerate(zip(*(cube.index for cube in cubes))):
+        coord = (cells >> (n * (d - 1 - a))) & ((1 << n) - 1)
+        coord >>= shift
+        inside &= coord == np.repeat(index, sizes)
+    return bool(inside.all())
+
+
+def _disjoint(tree: DyadicTree, cells: np.ndarray, bits: np.ndarray) -> bool:
+    """Whether no two claims share a cell, but for one lower and one upper half (bits 1 and 2)."""
+    count = np.bincount(cells, minlength=tree.n_cells)
+    shared = count > 1
+    return not shared.any() or bool(np.all(
+        (count[shared] == 2) & (np.bincount(cells, bits, tree.n_cells)[shared] == 3)))
 
 
 def verify_sparse(family: SparseFamily, gamma: float | None = None,
@@ -86,33 +109,34 @@ def verify_sparse(family: SparseFamily, gamma: float | None = None,
     """Check witness containment, disjointness, and the mass ratio.
 
     Returns (ok, worst_ratio) where worst_ratio is the minimum over cubes
-    of witness mass over cube mass.  `gamma`/`measure` default to the
-    family's own tags.
+    of witness mass over cube mass, and (False, 0.0) when a claim lies
+    outside its cube.  A cell may carry one claim, or one lower and one
+    upper half.  Each cube's claim masses are added in claim order.
+    `gamma`/`measure` default to the family's own tags.
     """
     gamma = family.gamma if gamma is None else gamma
     measure = family.measure if measure is None else measure
-    tree = family.tree
-    seen: dict[int, list[str]] = {}
+    tree, cubes = family.tree, family.cubes
+    if not cubes:
+        return True, 1.0
+    claims = [family.witnesses.get(cube, {}) for cube in cubes]
+    sizes = [len(c) for c in claims]
+    cells = np.fromiter(itertools.chain.from_iterable(claims), dtype=np.int64, count=sum(sizes))
+    if not _inside(tree, cubes, sizes, cells):
+        return False, 0.0
+    bits = np.fromiter(map(_CLAIM_BITS.__getitem__,
+                           itertools.chain.from_iterable(c.values() for c in claims)),
+                       dtype=np.int8, count=len(cells))
+    ok = _disjoint(tree, cells, bits)
+    masses = _claim_masses(tree, cells, bits, measure)
     worst = math.inf
-    ok = True
-    for cube in family.cubes:
-        claims = family.witnesses.get(cube, {})
-        inside = set(int(i) for i in cube.flat_cells())
-        for cell, kind in claims.items():
-            if cell not in inside:
-                return False, 0.0
-            kinds = seen.setdefault(cell, [])
-            if FULL in kinds or kind == FULL and kinds or kind in kinds:
-                ok = False
-            kinds.append(kind)
-        mass = _claims_mass(tree, claims, measure)
-        total = cube.volume if measure is None else measure.mass(cube)
-        ratio = mass / total
+    for cube, size, end in zip(cubes, sizes, itertools.accumulate(sizes)):
+        # cumsum adds a cube's claims in order, from its first
+        mass = float(np.cumsum(masses[end - size:end])[-1]) if size else 0.0
+        ratio = mass / (cube.volume if measure is None else measure.mass(cube))
         worst = min(worst, ratio)
         if ratio < gamma * (1.0 - 1e-12):
             ok = False
-    if not family.cubes:
-        worst = 1.0
     return ok, worst
 
 

@@ -70,7 +70,6 @@ from dyadlab.sparse import (
     domination_rhs,
     partial_sum,
     paraproduct_sparse_dominate,
-    verify_sparse,
 )
 from dyadlab.weights import (
     BloomTriple,
@@ -1266,7 +1265,7 @@ def reference_discretized_sharp_sup(b: GridFunction, nu: Weight, r: float,
         witnesses[p] = {int(i): FULL for i in np.flatnonzero(keep.ravel())}
     family = SparseFamily(tree=tree, cubes=principal, witnesses=witnesses, gamma=gamma,
                           measure=nu)
-    ok, worst = verify_sparse(family)
+    ok, worst = reference_verify_sparse(family)
     total = 0.0
     for p in principal:
         osc = oscillation(b, p)
@@ -1382,6 +1381,69 @@ def reference_empirical_operator_norm(
         trace=trace,
         details={"restarts": float(len(starts)), "ratio_evals": float(evals)},
     )
+
+
+# -- reference for the sparse-family check ------------------------------------------------
+#
+# `sparse.verify_sparse` as it ran before it checked arrays of claims: a
+# Python set of each cube's cells, a per-cell list of the kinds seen, and
+# claim masses added cell by cell.  The array check must return the same
+# (ok, worst) exactly.
+
+_REFERENCE_CLAIM_FRACTION = {FULL: 1.0, LO_HALF: 0.5, HI_HALF: 0.5}
+
+
+def _reference_claims_mass(tree: DyadicTree, claims: dict[int, str],
+                           measure: Weight | None) -> float:
+    if not claims:
+        return 0.0
+    total = 0.0
+    if measure is None:
+        for kind in claims.values():
+            total += _REFERENCE_CLAIM_FRACTION[kind] * tree.cell_volume
+        return total
+    flat_mass = measure.cell_mass.ravel()
+    for cell, kind in claims.items():
+        if kind == FULL:
+            total += flat_mass[cell]
+        elif measure.power is not None and tree.dim == 1:
+            edges = tree.cell_edges()
+            mid = (edges[cell] + edges[cell + 1]) / 2.0
+            lo, hi = (edges[cell], mid) if kind == LO_HALF else (mid, edges[cell + 1])
+            total += measure.interval_mass(lo, hi)
+        else:
+            total += 0.5 * flat_mass[cell]
+    return total
+
+
+def reference_verify_sparse(family: SparseFamily, gamma: float | None = None,
+                            measure: Weight | None = None) -> tuple[bool, float]:
+    """(ok, worst witness ratio) of a sparse family, cube by cube and cell by cell."""
+    gamma = family.gamma if gamma is None else gamma
+    measure = family.measure if measure is None else measure
+    tree = family.tree
+    seen: dict[int, list[str]] = {}
+    worst = math.inf
+    ok = True
+    for cube in family.cubes:
+        claims = family.witnesses.get(cube, {})
+        inside = set(int(i) for i in cube.flat_cells())
+        for cell, kind in claims.items():
+            if cell not in inside:
+                return False, 0.0
+            kinds = seen.setdefault(cell, [])
+            if FULL in kinds or kind == FULL and kinds or kind in kinds:
+                ok = False
+            kinds.append(kind)
+        mass = _reference_claims_mass(tree, claims, measure)
+        total = cube.volume if measure is None else measure.mass(cube)
+        ratio = mass / total
+        worst = min(worst, ratio)
+        if ratio < gamma * (1.0 - 1e-12):
+            ok = False
+    if not family.cubes:
+        worst = 1.0
+    return ok, worst
 
 
 # -- reference for the d >= 2 power-weight quadrature -----------------------------------

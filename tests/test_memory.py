@@ -1,0 +1,64 @@
+"""Peak memory of the d = 2 norm-report steps, measured with tracemalloc.
+
+At d = 2, depth 8 (65,536 cells) one float per cell is 0.5 MiB.  The
+quadrature's node norms, held for every cell at once, would be 50 MiB;
+every step here must stay a small multiple of the cell count instead.
+"""
+
+import tracemalloc
+
+from dyadlab import norms, weights
+from dyadlab.lattice import DyadicTree, GridFunction
+from dyadlab.norms import discretized_sharp_sup, empirical_operator_norm
+from dyadlab.operators import paraproduct_handle
+from dyadlab.sparse import verify_sparse
+from dyadlab.weights import Weight
+
+MIB = 2**20
+
+
+def _peak(fn, *args, **kwargs):
+    """fn's result and the peak of the memory traced while it ran."""
+    tracemalloc.start()
+    try:
+        out = fn(*args, **kwargs)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return out, peak
+
+
+def test_d2_power_weight_from_an_empty_plan_cache(monkeypatch):
+    """The plan build and one exponent at 65,536 cells stay below 8 MiB."""
+    monkeypatch.setattr(weights, "_QUADRATURE_PLAN", {})
+    tree = DyadicTree(2, 8, 4.0)
+    w, peak = _peak(Weight.power_weight, tree, 1.0)
+    assert w.cell_mass.shape == tree.shape
+    assert peak < 8 * MIB
+
+
+def test_estimator_peak_does_not_grow_with_restarts(rng):
+    """With one start per lockstep group, tripling the starts adds no held rows."""
+    tree = DyadicTree(2, 6, 4.0)
+    assert norms._GROUP_CELLS // tree.n_cells == 1
+    U = paraproduct_handle(GridFunction(tree, rng.normal(size=tree.shape)))
+    mu = Weight.power_weight(tree, 1.0)
+    peaks = []
+    for restarts in (30, 90):
+        report, peak = _peak(empirical_operator_norm, U, mu, None, 4.0, 2.0, tree,
+                             restarts=restarts, iterations=2)
+        assert report.details["restarts"] == restarts
+        peaks.append(peak)
+    row = tree.n_cells * 8
+    assert peaks[1] < peaks[0] + 4 * row
+
+
+def test_verify_sparse_on_a_one_cube_sharp_sup_family():
+    """The 65,536-claim family of `discretized_sharp_sup` checks in under 6 MiB."""
+    tree = DyadicTree(2, 8, 4.0)
+    family = discretized_sharp_sup(GridFunction.constant(tree, 1.0),
+                                   Weight.power_weight(tree, 0.5), 4.0).certificate
+    assert len(family.cubes) == 1 and len(family.witnesses[tree.root()]) == tree.n_cells
+    (ok, worst), peak = _peak(verify_sparse, family)
+    assert ok and worst >= family.gamma
+    assert peak < 6 * MIB

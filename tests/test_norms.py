@@ -5,8 +5,10 @@ import json
 import numpy as np
 import pytest
 
+from dyadlab import norms
 from dyadlab.lattice import Cube, DyadicTree, GridFunction, LatticeError
 from dyadlab.norms import (
+    NormReport,
     ProbePair,
     bmo_alpha_norm,
     discretized_sharp_sup,
@@ -23,6 +25,7 @@ from dyadlab.norms import (
     weight_necessity_bound,
 )
 from dyadlab.operators import (
+    OperatorHandle,
     identity_handle,
     paraproduct,
     paraproduct_handle,
@@ -228,6 +231,46 @@ class TestEmpiricalNorm:
         assert payload["value"] == rep.value
         assert payload["certificate-ref"] == "grid-function"
         assert rep.certificate_csv().count("\n") == tree.n_cells
+
+    def test_certificate_csv_bytes(self):
+        """One repr per cell, in C order; integer certificates print as floats."""
+        cert = np.array([[0.1, -0.0], [1e-310, 2.0**60], [np.inf, -1.0 / 3.0]])
+        rep = NormReport(1.0, "gradient-ascent", certificate=cert)
+        assert rep.certificate_csv() == "".join(repr(float(x)) + "\n" for x in cert.ravel())
+        assert NormReport(1.0, "x", certificate=np.arange(3)).certificate_csv() == "0.0\n1.0\n2.0\n"
+
+    @pytest.mark.parametrize("iterations", [0, 1, 6])
+    def test_first_gradient_reuses_the_initial_apply(self, rng, monkeypatch, iterations):
+        """With one start per group, each group makes one apply fewer than the sequential
+        ascent, which applies U to a start again for its first gradient; the estimate
+        keeps its bits, and no stack is applied twice in a row."""
+        tree = DyadicTree(1, 5, 4.0)
+        monkeypatch.setattr(norms, "_GROUP_CELLS", tree.n_cells)
+        inner = paraproduct_handle(GridFunction(tree, rng.normal(size=tree.shape)))
+        calls = {"apply": [], "adjoint": []}
+
+        def counted(name, op):
+            def call(v):
+                calls[name].append(np.array(v, copy=True))
+                return op(v)
+            return call
+
+        U = OperatorHandle("counted", counted("apply", inner.apply),
+                           counted("adjoint", inner.adjoint))
+        args = (U, Weight.power_weight(tree, 1.0), None, 3.0, 2.0, tree)
+        kwargs = dict(restarts=14, iterations=iterations, extra_starts=[np.zeros(tree.shape)])
+        got = empirical_operator_norm(*args, **kwargs)
+        applies, adjoints = calls["apply"][:], len(calls["adjoint"])
+        calls["apply"].clear()
+        calls["adjoint"].clear()
+        want = oracles.reference_empirical_operator_norm(*args, **kwargs)
+        assert (got.value, got.trace, got.details) == (want.value, want.trace, want.details)
+        assert np.array_equal(got.certificate, want.certificate)
+        groups = len(got.trace)  # the starts of nonzero norm, one group each
+        assert len(applies) == len(calls["apply"]) - (groups if iterations else 0)
+        assert adjoints == len(calls["adjoint"])
+        if iterations:  # without gradients, equal starts (the constant, the root) run in turn
+            assert not any(np.array_equal(a, b) for a, b in zip(applies, applies[1:]))
 
 
 class TestSequentialTesting:

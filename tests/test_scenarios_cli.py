@@ -187,6 +187,21 @@ class TestCli:
     def test_missing_config_file_exit_3(self, tmp_path):
         assert main(["char", "--config", str(tmp_path / "nope.cfg")]) == 3
 
+    @pytest.mark.parametrize("argv", [
+        ["char", "--dim", "2", "--depth", "5"],  # depth_min is 6
+        ["counterexample", "--depth", "3"],  # the sweep starts at depth 4
+        ["counterexample", "--depth", "5"],  # and at depth_min
+    ])
+    def test_empty_depth_sweep_exit_3(self, tmp_path, capsys, argv):
+        assert main(argv + ["--out", str(tmp_path)]) == 3
+        assert "config error" in capsys.readouterr().err
+        assert not list(tmp_path.iterdir())
+
+    def test_norms_takes_a_depth_below_depth_min(self, tmp_path):
+        """`norms` sweeps no depths, so depth_min does not bound it."""
+        assert main(["norms", "--depth", "3", "--out", str(tmp_path)]) == 0
+        assert (tmp_path / "norms.json").exists()
+
     def test_char_runs_and_writes(self, tmp_path, capsys):
         code = main(["char", "--out", str(tmp_path), "--depth", "6", "--no-sweep"])
         assert code == 0

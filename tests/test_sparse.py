@@ -6,8 +6,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dyadlab.lattice import Cube, DyadicTree, GridFunction, LatticeError
+from dyadlab.norms import discretized_sharp_sup
 from dyadlab.sparse import (
     FULL,
+    HI_HALF,
+    LO_HALF,
     SparseFamily,
     carleson_from_sparse,
     domination_bound,
@@ -74,6 +77,106 @@ class TestVerifySparse:
         ok, _ = verify_sparse(fam)
         assert not ok
 
+
+
+def _measures(tree, rng):
+    """Lebesgue, two power weights (exact half-cell masses at d = 1) and a density."""
+    return [None, Weight.power_weight(tree, 0.7), Weight.power_weight(tree, -0.5),
+            Weight(tree, rng.uniform(0.2, 5.0, tree.shape))]
+
+
+class TestVerifySparseMatchesReference:
+    """The array check returns the cell-by-cell reference's (ok, worst) exactly."""
+
+    @staticmethod
+    def _assert_same(fam, **kwargs):
+        got = verify_sparse(fam, **kwargs)
+        want = oracles.reference_verify_sparse(fam, **kwargs)
+        assert got == want
+        assert type(got[0]) is bool
+
+    @pytest.mark.parametrize("dim,depth", [(1, 1), (1, 6), (2, 2), (2, 4)])
+    def test_paraproduct_families(self, dim, depth):
+        """Constructor families carry donated half claims; every gamma and measure."""
+        rng = np.random.default_rng(40 + 10 * dim + depth)
+        tree = DyadicTree(dim, depth, 2.0)
+        halves = 0
+        for _ in range(12):
+            b, f = (spiky_field(tree, rng, sigma=3.5) for _ in range(2))
+            fam = paraproduct_sparse_dominate(b, f)
+            halves += sum(kind != FULL for w in fam.witnesses.values() for kind in w.values())
+            for measure in _measures(tree, rng):
+                for gamma in (None, 0.3, 0.9):
+                    self._assert_same(fam, gamma=gamma, measure=measure)
+        assert halves or depth == 1
+
+    @pytest.mark.parametrize("dim,depth", [(1, 1), (1, 7), (2, 1), (2, 5)])
+    def test_sharp_sup_families(self, dim, depth):
+        rng = np.random.default_rng(50 + 10 * dim + depth)
+        tree = DyadicTree(dim, depth, 4.0)
+        nu = Weight.power_weight(tree, 0.5)
+        for b in (GridFunction.constant(tree, 1.0), spiky_field(tree, rng, sigma=3.0)):
+            fam = discretized_sharp_sup(b, nu, 4.0).certificate
+            self._assert_same(fam)
+            self._assert_same(fam, measure=None, gamma=0.5)
+
+    @pytest.mark.parametrize("dim", [1, 2])
+    def test_claim_order_sets_the_sum(self, dim):
+        """Masses add in each dict's own claim order, not in cell order."""
+        rng = np.random.default_rng(60 + dim)
+        tree = DyadicTree(dim, 4, 1.0)
+        b, f = (spiky_field(tree, rng, sigma=3.5) for _ in range(2))
+        fam = paraproduct_sparse_dominate(b, f)
+        for q in fam.cubes:
+            items = list(fam.witnesses[q].items())
+            rng.shuffle(items)
+            fam.witnesses[q] = dict(items)
+        for measure in _measures(tree, rng):
+            self._assert_same(fam, measure=measure)
+
+    @pytest.mark.parametrize("kinds,ok", [
+        ((FULL, FULL), False), ((LO_HALF, LO_HALF), False), ((HI_HALF, HI_HALF), False),
+        ((FULL, LO_HALF), False), ((HI_HALF, FULL), False), ((LO_HALF, HI_HALF), True),
+        ((HI_HALF, LO_HALF), True),
+    ])
+    @pytest.mark.parametrize("dim", [1, 2])
+    def test_shared_cells(self, dim, kinds, ok):
+        """A cell may carry one claim, or one lower and one upper half."""
+        tree = DyadicTree(dim, 2, 1.0)
+        inner, root = Cube(tree, 1, (0,) * dim), tree.root()
+        cell = 0
+        witnesses = {inner: {cell: kinds[0], 1: FULL}, root: {cell: kinds[1]}}
+        fam = SparseFamily(tree, [inner, root], witnesses, gamma=0.01)
+        for measure in _measures(tree, np.random.default_rng(dim)):
+            self._assert_same(fam, measure=measure)
+        assert verify_sparse(fam)[0] is ok
+
+    @pytest.mark.parametrize("cell", [-1, 4, 12, 32, 63, 64, 10**6])
+    def test_escaping_claims(self, cell):
+        """A claim outside its cube (or outside the tree) fails with worst 0.0."""
+        tree = DyadicTree(2, 3, 1.0)
+        q = Cube(tree, 1, (0, 0))  # cells 0-3, 8-11, 16-19 and 24-27
+        fam = SparseFamily(tree, [tree.root(), q],
+                           {tree.root(): {40: FULL}, q: {0: FULL, cell: FULL, 1: LO_HALF}},
+                           gamma=0.5)
+        self._assert_same(fam)
+        assert verify_sparse(fam) == (False, 0.0)
+
+    def test_empty_families(self):
+        tree = DyadicTree(2, 3, 1.0)
+        for fam in (SparseFamily(tree, [], {}, gamma=0.5),
+                    SparseFamily(tree, [tree.root()], {}, gamma=0.5),
+                    SparseFamily(tree, [tree.root(), tree.root()], {tree.root(): {}}, gamma=0.0)):
+            for measure in _measures(tree, np.random.default_rng(3)):
+                self._assert_same(fam, measure=measure)
+        assert verify_sparse(SparseFamily(tree, [], {}, gamma=0.5)) == (True, 1.0)
+
+    def test_repeated_cube_overlaps_itself(self):
+        tree = DyadicTree(1, 3, 1.0)
+        q = Cube(tree, 1, (1,))
+        fam = SparseFamily(tree, [q, q], {q: {4: FULL, 5: LO_HALF}}, gamma=0.1)
+        self._assert_same(fam)
+        assert not verify_sparse(fam)[0]
 
 class TestConstructor:
     def test_constant_b_trivial_family(self, tree6, rng):

@@ -141,6 +141,18 @@ class TestQuadraturePlan:
         assert plan_builds == []
 
 
+class TestQuadratureBlocks:
+    @pytest.mark.parametrize("block_cells", [1, 24, 40, 10**6])
+    @pytest.mark.parametrize("dim,depth", [(2, 3), (3, 2)])
+    def test_blocks_keep_the_bits(self, monkeypatch, dim, depth, block_cells):
+        """Blocks of one row, of uneven row counts and of the whole tree all give the
+        per-call quadrature's bits."""
+        monkeypatch.setattr(weights, "_QUADRATURE_PLAN", {})
+        monkeypatch.setattr(weights, "_BLOCK_CELLS", block_cells)
+        for gamma in (0.7, -1.0 / 3.0, -2.5):
+            _assert_reference_power(DyadicTree(dim, depth, 4.0), gamma)
+
+
 class TestApCharacteristic:
     def test_lebesgue_is_one(self):
         tree = DyadicTree(1, 5, 1.0)
