@@ -16,7 +16,6 @@ from .weights import (
     ExponentConfig,
     Weight,
     ap_characteristic,
-    bloom_triple,
     carleson_norm,
     divergence_flag,
     dual_weight,

@@ -399,7 +399,7 @@ def shrunken_family_counterexample(seed: int = 11, depth: int = 5) -> dict:
             shrunk = type(family)(
                 tree=family.tree,
                 cubes=family.cubes[:drop] + family.cubes[drop + 1:],
-                witnesses=family.witnesses,
+                witnesses=family.witnesses[:drop] + family.witnesses[drop + 1:],
                 gamma=family.gamma,
                 measure=family.measure,
             )

@@ -2,9 +2,11 @@
 
 A sparse family pairs each member cube with a witness set: a disjoint
 region of at least a gamma fraction of the cube's mass.  Witnesses are
-stored as claims on finest cells; a claim is the whole cell or one of its
-two halves along axis 0 (halves arise only when a finest-level stopping
-cube must share its single cell with its parent's witness).
+claims on finest cells; a claim is the whole cell or one of its two halves
+along axis 0 (halves arise only when a finest-level stopping cube must
+share its single cell with its parent's witness).  A cube's witness is one
+int64 array of packed claims `cell << 2 | kind`, in claim order, with kind
+`LO_HALF` = 1, `HI_HALF` = 2 or `FULL` = 3 (the halves it covers, as bits).
 
 Both stopping-time constructions are one top-down pass, `principal_cubes`:
 level by level a cube inherits its principal cube's state, and stops by a
@@ -16,8 +18,8 @@ the larger of the summed positive and negative parts); the rule of
 
 from __future__ import annotations
 
-import itertools
 import math
+import re
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable, Iterable, Sequence
@@ -36,7 +38,8 @@ from .operators import (
 )
 from .weights import Weight, carleson_norm, coeff_stack, parse_weight, power_interval_masses
 
-FULL, LO_HALF, HI_HALF = "full", "lo", "hi"
+# the halves of its cell along axis 0 that a claim covers, as bits
+LO_HALF, HI_HALF, FULL = 1, 2, 3
 
 
 class StoppingMassError(AssertionError):
@@ -45,27 +48,32 @@ class StoppingMassError(AssertionError):
 
 @dataclass
 class SparseFamily:
-    """A set of tree cubes with disjoint witness claims and a sparseness constant."""
+    """A set of tree cubes with disjoint witness claims and a sparseness constant.
+
+    `witnesses[i]` is the witness of `cubes[i]`: an int64 array of packed
+    claims `cell << 2 | kind`, in claim order.  A cube listed twice carries
+    one entry per listing.
+    """
 
     tree: DyadicTree
     cubes: list[Cube]
-    witnesses: dict[Cube, dict[int, str]]
+    witnesses: list[np.ndarray]
     gamma: float
     measure: Weight | None = None  # None = Lebesgue
     stopping_mass_max: float = 0.0  # observed max of (stopping mass)/(node mass)
+
+    def __post_init__(self):
+        if len(self.witnesses) != len(self.cubes):
+            raise ValueError(f"{len(self.witnesses)} witnesses for {len(self.cubes)} cubes")
 
     def indicator_stack(self) -> list[np.ndarray]:
         return coeff_stack(self.tree, {q: 1.0 for q in self.cubes})
 
 
-# the halves of its cell along axis 0 that a claim covers, as bits
-_CLAIM_BITS = {LO_HALF: 1, HI_HALF: 2, FULL: 3}
-
-
-def _claim_masses(tree: DyadicTree, cells: np.ndarray, bits: np.ndarray,
+def _claim_masses(tree: DyadicTree, cells: np.ndarray, kinds: np.ndarray,
                   measure: Weight | None) -> np.ndarray:
     """The mass of each claim: its cell's, or half of it (exact halves for d = 1 powers)."""
-    full = bits == _CLAIM_BITS[FULL]
+    full = kinds == FULL
     if measure is None:
         return np.where(full, 1.0, 0.5) * tree.cell_volume
     masses = measure.cell_mass.ravel()[cells]
@@ -75,7 +83,7 @@ def _claim_masses(tree: DyadicTree, cells: np.ndarray, bits: np.ndarray,
         edges = tree.cell_edges()
         left, right = edges[cells[halves]], edges[cells[halves] + 1]
         mid = (left + right) / 2.0
-        lower = bits[halves] == _CLAIM_BITS[LO_HALF]
+        lower = kinds[halves] == LO_HALF
         masses[halves] = power_interval_masses(
             np.where(lower, left, mid), np.where(lower, mid, right), measure.power)
     return masses
@@ -96,12 +104,12 @@ def _inside(tree: DyadicTree, cubes: list[Cube], sizes: list[int], cells: np.nda
     return bool(inside.all())
 
 
-def _disjoint(tree: DyadicTree, cells: np.ndarray, bits: np.ndarray) -> bool:
-    """Whether no two claims share a cell, but for one lower and one upper half (bits 1 and 2)."""
+def _disjoint(tree: DyadicTree, cells: np.ndarray, kinds: np.ndarray) -> bool:
+    """Whether no two claims share a cell, but for one lower and one upper half (kinds 1 and 2)."""
     count = np.bincount(cells, minlength=tree.n_cells)
     shared = count > 1
     return not shared.any() or bool(np.all(
-        (count[shared] == 2) & (np.bincount(cells, bits, tree.n_cells)[shared] == 3)))
+        (count[shared] == 2) & (np.bincount(cells, kinds, tree.n_cells)[shared] == 3)))
 
 
 def verify_sparse(family: SparseFamily, gamma: float | None = None,
@@ -119,20 +127,18 @@ def verify_sparse(family: SparseFamily, gamma: float | None = None,
     tree, cubes = family.tree, family.cubes
     if not cubes:
         return True, 1.0
-    claims = [family.witnesses.get(cube, {}) for cube in cubes]
-    sizes = [len(c) for c in claims]
-    cells = np.fromiter(itertools.chain.from_iterable(claims), dtype=np.int64, count=sum(sizes))
+    sizes = [len(w) for w in family.witnesses]
+    claims = np.concatenate(family.witnesses)
+    cells = claims >> 2
     if not _inside(tree, cubes, sizes, cells):
         return False, 0.0
-    bits = np.fromiter(map(_CLAIM_BITS.__getitem__,
-                           itertools.chain.from_iterable(c.values() for c in claims)),
-                       dtype=np.int8, count=len(cells))
-    ok = _disjoint(tree, cells, bits)
-    masses = _claim_masses(tree, cells, bits, measure)
+    kinds = claims & 3
+    ok = _disjoint(tree, cells, kinds)
+    masses = _claim_masses(tree, cells, kinds, measure)
     worst = math.inf
-    for cube, size, end in zip(cubes, sizes, itertools.accumulate(sizes)):
+    for cube, part in zip(cubes, np.split(masses, np.cumsum(sizes)[:-1])):
         # cumsum adds a cube's claims in order, from its first
-        mass = float(np.cumsum(masses[end - size:end])[-1]) if size else 0.0
+        mass = float(np.cumsum(part)[-1]) if part.size else 0.0
         ratio = mass / (cube.volume if measure is None else measure.mass(cube))
         worst = min(worst, ratio)
         if ratio < gamma * (1.0 - 1e-12):
@@ -196,12 +202,11 @@ def principal_cubes(
     return [cubes[i] for i in walk], cells
 
 
-def owned_cells(cubes: list[Cube], owner: np.ndarray) -> dict[Cube, dict[int, str]]:
+def owned_cells(cubes: list[Cube], owner: np.ndarray) -> list[np.ndarray]:
     """Whole-cell witness claims from `principal_cubes`' owner array, cells ascending."""
     cells = np.argsort(owner, axis=None, kind="stable")
-    bounds = np.searchsorted(owner.ravel()[cells], np.arange(len(cubes) + 1)).tolist()
-    cells = cells.tolist()
-    return {q: dict.fromkeys(cells[lo:hi], FULL) for q, lo, hi in zip(cubes, bounds, bounds[1:])}
+    bounds = np.searchsorted(owner.ravel()[cells], np.arange(len(cubes)))
+    return np.split(cells << 2 | FULL, bounds)[1:]  # the first part lies outside q0
 
 
 # -- the stopping-time constructor ----------------------------------------------
@@ -259,7 +264,7 @@ def paraproduct_sparse_dominate(
     stilde, owner = principal_cubes(q0, fresh, advance)
     witnesses = owned_cells(stilde, owner)
     size = np.array([q.cell_count() for q in stilde])
-    ratios = (size - np.array([len(witnesses[q]) for q in stilde])) / size
+    ratios = (size - np.array([len(w) for w in witnesses])) / size
     for q, ratio in zip(stilde, ratios):
         if ratio > 0.5 + 1e-12:
             raise StoppingMassError(
@@ -267,36 +272,33 @@ def paraproduct_sparse_dominate(
             )
 
     # add the parents of the non-root members, paying for their witnesses
-    # out of one stopping child's surplus
+    # out of one stopping child's surplus; a donor's claims are whole cells, ascending
     members = set(stilde)
     family_cubes = list(stilde)
     half_cells = 2 ** (d + 1)
-    for q in stilde:
+    for i, q in enumerate(stilde):
         if q == q0:
             continue
         parent = q.parent()
         if parent in members:
             continue
-        donor = q  # first stopping child of this parent encountered
-        members.add(parent)
+        members.add(parent)  # q is its first stopping child encountered, the donor
         family_cubes.append(parent)
         need_parent = -(-parent.cell_count() // half_cells)  # ceil, in half-cells
-        need_donor = -(-donor.cell_count() // half_cells)
-        donor_claims = witnesses[donor]
-        avail = 2 * len(donor_claims)
-        if avail - need_parent < need_donor:
+        need_donor = -(-q.cell_count() // half_cells)
+        claims = witnesses[i]
+        if 2 * len(claims) - need_parent < need_donor:
             raise AssertionError("witness split infeasible; stopping mass bound must have failed")
-        cells_sorted = sorted(donor_claims)
         take_full, leftover_half = divmod(need_parent, 2)
-        parent_claims: dict[int, str] = {}
-        for cell in cells_sorted[len(cells_sorted) - take_full:]:
-            parent_claims[cell] = FULL
-            del donor_claims[cell]
+        keep = len(claims) - take_full
+        # the parent takes the donor's last take_full cells, then the upper half of the
+        # donor's new last cell, whose lower half the donor keeps
+        parent_claims, witnesses[i] = claims[keep:], claims[:keep]
         if leftover_half:
-            split_cell = max(donor_claims)
-            parent_claims[split_cell] = HI_HALF
-            donor_claims[split_cell] = LO_HALF
-        witnesses[parent] = parent_claims
+            split = claims[keep - 1] >> 2
+            parent_claims = np.append(parent_claims, split << 2 | HI_HALF)
+            witnesses[i] = np.append(claims[:keep - 1], split << 2 | LO_HALF)
+        witnesses.append(parent_claims)
 
     return SparseFamily(
         tree=tree,
@@ -462,7 +464,7 @@ def family_to_text(family: SparseFamily) -> str:
 
     Witness tokens are flat cell indices; `a-b` is an inclusive run of
     whole cells, `nL`/`nH` claim the lower/upper half of cell n along
-    axis 0.
+    axis 0.  Runs come first, ascending, then the halves by cell.
     """
     tree = family.tree
     lines = [
@@ -470,60 +472,54 @@ def family_to_text(family: SparseFamily) -> str:
         f"half_width={tree.half_width!r} gamma={family.gamma!r} "
         f"measure={_measure_tag(family.measure)}"
     ]
-    for cube in family.cubes:
-        claims = family.witnesses.get(cube, {})
-        tokens = []
-        full_cells = sorted(c for c, kind in claims.items() if kind == FULL)
-        run_start = None
-        prev = None
-        for c in full_cells:
-            if run_start is None:
-                run_start = prev = c
-            elif c == prev + 1:
-                prev = c
-            else:
-                tokens.append(f"{run_start}-{prev}" if prev > run_start else f"{run_start}")
-                run_start = prev = c
-        if run_start is not None:
-            tokens.append(f"{run_start}-{prev}" if prev > run_start else f"{run_start}")
-        for c, kind in sorted(claims.items()):
-            if kind == LO_HALF:
-                tokens.append(f"{c}L")
-            elif kind == HI_HALF:
-                tokens.append(f"{c}H")
+    for cube, claims in zip(family.cubes, family.witnesses):
+        full = np.sort(claims[claims & 3 == FULL] >> 2)
+        starts = full[np.diff(full, prepend=full[:1] - 2) != 1]  # runs of whole cells
+        ends = full[np.diff(full, append=full[-1:] + 2) != 1]
+        tokens = [f"{a}-{b}" if b > a else f"{a}" for a, b in zip(starts, ends)]
+        tokens += [f"{c >> 2}{'L' if c & 3 == LO_HALF else 'H'}"
+                   for c in np.sort(claims[claims & 3 != FULL])]
         index = " ".join(str(i) for i in cube.index)
         lines.append(f"{cube.level} {index} | {' '.join(tokens)}")
     return "\n".join(lines) + "\n"
 
 
+# a witness token: a cell, an inclusive run of whole cells, or a half cell
+_TOKEN = re.compile(r"([0-9]+)(?:-([0-9]+)|([LH]))?")
+
+
+def _claims_from_tokens(tokens: list[str]) -> np.ndarray:
+    """Packed claims of a line's witness tokens, in token order and with repeats kept."""
+    parts = [np.zeros(0, dtype=np.int64)]
+    for tok in tokens:
+        match = _TOKEN.fullmatch(tok)
+        if match is None:
+            raise ValueError(f"malformed witness token {tok!r}")
+        first, last, half = match.groups()
+        first, last = int(first), int(last or first)
+        if last < first:
+            raise ValueError(f"reversed run {tok!r}")
+        kind = {"L": LO_HALF, "H": HI_HALF, None: FULL}[half]
+        parts.append(np.arange(first, last + 1, dtype=np.int64) << 2 | kind)
+    return np.concatenate(parts)
+
+
 def family_from_text(text: str) -> SparseFamily:
-    lines = [ln for ln in text.strip().splitlines() if ln.strip()]
-    header = lines[0]
-    if not header.startswith("# dyadlab sparse family v1"):
+    """The family of `family_to_text`'s form; malformed text raises ValueError."""
+    lines = [ln for ln in text.splitlines() if ln.strip()]
+    if not lines or not lines[0].startswith("# dyadlab sparse family v1"):
         raise ValueError("unrecognized sparse-family header")
-    fields = dict(part.split("=", 1) for part in header.split()[5:])
+    fields = dict(part.split("=", 1) for part in lines[0].split()[5:])
+    missing = [key for key in ("dim", "depth", "half_width", "gamma") if key not in fields]
+    if missing:
+        raise ValueError(f"sparse-family header lacks {', '.join(missing)}")
     tree = DyadicTree(int(fields["dim"]), int(fields["depth"]), float(fields["half_width"]))
-    gamma = float(fields["gamma"])
     measure = _measure_from_tag(fields.get("measure"), tree)
-    cubes: list[Cube] = []
-    witnesses: dict[Cube, dict[int, str]] = {}
+    cubes, witnesses = [], []
     for line in lines[1:]:
         head, _, wit = line.partition("|")
-        parts = head.split()
-        level, index = int(parts[0]), tuple(int(x) for x in parts[1:])
-        cube = Cube(tree, level, index)
-        claims: dict[int, str] = {}
-        for tok in wit.split():
-            if tok.endswith("L"):
-                claims[int(tok[:-1])] = LO_HALF
-            elif tok.endswith("H"):
-                claims[int(tok[:-1])] = HI_HALF
-            elif "-" in tok:
-                a, b = tok.split("-")
-                for c in range(int(a), int(b) + 1):
-                    claims[c] = FULL
-            else:
-                claims[int(tok)] = FULL
-        cubes.append(cube)
-        witnesses[cube] = claims
-    return SparseFamily(tree=tree, cubes=cubes, witnesses=witnesses, gamma=gamma, measure=measure)
+        level, *index = (int(x) for x in head.split())
+        cubes.append(Cube(tree, level, tuple(index)))
+        witnesses.append(_claims_from_tokens(wit.split()))
+    return SparseFamily(tree=tree, cubes=cubes, witnesses=witnesses,
+                        gamma=float(fields["gamma"]), measure=measure)

@@ -617,10 +617,6 @@ class BloomTriple:
         return self.mu.tree
 
 
-def bloom_triple(mu: Weight, lam: Weight, cfg: ExponentConfig) -> BloomTriple:
-    return BloomTriple(mu, lam, cfg)
-
-
 def upper_joint_characteristic(t: BloomTriple) -> float:
     """sup_Q <mu'>^(1/p') <lambda>^(1/q) <nu>^(1/p+1/q'), the upper-bound weight constant."""
     cfg = t.cfg

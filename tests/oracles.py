@@ -1125,6 +1125,12 @@ def reference_domination_rhs(cubes, b: GridFunction, f: GridFunction) -> np.ndar
 # -- the recursive stopping-time constructors, kept as references -----------------------
 
 
+def _packed(cubes: list[Cube], witnesses: dict[Cube, dict[int, int]]) -> list[np.ndarray]:
+    """The references' claim dicts in `SparseFamily`'s form: packed claims, in dict order."""
+    return [np.array([cell << 2 | kind for cell, kind in witnesses[q].items()], dtype=np.int64)
+            for q in cubes]
+
+
 def reference_paraproduct_sparse_dominate(
     b: GridFunction, f: GridFunction, q0: Cube | None = None
 ) -> SparseFamily:
@@ -1185,7 +1191,7 @@ def reference_paraproduct_sparse_dominate(
         stopping_children[q] = stops
         stack.extend(stops)
 
-    witnesses: dict[Cube, dict[int, str]] = {}
+    witnesses: dict[Cube, dict[int, int]] = {}
     for q in stilde:
         keep = np.zeros(tree.shape, dtype=bool)
         keep[q.cell_slices()] = True
@@ -1211,7 +1217,7 @@ def reference_paraproduct_sparse_dominate(
             raise AssertionError("witness split infeasible")
         cells_sorted = sorted(donor_claims)
         take_full, leftover_half = divmod(need_parent, 2)
-        parent_claims: dict[int, str] = {}
+        parent_claims: dict[int, int] = {}
         for cell in cells_sorted[len(cells_sorted) - take_full:]:
             parent_claims[cell] = FULL
             del donor_claims[cell]
@@ -1220,7 +1226,7 @@ def reference_paraproduct_sparse_dominate(
             parent_claims[split_cell] = HI_HALF
             donor_claims[split_cell] = LO_HALF
         witnesses[parent] = parent_claims
-    return SparseFamily(tree=tree, cubes=family_cubes, witnesses=witnesses,
+    return SparseFamily(tree=tree, cubes=family_cubes, witnesses=_packed(family_cubes, witnesses),
                         gamma=2.0 ** -(d + 2), stopping_mass_max=mass_ratio_max)
 
 
@@ -1256,15 +1262,15 @@ def reference_discretized_sharp_sup(b: GridFunction, nu: Weight, r: float,
         children[p] = stops
         stack.extend(stops)
 
-    witnesses: dict[Cube, dict[int, str]] = {}
+    witnesses: dict[Cube, dict[int, int]] = {}
     for p in principal:
         keep = np.zeros(tree.shape, dtype=bool)
         keep[p.cell_slices()] = True
         for s in children[p]:
             keep[s.cell_slices()] = False
         witnesses[p] = {int(i): FULL for i in np.flatnonzero(keep.ravel())}
-    family = SparseFamily(tree=tree, cubes=principal, witnesses=witnesses, gamma=gamma,
-                          measure=nu)
+    family = SparseFamily(tree=tree, cubes=principal, witnesses=_packed(principal, witnesses),
+                          gamma=gamma, measure=nu)
     ok, worst = reference_verify_sparse(family)
     total = 0.0
     for p in principal:
@@ -1393,17 +1399,17 @@ def reference_empirical_operator_norm(
 _REFERENCE_CLAIM_FRACTION = {FULL: 1.0, LO_HALF: 0.5, HI_HALF: 0.5}
 
 
-def _reference_claims_mass(tree: DyadicTree, claims: dict[int, str],
+def _reference_claims_mass(tree: DyadicTree, claims: list[tuple[int, int]],
                            measure: Weight | None) -> float:
     if not claims:
         return 0.0
     total = 0.0
     if measure is None:
-        for kind in claims.values():
+        for _, kind in claims:
             total += _REFERENCE_CLAIM_FRACTION[kind] * tree.cell_volume
         return total
     flat_mass = measure.cell_mass.ravel()
-    for cell, kind in claims.items():
+    for cell, kind in claims:
         if kind == FULL:
             total += flat_mass[cell]
         elif measure.power is not None and tree.dim == 1:
@@ -1422,13 +1428,13 @@ def reference_verify_sparse(family: SparseFamily, gamma: float | None = None,
     gamma = family.gamma if gamma is None else gamma
     measure = family.measure if measure is None else measure
     tree = family.tree
-    seen: dict[int, list[str]] = {}
+    seen: dict[int, list[int]] = {}
     worst = math.inf
     ok = True
-    for cube in family.cubes:
-        claims = family.witnesses.get(cube, {})
+    for cube, packed in zip(family.cubes, family.witnesses):
+        claims = [(claim >> 2, claim & 3) for claim in packed.tolist()]
         inside = set(int(i) for i in cube.flat_cells())
-        for cell, kind in claims.items():
+        for cell, kind in claims:
             if cell not in inside:
                 return False, 0.0
             kinds = seen.setdefault(cell, [])

@@ -25,6 +25,7 @@ from dyadlab.operators import (
 )
 from dyadlab.scenarios import ScenarioConfig, make_family
 from dyadlab.sparse import (
+    FULL,
     SparseFamily,
     domination_envelope,
     domination_rhs,
@@ -166,7 +167,8 @@ def test_domination_rhs_against_cube_loop(dim, depth):
     tree = b.tree
     for cubes in _collections(tree).values():
         distinct = list(dict.fromkeys(cubes))  # a family holds each cube once
-        family = SparseFamily(tree, distinct, {}, gamma=1.0)
+        family = SparseFamily(tree, distinct, [np.zeros(0, dtype=np.int64)] * len(distinct),
+                              gamma=1.0)
         want = oracles.reference_domination_rhs(distinct, b, f)
         _assert_close(domination_rhs(family, b, f), want)
 
@@ -237,7 +239,7 @@ def test_unnamed_measure_is_refused_on_reload():
     tree = DyadicTree(1, 3, 1.0)
     root = tree.root()
     density = np.linspace(1.0, 2.0, tree.n_cells)
-    family = SparseFamily(tree, [root], {root: {0: "full"}}, gamma=0.1,
+    family = SparseFamily(tree, [root], [np.array([0 << 2 | FULL])], gamma=0.1,
                           measure=Weight.from_density(tree, density))
     text = family_to_text(family)
     assert text.splitlines()[0].endswith("measure=unnamed")

@@ -37,8 +37,17 @@ from dyadlab.weights import Weight, cube_stack, fujii_wilson_ainfty
 import oracles
 
 
+def packed(claims):
+    """A witness array from (cell, kind) pairs, in their order."""
+    return np.array([cell << 2 | kind for cell, kind in claims], dtype=np.int64)
+
+
+def whole_cells(cube):
+    return packed([(int(i), FULL) for i in cube.flat_cells()])
+
+
 def full_witnesses(cubes):
-    return {q: {int(i): FULL for i in q.flat_cells()} for q in cubes}
+    return [whole_cells(q) for q in cubes]
 
 
 class TestVerifySparse:
@@ -53,12 +62,7 @@ class TestVerifySparse:
         """Witness sets that must avoid the children leave nothing for non-leaf cubes."""
         tree = DyadicTree(1, 3, 1.0)
         cubes = list(tree.cubes())
-        witnesses = {}
-        for q in cubes:
-            if q.is_leaf():
-                witnesses[q] = {int(i): FULL for i in q.flat_cells()}
-            else:
-                witnesses[q] = {}
+        witnesses = [whole_cells(q) if q.is_leaf() else packed([]) for q in cubes]
         fam = SparseFamily(tree, cubes, witnesses, gamma=0.01)
         ok, worst = verify_sparse(fam)
         assert not ok and worst == 0.0
@@ -66,17 +70,24 @@ class TestVerifySparse:
     def test_witness_escape_detected(self):
         tree = DyadicTree(1, 3, 1.0)
         q = Cube(tree, 1, (0,))
-        fam = SparseFamily(tree, [q], {q: {tree.n_cells - 1: FULL}}, gamma=0.5)
+        fam = SparseFamily(tree, [q], [packed([(tree.n_cells - 1, FULL)])], gamma=0.5)
         ok, _ = verify_sparse(fam)
         assert not ok
 
     def test_overlapping_claims_detected(self):
         tree = DyadicTree(1, 3, 1.0)
         a, b = Cube(tree, 1, (0,)), tree.root()
-        fam = SparseFamily(tree, [a, b], {a: {0: FULL}, b: {0: FULL}}, gamma=0.01)
+        fam = SparseFamily(tree, [a, b], [packed([(0, FULL)])] * 2, gamma=0.01)
         ok, _ = verify_sparse(fam)
         assert not ok
 
+    @pytest.mark.parametrize("n_witnesses", [0, 1, 3])
+    def test_witnesses_must_match_the_cubes(self, n_witnesses):
+        """Claims are matched to cubes by position, so the two lists have one length."""
+        tree = DyadicTree(1, 3, 1.0)
+        cubes = [tree.root(), Cube(tree, 1, (0,))]
+        with pytest.raises(ValueError):
+            SparseFamily(tree, cubes, [packed([(0, FULL)])] * n_witnesses, gamma=0.1)
 
 
 def _measures(tree, rng):
@@ -104,7 +115,7 @@ class TestVerifySparseMatchesReference:
         for _ in range(12):
             b, f = (spiky_field(tree, rng, sigma=3.5) for _ in range(2))
             fam = paraproduct_sparse_dominate(b, f)
-            halves += sum(kind != FULL for w in fam.witnesses.values() for kind in w.values())
+            halves += sum(int(np.count_nonzero(w & 3 != FULL)) for w in fam.witnesses)
             for measure in _measures(tree, rng):
                 for gamma in (None, 0.3, 0.9):
                     self._assert_same(fam, gamma=gamma, measure=measure)
@@ -122,15 +133,12 @@ class TestVerifySparseMatchesReference:
 
     @pytest.mark.parametrize("dim", [1, 2])
     def test_claim_order_sets_the_sum(self, dim):
-        """Masses add in each dict's own claim order, not in cell order."""
+        """Masses add in each witness array's own claim order, not in cell order."""
         rng = np.random.default_rng(60 + dim)
         tree = DyadicTree(dim, 4, 1.0)
         b, f = (spiky_field(tree, rng, sigma=3.5) for _ in range(2))
         fam = paraproduct_sparse_dominate(b, f)
-        for q in fam.cubes:
-            items = list(fam.witnesses[q].items())
-            rng.shuffle(items)
-            fam.witnesses[q] = dict(items)
+        fam.witnesses = [rng.permutation(w) for w in fam.witnesses]
         for measure in _measures(tree, rng):
             self._assert_same(fam, measure=measure)
 
@@ -145,7 +153,7 @@ class TestVerifySparseMatchesReference:
         tree = DyadicTree(dim, 2, 1.0)
         inner, root = Cube(tree, 1, (0,) * dim), tree.root()
         cell = 0
-        witnesses = {inner: {cell: kinds[0], 1: FULL}, root: {cell: kinds[1]}}
+        witnesses = [packed([(cell, kinds[0]), (1, FULL)]), packed([(cell, kinds[1])])]
         fam = SparseFamily(tree, [inner, root], witnesses, gamma=0.01)
         for measure in _measures(tree, np.random.default_rng(dim)):
             self._assert_same(fam, measure=measure)
@@ -157,26 +165,34 @@ class TestVerifySparseMatchesReference:
         tree = DyadicTree(2, 3, 1.0)
         q = Cube(tree, 1, (0, 0))  # cells 0-3, 8-11, 16-19 and 24-27
         fam = SparseFamily(tree, [tree.root(), q],
-                           {tree.root(): {40: FULL}, q: {0: FULL, cell: FULL, 1: LO_HALF}},
+                           [packed([(40, FULL)]), packed([(0, FULL), (cell, FULL), (1, LO_HALF)])],
                            gamma=0.5)
         self._assert_same(fam)
         assert verify_sparse(fam) == (False, 0.0)
 
     def test_empty_families(self):
         tree = DyadicTree(2, 3, 1.0)
-        for fam in (SparseFamily(tree, [], {}, gamma=0.5),
-                    SparseFamily(tree, [tree.root()], {}, gamma=0.5),
-                    SparseFamily(tree, [tree.root(), tree.root()], {tree.root(): {}}, gamma=0.0)):
+        for fam in (SparseFamily(tree, [], [], gamma=0.5),
+                    SparseFamily(tree, [tree.root()], [packed([])], gamma=0.5),
+                    SparseFamily(tree, [tree.root()] * 2, [packed([])] * 2, gamma=0.0)):
             for measure in _measures(tree, np.random.default_rng(3)):
                 self._assert_same(fam, measure=measure)
-        assert verify_sparse(SparseFamily(tree, [], {}, gamma=0.5)) == (True, 1.0)
+        assert verify_sparse(SparseFamily(tree, [], [], gamma=0.5)) == (True, 1.0)
 
     def test_repeated_cube_overlaps_itself(self):
         tree = DyadicTree(1, 3, 1.0)
         q = Cube(tree, 1, (1,))
-        fam = SparseFamily(tree, [q, q], {q: {4: FULL, 5: LO_HALF}}, gamma=0.1)
+        fam = SparseFamily(tree, [q, q], [packed([(4, FULL), (5, LO_HALF)])] * 2, gamma=0.1)
         self._assert_same(fam)
         assert not verify_sparse(fam)[0]
+
+    def test_repeated_cube_carries_its_own_claims(self):
+        """Each listing of a cube has its own witness entry; disjoint entries pass."""
+        tree = DyadicTree(1, 3, 1.0)
+        q = Cube(tree, 1, (1,))
+        fam = SparseFamily(tree, [q, q], [packed([(4, FULL)]), packed([(5, FULL)])], gamma=0.25)
+        self._assert_same(fam)
+        assert verify_sparse(fam) == (True, 0.25)
 
 class TestConstructor:
     def test_constant_b_trivial_family(self, tree6, rng):
@@ -293,10 +309,7 @@ class TestPacking:
         tree = DyadicTree(1, 3, 1.0)
         root = tree.root()
         left, right = root.children()
-        witnesses = {
-            root: {int(i): FULL for i in right.flat_cells()},
-            left: {int(i): FULL for i in left.flat_cells()},
-        }
+        witnesses = [whole_cells(right), whole_cells(left)]
         fam = SparseFamily(tree, [root, left], witnesses, gamma=0.5)
         ok, worst = verify_sparse(fam)
         assert ok and worst == pytest.approx(0.5)
@@ -340,9 +353,9 @@ class TestSerialization:
         text = family_to_text(fam)
         back = family_from_text(text)
         assert back.gamma == fam.gamma
-        assert set(back.cubes) == set(fam.cubes)
-        for q in fam.cubes:
-            assert back.witnesses[q] == fam.witnesses[q]
+        assert back.cubes == fam.cubes
+        for got, want in zip(back.witnesses, fam.witnesses):
+            assert got.dtype == np.int64 and np.array_equal(got, want)
         assert family_to_text(back) == text
 
     def test_half_cell_tokens_survive(self):
@@ -353,7 +366,7 @@ class TestSerialization:
             b = spiky_field(tree, rng, sigma=3.5)
             f = spiky_field(tree, rng, sigma=3.5)
             fam = paraproduct_sparse_dominate(b, f)
-            if any(kind != FULL for w in fam.witnesses.values() for kind in w.values()):
+            if any(np.any(w & 3 != FULL) for w in fam.witnesses):
                 back = family_from_text(family_to_text(fam))
                 ok, worst = verify_sparse(back)
                 assert ok and worst >= fam.gamma * (1.0 - 1e-12)
@@ -363,6 +376,38 @@ class TestSerialization:
     def test_bad_header_rejected(self):
         with pytest.raises(ValueError):
             family_from_text("# not a family\n0 0 | 1-2\n")
+
+    HEADER = "# dyadlab sparse family v1 dim=1 depth=3 half_width=1.0 gamma=0.5 measure=lebesgue\n"
+
+    def test_empty_text_rejected(self):
+        with pytest.raises(ValueError):
+            family_from_text("")
+
+    def test_header_without_dim_rejected(self):
+        with pytest.raises(ValueError, match="dim"):
+            family_from_text(self.HEADER.replace("dim=1 ", "") + "0 0 | 0-7\n")
+
+    def test_reversed_run_rejected(self):
+        with pytest.raises(ValueError, match="reversed"):
+            family_from_text(self.HEADER + "0 0 | 5-3\n")
+
+    @pytest.mark.parametrize("token", ["3X", "-1", "3-", "L", "3LH", "2-4H"])
+    def test_malformed_token_rejected(self, token):
+        with pytest.raises(ValueError, match="malformed"):
+            family_from_text(self.HEADER + f"0 0 | 0 {token}\n")
+
+    @pytest.mark.parametrize("tokens,claims,ok", [
+        ("3 3", [(3, FULL), (3, FULL)], False),
+        ("3L 3L", [(3, LO_HALF), (3, LO_HALF)], False),
+        ("2-4 3", [(2, FULL), (3, FULL), (4, FULL), (3, FULL)], False),
+        ("3L 3H", [(3, LO_HALF), (3, HI_HALF)], True),
+    ])
+    def test_repeated_tokens_stay_repeated_claims(self, tokens, claims, ok):
+        """Every token is a claim, in order; an overlap is left for verify_sparse to report."""
+        fam = family_from_text(self.HEADER + f"0 0 | 0-1 {tokens}\n")
+        assert np.array_equal(fam.witnesses[0], packed([(0, FULL), (1, FULL)] + claims))
+        assert verify_sparse(fam, gamma=0.1)[0] is ok
+        assert verify_sparse(fam, gamma=0.1) == oracles.reference_verify_sparse(fam, gamma=0.1)
 
 
 class TestBatchedPartialSums:
