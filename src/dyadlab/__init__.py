@@ -6,8 +6,6 @@ from .lattice import (
     GridFunction,
     LatticeError,
     CoverError,
-    average,
-    haar_difference,
     one_third_cover,
     restrict_tree,
 )
@@ -16,14 +14,12 @@ from .weights import (
     ExponentConfig,
     Weight,
     ap_characteristic,
-    carleson_norm,
     divergence_flag,
     dual_weight,
     fujii_wilson_ainfty,
     lower_joint_characteristic,
     parse_weight,
     power_weight_cube_lower_bound,
-    relative_ainfty_carleson_ratio,
     upper_joint_characteristic,
 )
 from .operators import (
@@ -31,20 +27,14 @@ from .operators import (
     commutator,
     commutator_handle,
     hilbert_transform,
-    martingale_transform,
     maximal,
-    multiplication_handle,
     paraproduct,
     paraproduct_handle,
     sharp_maximal,
-    sparse_op,
-    sparse_op_exponent,
 )
 from .sparse import (
     SparseFamily,
     StoppingMassError,
-    carleson_from_sparse,
-    domination_check,
     domination_worst_case,
     family_from_text,
     family_to_text,

@@ -378,41 +378,6 @@ class GridFunction:
         return GridFunction(sub, self.values[q0.cell_slices()].copy())
 
 
-def average(f: GridFunction, cube: Cube, weight=None) -> float:
-    """Weighted mean of f over a cube: exact cell-mass sum over exact total mass.
-
-    `weight` is None for Lebesgue measure, else a weights.Weight on the
-    same tree.
-    """
-    if cube.tree != f.tree:
-        raise LatticeError("cube does not belong to this function's tree")
-    sl = cube.cell_slices()
-    if weight is None:
-        return float(f.values[sl].mean())
-    if weight.tree != f.tree:
-        raise LatticeError("weight lives on a different tree")
-    masses = weight.cell_mass[sl]
-    total = masses.sum()
-    if not total > 0.0:
-        raise LatticeError(f"zero-mass cube {cube}: weight is corrupted")
-    return float((f.values[sl] * masses).sum() / total)
-
-
-def haar_difference(b: GridFunction, cube: Cube) -> GridFunction:
-    """Difference of child averages and the cube average, supported on the cube.
-
-    The output is constant on each child, vanishes outside the cube, and
-    integrates to zero over the cube.
-    """
-    if cube.is_leaf():
-        raise LatticeError("finest-level cube has no children to average over")
-    out = np.zeros(b.tree.shape)
-    mean_q = average(b, cube)
-    for child in cube.children():
-        out[child.cell_slices()] = average(b, child) - mean_q
-    return GridFunction(b.tree, out)
-
-
 # -- shifted lattices and the one-third covering -----------------------------
 
 

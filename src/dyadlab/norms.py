@@ -173,22 +173,6 @@ def multiplier_norm(b: GridFunction, nu: Weight, r: float) -> NormReport:
     )
 
 
-def multiplier_norm_bloom(b: GridFunction, t: BloomTriple) -> NormReport:
-    """Multiplier norm for a Bloom triple; only defined in the strict upper triangle q < p."""
-    if t.cfg.q >= t.cfg.p:
-        raise ValueError("the multiplier norm needs q < p (finite r)")
-    return multiplier_norm(b, t.nu, t.cfg.r)
-
-
-def trace_is_convex(trace: Sequence[tuple[float, float]], rel_tol: float = 1e-9) -> bool:
-    """Midpoint-below-endpoints check on a (c, h(c)) evaluation trace."""
-    pts = sorted(trace)
-    for (c1, h1), (c2, h2), (c3, h3) in zip(pts, pts[1:], pts[2:]):
-        if h2 > max(h1, h3) * (1.0 + rel_tol) + 1e-300:
-            return False
-    return True
-
-
 # -- discretized sharp supremum ---------------------------------------------------
 
 
@@ -571,44 +555,3 @@ def weight_necessity_bound(norm_estimate: float, t: BloomTriple, cube: Cube) -> 
             "consistent": float(integrand <= factor * norm_estimate * (1.0 + 1e-9)),
         },
     )
-
-
-# -- two-sided multiplier / sharp-maximal comparison ---------------------------------
-
-
-def fefferman_stein_check(b: GridFunction, nu: Weight, r: float) -> dict:
-    """Both directions of the multiplier-norm vs sharp-maximal comparison.
-
-    Returns the two raw ratios plus the characteristic-weighted version of
-    the second direction, and a Cauchy diagnostic for the averages over the
-    growing cube chain at the origin-adjacent cells.
-    """
-    from .weights import ap_characteristic, fujii_wilson_ainfty
-
-    r_conj = r / (r - 1.0)
-    sharp = sharp_maximal_r_norm(b, nu, r, scope="dyadic").value
-    mult = multiplier_norm(b, nu, r)
-    chi_arc = ap_characteristic(nu, r_conj)
-    chi_ainf = fujii_wilson_ainfty(nu, None)
-    tree = b.tree
-    chain_averages = []
-    cube = tree.cell_cube(tree.n_cells - 1)
-    chain = [cube] + list(cube.ancestors())
-    for qc in chain:
-        sl = qc.cell_slices()
-        chain_averages.append(float(b.values[sl].mean()))
-    increments = [abs(x - y) for x, y in zip(chain_averages, chain_averages[1:])]
-    return {
-        "sharp_norm": sharp,
-        "multiplier_norm": mult.value,
-        "multiplier_constant": mult.certificate,
-        "ratio_sharp_over_mult": sharp / mult.value if mult.value > 0 else math.inf,
-        "ratio_mult_over_sharp": mult.value / sharp if sharp > 0 else math.inf,
-        "ratio_mult_over_sharp_weighted": (
-            mult.value / (chi_arc ** (r - 1.0) * chi_ainf * sharp) if sharp > 0 else math.inf
-        ),
-        "a_rconj_characteristic": chi_arc,
-        "a_infty_characteristic": chi_ainf,
-        "chain_averages": chain_averages,
-        "chain_increments": increments,
-    }

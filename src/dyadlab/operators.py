@@ -1,11 +1,11 @@
 """Concrete operators on grid functions.
 
 Maximal functions and the weighted sharp maximal function are one
-downward sweep each; paraproducts and martingale transforms are exact
-level sums; the discrete Hilbert transform is the midpoint-quadrature
-kernel sum with the diagonal cell excluded, so the off-support bilinear
-identities hold exactly at matched quadrature nodes.  That kernel sum is
-a Toeplitz product, applied by FFT on its circulant embedding.
+downward sweep each; paraproducts are exact level sums; the discrete
+Hilbert transform is the midpoint-quadrature kernel sum with the diagonal
+cell excluded, so the off-support bilinear identities hold exactly at
+matched quadrature nodes.  That kernel sum is a Toeplitz product, applied
+by FFT on its circulant embedding.
 """
 
 from __future__ import annotations
@@ -36,7 +36,6 @@ from .weights import (
     Weight,
     batch_cell_masses,
     batch_masses,
-    coeff_stack,
     cube_stack,
     level_masses_or_lebesgue,
 )
@@ -254,77 +253,6 @@ def paraproduct_adjoint(b: GridFunction, g: GridFunction) -> GridFunction:
     return GridFunction(b.tree, _paraproduct_adjoint_rows(b.tree, _averages_by_level(b), g.values))
 
 
-def martingale_transform(f: GridFunction, coeffs) -> GridFunction:
-    """sum_Q v_Q D_Q f for bounded per-cube multipliers.
-
-    `coeffs` is either a per-level stack of arrays (levels 0..depth-1 used)
-    or a dict {Cube: v}.
-    """
-    tree = f.tree
-    stack = coeff_stack(tree, coeffs) if isinstance(coeffs, dict) else cube_stack(tree, coeffs)
-    return GridFunction(tree, _haar_sum(tree, _haar_differences(_averages_by_level(f)), stack))
-
-
-def weak_level_set_bound(g: GridFunction, f_l1: float, constant: float, thresholds: np.ndarray) -> float:
-    """Worst slack of |{|g| > t}| <= constant * f_l1 / t over a threshold grid.
-
-    Returns max over t of (level-set measure - bound); <= 0 means the
-    weak-type inequality holds on the grid.
-    """
-    vol = g.tree.cell_volume
-    worst = -math.inf
-    absg = np.abs(g.values)
-    for t in thresholds:
-        measure = float((absg > t).sum() * vol)
-        worst = max(worst, measure - constant * f_l1 / t)
-    return worst
-
-
-# -- sparse operators ----------------------------------------------------------
-
-
-def sparse_op(
-    b: GridFunction, f: GridFunction, cubes: Iterable, variant: str = "plain"
-) -> GridFunction:
-    """The positive sparse operators built from oscillation of b.
-
-    variant="plain":   sum_Q |b - <b>_Q| <f>_Q 1_Q
-    variant="adjoint": sum_Q <|b - <b>_Q| f>_Q 1_Q
-
-    `cubes` is a list of `Cube`s or a per-level stack of multiplicities.
-    """
-    if variant not in ("plain", "adjoint"):
-        raise ValueError(f"unknown variant {variant!r}")
-    tree = b.tree
-    bavg, favg = _averages_by_level(b), _averages_by_level(f)
-    cell_axes = tuple(range(1, 2 * tree.dim, 2))
-    out = np.zeros(tree.shape)
-    for k, c in enumerate(cube_stack(tree, cubes)):
-        if not c.any():
-            continue
-        dev = np.abs(as_blocks(b.values, k) - per_block(bavg[k]))
-        cells = as_blocks(out, k)  # a view: adding to it adds to out
-        if variant == "plain":
-            cells += dev * per_block(c * favg[k])
-        else:
-            mean = (dev * as_blocks(f.values, k)).mean(axis=cell_axes, keepdims=True)
-            cells += per_block(c) * mean
-    return GridFunction(tree, out)
-
-
-def sparse_op_exponent(f: GridFunction, cubes: Iterable, s: float) -> GridFunction:
-    """sum_Q ((1/|Q|^s) int_Q |f|^s)^(1/s) 1_Q for s in (0, 1]."""
-    if not 0.0 < s <= 1.0:
-        raise ValueError("exponent s must lie in (0, 1]")
-    tree = f.tree
-    sums = GridFunction(tree, np.abs(f.values) ** s).level_sums()
-    terms = [
-        c * (sums[k] * tree.cell_volume / tree.volume(k) ** s) ** (1.0 / s)
-        for k, c in enumerate(cube_stack(tree, cubes))
-    ]
-    return GridFunction(tree, _top_down(terms))
-
-
 # -- singular kernels, Hilbert transform, commutator (d=1) ------------------------
 
 
@@ -399,14 +327,6 @@ def _hilbert_apply(tree: DyadicTree, rows: np.ndarray) -> np.ndarray:
 
 def hilbert_transform(f: GridFunction) -> GridFunction:
     return GridFunction(f.tree, _hilbert_apply(f.tree, f.values))
-
-
-def hilbert_at(f: GridFunction, x: float) -> float:
-    """Kernel sum of f at an arbitrary off-grid point (same quadrature)."""
-    centers = f.tree.cell_centers()
-    diff = x - centers
-    mask = diff != 0.0
-    return float((f.values[mask] / diff[mask]).sum() * f.tree.cell_volume)
 
 
 def _commutator_rows(b: GridFunction, rows: np.ndarray) -> np.ndarray:
@@ -497,15 +417,6 @@ class OperatorHandle:
     adjoint: Callable[[np.ndarray], np.ndarray]
 
 
-def identity_handle(tree: DyadicTree) -> OperatorHandle:
-    return OperatorHandle("identity", lambda v: v, lambda v: v)
-
-
-def multiplication_handle(b: GridFunction) -> OperatorHandle:
-    vals = b.values
-    return OperatorHandle("multiply", lambda v: vals * v, lambda v: vals * v)
-
-
 def paraproduct_handle(b: GridFunction) -> OperatorHandle:
     """The paraproduct with symbol b; b's level averages and Haar differences are taken once."""
     tree = b.tree
@@ -522,7 +433,3 @@ def commutator_handle(b: GridFunction) -> OperatorHandle:
     return OperatorHandle(
         "hilbert-commutator", lambda v: _commutator_rows(b, v), lambda v: -_commutator_rows(b, v)
     )
-
-
-def zero_handle(tree: DyadicTree) -> OperatorHandle:
-    return OperatorHandle("zero", lambda v: np.zeros_like(v), lambda v: np.zeros_like(v))

@@ -30,9 +30,7 @@ from .operators import (
 )
 from .sparse import (
     domination_bound,
-    domination_check,
     domination_worst_case,
-    partial_sum,
     partial_sums,
     paraproduct_sparse_dominate,
     pointwise_dominated,
@@ -377,36 +375,6 @@ def run_domination(cfg: ScenarioConfig) -> dict:
         "passed": failures == 0,
     }
     return write_report(cfg, "domination", payload)
-
-
-def shrunken_family_counterexample(seed: int = 11, depth: int = 5) -> dict:
-    """Regression guard: dropping a needed cube must produce a violation.
-
-    Searches a deterministic battery for a case where removing one family
-    cube breaks pointwise domination, returning the violating instance.
-    """
-    rng = np.random.default_rng(seed)
-    tree = DyadicTree(1, depth, 1.0)
-    for trial in range(400):
-        b = spiky_field(tree, rng, sigma=3.0)
-        f = spiky_field(tree, rng, sigma=3.0)
-        family = paraproduct_sparse_dominate(b, f)
-        if len(family.cubes) < 2:
-            continue
-        full = [q for q in tree.cubes() if not q.is_leaf()]
-        lhs = partial_sum(b, f, full)
-        for drop in range(len(family.cubes)):
-            shrunk = type(family)(
-                tree=family.tree,
-                cubes=family.cubes[:drop] + family.cubes[drop + 1:],
-                witnesses=family.witnesses[:drop] + family.witnesses[drop + 1:],
-                gamma=family.gamma,
-                measure=family.measure,
-            )
-            ok, slack = domination_check(lhs, shrunk, b, f)
-            if not ok and slack > 1e-6:
-                return {"found": True, "trial": trial, "dropped": drop, "violation": slack}
-    return {"found": False}
 
 
 # -- runner: Bloom comparability --------------------------------------------------------

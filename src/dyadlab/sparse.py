@@ -22,7 +22,7 @@ import math
 import re
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -34,9 +34,8 @@ from .operators import (
     _paraproduct_rows,
     _top_down,
     oscillation_levels,
-    paraproduct,
 )
-from .weights import Weight, carleson_norm, coeff_stack, parse_weight, power_interval_masses
+from .weights import Weight, coeff_stack, parse_weight, power_interval_masses
 
 # the halves of its cell along axis 0 that a claim covers, as bits
 LO_HALF, HI_HALF, FULL = 1, 2, 3
@@ -144,21 +143,6 @@ def verify_sparse(family: SparseFamily, gamma: float | None = None,
         if ratio < gamma * (1.0 - 1e-12):
             ok = False
     return ok, worst
-
-
-def carleson_from_sparse(family: SparseFamily, measure: Weight | None = None,
-                         check: bool = False) -> float:
-    """Packing norm of the family's indicator under a measure.
-
-    With check=True (measure equal to the family's sparseness measure) the
-    value is asserted to stay below 1/gamma.
-    """
-    value = carleson_norm(family.indicator_stack(), measure, family.tree)
-    if check and value > (1.0 / family.gamma) * (1.0 + 1e-9):
-        raise AssertionError(
-            f"sparse family exceeded its packing bound: {value} > {1.0 / family.gamma}"
-        )
-    return value
 
 
 # -- the stopping-time engine ----------------------------------------------------
@@ -337,13 +321,8 @@ def pointwise_dominated(lhs: np.ndarray, bound: np.ndarray) -> tuple[bool, float
     return worst <= 1e-12 * scale, worst
 
 
-def partial_sum(b: GridFunction, f: GridFunction, cubes: Iterable) -> GridFunction:
-    """sum_{Q in F} D_Q b <f>_Q for a list of `Cube`s or a per-level stack."""
-    return paraproduct(b, f, cubes=cubes)
-
-
 def partial_sums(b: GridFunction, f: GridFunction, stacks: Sequence[np.ndarray]) -> np.ndarray:
-    """`partial_sum` for many collections at once, by one top-down pass.
+    """`paraproduct(b, f, cubes)` for many collections at once, by one top-down pass.
 
     `stacks` is a per-level stack whose levels carry a leading row axis,
     one row per collection; row i of the result is collection i's sum.
@@ -352,17 +331,6 @@ def partial_sums(b: GridFunction, f: GridFunction, stacks: Sequence[np.ndarray])
         raise LatticeError("b and f live on different trees")
     bdiffs = _haar_differences(_averages_by_level(b))
     return _paraproduct_rows(b.tree, bdiffs, f.values, stacks)
-
-
-def domination_check(
-    lhs: GridFunction,
-    family: SparseFamily,
-    b: GridFunction,
-    f: GridFunction,
-    constant: float | None = None,
-) -> tuple[bool, float]:
-    """Pointwise check |lhs| <= constant * RHS; returns (ok, max violation)."""
-    return pointwise_dominated(lhs.values, domination_bound(family, b, f, constant))
 
 
 def domination_envelope(b: GridFunction, f: GridFunction, q0: Cube) -> np.ndarray:

@@ -486,24 +486,6 @@ def fujii_wilson_ainfty(w: Weight, mu: Weight | None = None) -> float:
     return best
 
 
-def carleson_norm(coeffs: Sequence[np.ndarray], mu: Weight | None, tree: DyadicTree) -> float:
-    """Least packing constant of a nonnegative per-cube family.
-
-    `coeffs` is one array per level, entry k shaped (2^k,)^d.  One
-    bottom-up pass accumulates the subtree sums exactly.
-    """
-    mu_levels = level_masses_or_lebesgue(tree, mu)
-    if len(coeffs) != tree.depth + 1:
-        raise LatticeError("coefficient stack does not match tree depth")
-    best = 0.0
-    acc = np.abs(coeffs[tree.depth]) * mu_levels[tree.depth]
-    best = max(best, float((acc / mu_levels[tree.depth]).max()))
-    for k in range(tree.depth - 1, -1, -1):
-        acc = coarsen_once(acc) + np.abs(coeffs[k]) * mu_levels[k]
-        best = max(best, float((acc / mu_levels[k]).max()))
-    return best
-
-
 def coeff_stack(tree: DyadicTree, entries: dict[Cube, float] | None = None) -> list[np.ndarray]:
     """An all-zero per-cube coefficient stack, optionally seeded from a dict."""
     stack = [np.zeros((2**k,) * tree.dim) for k in range(tree.depth + 1)]
@@ -534,39 +516,6 @@ def cube_stack(tree: DyadicTree, cubes: Iterable) -> list[np.ndarray]:
     for cube in items:
         stack[cube.level][cube.index] += 1.0
     return stack
-
-
-def relative_ainfty_carleson_ratio(
-    w: Weight, mu: Weight | None, seed: int = 0, n_random: int = 64
-) -> float:
-    """Sampled sup over coefficient families of Carleson(w)/Carleson(mu).
-
-    A certified lower bound for the relative A_infinity characteristic: the
-    randomized battery plus all single-cube indicators.  The result is
-    checked against the Fujii-Wilson upper bound.
-    """
-    tree = w.tree
-    rng = np.random.default_rng(seed)
-    best = 0.0
-    # single-cube indicators give ratio 1 exactly (both norms are 1)
-    best = max(best, 1.0)
-    for trial in range(n_random):
-        stack = []
-        density = rng.uniform(0.05, 0.6)
-        for k in range(tree.depth + 1):
-            shape = (2**k,) * tree.dim
-            mask = rng.random(shape) < density
-            stack.append(np.where(mask, rng.exponential(1.0, shape), 0.0))
-        denom = carleson_norm(stack, mu, tree)
-        if denom <= 0.0:
-            continue
-        best = max(best, carleson_norm(stack, w, tree) / denom)
-    upper = fujii_wilson_ainfty(w, mu)
-    if best > upper * (1.0 + 1e-9):
-        raise AssertionError(
-            f"sampled Carleson ratio {best} exceeded the Fujii-Wilson value {upper}"
-        )
-    return best
 
 
 def dual_weight(w: Weight, p: float) -> Weight:
@@ -671,27 +620,6 @@ def power_weight_cube_lower_bound(tree: DyadicTree, gamma: float, scope: str = "
             mass = power_interval_masses(from_sixths(tree, lo), from_sixths(tree, hi), gamma)
             best = max(best, float((from_sixths(tree, hi - lo) ** (gamma + d) / mass).max()))
     return best
-
-
-def factor_power_weights(gamma: float, cfg: ExponentConfig) -> tuple[float, float]:
-    """Split |x|^gamma into power weights at exponents (p, q).
-
-    Returns exponents (a, b) with a/p - b/q = gamma * (1/p + 1/q'), a inside
-    the exponent-p window and b inside the exponent-q window.  Such a split
-    exists exactly when gamma sits inside the window at exponent 2r'.
-    """
-    d = cfg.dim
-    e = cfg.bloom_exponent
-    # a(t) = p (gamma e + t / q); feasibility interval for t = b
-    lo_a = (-d - cfg.p * gamma * e) * cfg.q / cfg.p
-    hi_a = ((cfg.p - 1.0) * d - cfg.p * gamma * e) * cfg.q / cfg.p
-    lo = max(lo_a, -d)
-    hi = min(hi_a, (cfg.q - 1.0) * d)
-    if not lo < hi:
-        raise ValueError(f"gamma={gamma} admits no power factorization at ({cfg.p}, {cfg.q})")
-    b = 0.5 * (lo + hi)
-    a = cfg.p * (gamma * e + b / cfg.q)
-    return a, b
 
 
 def divergence_flag(values: Sequence[float], factor: float = 1.5, window: int = 3) -> bool:

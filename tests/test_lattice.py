@@ -14,16 +14,15 @@ from dyadlab.lattice import (
     GridFunction,
     LatticeError,
     ShiftedLattice,
-    average,
     coarsen_once,
     coarsen_to,
-    haar_difference,
     level_sums,
     one_third_cover,
     restrict_tree,
 )
 
 import oracles
+from oracles import average, haar_difference
 
 
 class TestTreeGeometry:

@@ -2,10 +2,12 @@
 
 The top-down pass adds each cell's terms in the order the per-level
 broadcast loops in `oracles` did, so paraproduct, adjoint, martingale
-transform (stack path), envelope, oscillation levels and the Fujii-Wilson
-constant must match those references bit for bit.  Operators taking a
-cube collection are checked against per-cube loops built on
-`haar_difference` and slice means, to relative 1e-12.  The stack drawn by
+transform (the paraproduct with symbol f and a coefficient stack, applied
+to 1), envelope, oscillation levels and the Fujii-Wilson constant must
+match those references bit for bit.  Operators taking a cube collection
+are checked against per-cube loops built on `haar_difference` and slice
+means, to relative 1e-12; the sparse operators, which exist only as such
+loops, are checked against the level stacks they integrate to.  The stack drawn by
 `random_subcollection` must select the cubes of the cube-by-cube walk and
 leave the generator where that walk leaves it.
 """
@@ -16,12 +18,10 @@ import pytest
 from dyadlab.lattice import Cube, DyadicTree, GridFunction
 from dyadlab.norms import discretized_sharp_sup
 from dyadlab.operators import (
-    martingale_transform,
+    _averages_by_level,
     oscillation_levels,
     paraproduct,
     paraproduct_adjoint,
-    sparse_op,
-    sparse_op_exponent,
 )
 from dyadlab.scenarios import ScenarioConfig, make_family
 from dyadlab.sparse import (
@@ -35,7 +35,14 @@ from dyadlab.sparse import (
     random_subcollection,
     verify_sparse,
 )
-from dyadlab.weights import BloomTriple, Weight, cube_stack, fujii_wilson_ainfty, parse_weight
+from dyadlab.weights import (
+    BloomTriple,
+    Weight,
+    coeff_stack,
+    cube_stack,
+    fujii_wilson_ainfty,
+    parse_weight,
+)
 
 import oracles
 
@@ -70,7 +77,7 @@ def test_martingale_stack_bit_identical(dim, depth):
     (f,) = _fields(dim, depth, 1)
     rng = np.random.default_rng(depth)
     coeffs = [rng.choice([-1.0, 0.0, 0.5, 1.0], size=(2**k,) * dim) for k in range(depth)]
-    got = martingale_transform(f, coeffs).values
+    got = paraproduct(f, GridFunction.constant(f.tree, 1.0), coeffs).values
     assert np.array_equal(got, oracles.reference_martingale_stack(f, coeffs))
 
 
@@ -136,29 +143,46 @@ def test_partial_paraproduct_against_cube_loop(dim, depth):
 @pytest.mark.parametrize("dim,depth", COLLECTION_SHAPES)
 @pytest.mark.parametrize("variant", ["plain", "adjoint"])
 def test_sparse_op_against_cube_loop(dim, depth, variant):
+    """<S(b, f), 1> and <S*(b, 1), f> both equal sum_Q m_Q osc_Q(b) <f>_Q."""
     b, f = _fields(dim, depth, 2, seed=2)
-    for cubes in _collections(b.tree).values():
-        want = oracles.reference_sparse_op(b, f, cubes, variant)
-        _assert_close(sparse_op(b, f, cubes, variant).values, want)
+    tree = b.tree
+    one = GridFunction.constant(tree, 1.0)
+    oscs, favg = oscillation_levels(b), _averages_by_level(f)
+    for cubes in _collections(tree).values():
+        if variant == "plain":
+            got = oracles.reference_sparse_op(b, f, cubes, variant).sum()
+        else:
+            got = (oracles.reference_sparse_op(b, one, cubes, variant) * f.values).sum()
+        want = sum(float((m * o * a).sum()) for m, o, a in zip(cube_stack(tree, cubes), oscs, favg))
+        _assert_close(np.array(got * tree.cell_volume), np.array(want))
 
 
 @pytest.mark.parametrize("dim,depth", COLLECTION_SHAPES)
 @pytest.mark.parametrize("s", [0.5, 1.0])
 def test_sparse_op_exponent_against_cube_loop(dim, depth, s):
+    """<S_s(f), 1> = sum_Q m_Q |Q| (|Q|^-s int_Q |f|^s)^(1/s), from the level sums of |f|^s."""
     (f,) = _fields(dim, depth, 1, seed=3)
-    for cubes in _collections(f.tree).values():
-        want = oracles.reference_sparse_op_exponent(f, cubes, s)
-        _assert_close(sparse_op_exponent(f, cubes, s).values, want)
+    tree = f.tree
+    sums = GridFunction(tree, np.abs(f.values) ** s).level_sums()
+    for cubes in _collections(tree).values():
+        got = oracles.reference_sparse_op_exponent(f, cubes, s).sum() * tree.cell_volume
+        want = sum(
+            float((m * tree.volume(k) * (sums[k] * tree.cell_volume / tree.volume(k) ** s)
+                   ** (1.0 / s)).sum())
+            for k, m in enumerate(cube_stack(tree, cubes))
+        )
+        _assert_close(np.array(got), np.array(want))
 
 
 @pytest.mark.parametrize("dim,depth", COLLECTION_SHAPES)
 def test_martingale_dict_against_cube_loop(dim, depth):
     (f,) = _fields(dim, depth, 1, seed=4)
     rng = np.random.default_rng(depth)
+    one = GridFunction.constant(f.tree, 1.0)
     for cubes in _collections(f.tree).values():
         coeffs = {q: float(rng.normal()) for q in cubes}
         want = oracles.reference_martingale_dict(f, coeffs)
-        _assert_close(martingale_transform(f, coeffs).values, want)
+        _assert_close(paraproduct(f, one, coeff_stack(f.tree, coeffs)).values, want)
 
 
 @pytest.mark.parametrize("dim,depth", COLLECTION_SHAPES)

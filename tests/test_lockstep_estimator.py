@@ -11,17 +11,15 @@ import pytest
 from dyadlab import norms
 from dyadlab.lattice import DyadicTree, GridFunction
 from dyadlab.norms import empirical_operator_norm
-from dyadlab.operators import (
-    OperatorHandle,
-    commutator_handle,
-    identity_handle,
-    multiplication_handle,
-    paraproduct_handle,
-    zero_handle,
-)
+from dyadlab.operators import OperatorHandle, commutator_handle, paraproduct_handle
 from dyadlab.weights import Weight
 
-from oracles import reference_empirical_operator_norm
+from oracles import (
+    identity_handle,
+    multiplication_handle,
+    reference_empirical_operator_norm,
+    zero_handle,
+)
 
 pytestmark = pytest.mark.filterwarnings("error")
 

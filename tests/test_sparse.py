@@ -7,19 +7,17 @@ from hypothesis import strategies as st
 
 from dyadlab.lattice import Cube, DyadicTree, GridFunction, LatticeError
 from dyadlab.norms import discretized_sharp_sup
+from dyadlab.operators import paraproduct
 from dyadlab.sparse import (
     FULL,
     HI_HALF,
     LO_HALF,
     SparseFamily,
-    carleson_from_sparse,
     domination_bound,
-    domination_check,
     domination_worst_case,
     family_from_text,
     family_to_text,
     paraproduct_sparse_dominate,
-    partial_sum,
     partial_sums,
     pointwise_dominated,
     random_subcollection,
@@ -29,12 +27,12 @@ from dyadlab.scenarios import (
     ScenarioConfig,
     make_family,
     run_domination,
-    shrunken_family_counterexample,
     spiky_field,
 )
 from dyadlab.weights import Weight, cube_stack, fujii_wilson_ainfty
 
 import oracles
+from oracles import carleson_from_sparse, shrunken_family_counterexample
 
 
 def packed(claims):
@@ -224,9 +222,10 @@ class TestConstructor:
             ok, worst = verify_sparse(fam)
             assert ok and worst >= gamma * (1.0 - 1e-12)
             assert fam.stopping_mass_max <= 0.5 + 1e-12
+            bound = domination_bound(fam, b, f)
             for _ in range(10):
                 sub = random_subcollection(tree, tree.root(), rng)
-                ok2, slack = domination_check(partial_sum(b, f, sub), fam, b, f)
+                ok2, slack = pointwise_dominated(paraproduct(b, f, sub).values, bound)
                 assert ok2, slack
 
     def test_domination_uniform_over_subcollections(self, tree6):
@@ -235,9 +234,10 @@ class TestConstructor:
         b = spiky_field(tree6, rng, sigma=3.0)
         f = spiky_field(tree6, rng, sigma=3.0)
         fam = paraproduct_sparse_dominate(b, f)
+        bound = domination_bound(fam, b, f)
         for _ in range(50):
             sub = random_subcollection(tree6, tree6.root(), rng)
-            ok, slack = domination_check(partial_sum(b, f, sub), fam, b, f)
+            ok, slack = pointwise_dominated(paraproduct(b, f, sub).values, bound)
             assert ok, slack
 
     def test_exact_envelope_dominates_every_collection(self, tree6):
@@ -257,9 +257,10 @@ class TestConstructor:
         f = spiky_field(tree6, rng, sigma=3.0)
         fam = paraproduct_sparse_dominate(b, f)
         _, env_gap = domination_worst_case(fam, b, f)
+        bound = domination_bound(fam, b, f)
         for _ in range(20):
             sub = random_subcollection(tree6, tree6.root(), rng)
-            _, gap = domination_check(partial_sum(b, f, sub), fam, b, f)
+            _, gap = pointwise_dominated(paraproduct(b, f, sub).values, bound)
             assert gap <= env_gap + 1e-12
 
     @given(st.integers(0, 2**16 - 1), st.sampled_from([0.5, 1.5, 3.0, 6.0]))
@@ -411,7 +412,7 @@ class TestSerialization:
 
 
 class TestBatchedPartialSums:
-    """`partial_sums` runs many sub-collections in one pass, with `partial_sum`'s bits per row."""
+    """`partial_sums` runs many sub-collections in one pass, with `paraproduct`'s bits per row."""
 
     @pytest.mark.parametrize("dim,depth", [(1, 0), (1, 6), (2, 1), (2, 4)])
     def test_rows_equal_partial_sum(self, rng, dim, depth):
@@ -421,7 +422,7 @@ class TestBatchedPartialSums:
         rows = partial_sums(b, f, [np.stack(level) for level in zip(*subs)])
         assert rows.shape == (9,) + tree.shape
         for row, sub in zip(rows, subs):
-            assert np.array_equal(row, partial_sum(b, f, sub).values)
+            assert np.array_equal(row, paraproduct(b, f, sub).values)
 
     def test_stack_without_finest_level(self, rng):
         tree = DyadicTree(1, 5, 1.0)
@@ -429,7 +430,7 @@ class TestBatchedPartialSums:
         subs = [random_subcollection(tree, tree.root(), rng)[:-1] for _ in range(3)]
         rows = partial_sums(b, f, [np.stack(level) for level in zip(*subs)])
         for row, sub in zip(rows, subs):
-            assert np.array_equal(row, partial_sum(b, f, sub).values)
+            assert np.array_equal(row, paraproduct(b, f, sub).values)
 
     def test_rows_must_agree_across_levels(self):
         tree = DyadicTree(1, 3, 1.0)
@@ -456,6 +457,6 @@ class TestBatchedPartialSums:
             bound = domination_bound(family, b, f)
             for _ in range(cfg.subcollections):
                 sub = random_subcollection(tree, tree.root(), rng)
-                worst = max(worst, pointwise_dominated(partial_sum(b, f, sub).values, bound)[1])
+                worst = max(worst, pointwise_dominated(paraproduct(b, f, sub).values, bound)[1])
         assert report["worst_domination_slack"] == worst
         assert report["failures"] == 0

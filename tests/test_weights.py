@@ -12,21 +12,19 @@ from dyadlab.weights import (
     ExponentConfig,
     Weight,
     ap_characteristic,
-    carleson_norm,
     coeff_stack,
     divergence_flag,
     dual_weight,
-    factor_power_weights,
     fujii_wilson_ainfty,
     lower_joint_characteristic,
     parse_weight,
     power_interval_mass,
     power_weight_cube_lower_bound,
-    relative_ainfty_carleson_ratio,
     upper_joint_characteristic,
 )
 
 import oracles
+from oracles import carleson_norm, factor_power_weights, relative_ainfty_carleson_ratio
 
 
 def power_triple(tree, a, b, p, q):
