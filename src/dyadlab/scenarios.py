@@ -76,6 +76,10 @@ class ScenarioConfig:
     iterations: int = 50
 
     def __post_init__(self):
+        if self.dim < 1:
+            raise ConfigError(f"dim must be at least 1, got {self.dim}")
+        if self.depth < 0:
+            raise ConfigError(f"depth must be nonnegative, got {self.depth}")
         if not (1.0 < self.p < math.inf and 1.0 < self.q < math.inf):
             raise ConfigError("exponents must lie in (1, infinity)")
         limit = 14 if self.dim == 1 else 8
@@ -141,6 +145,14 @@ def parse_config(text: str, base: ScenarioConfig | None = None) -> ScenarioConfi
         raise
     except Exception as exc:  # dataclass invariant violations
         raise ConfigError(str(exc))
+
+
+def _weight(spec: str, tree: DyadicTree) -> Weight:
+    """`parse_weight`, with a spec that it rejects reported as a ConfigError naming the spec."""
+    try:
+        return parse_weight(spec, tree)
+    except ValueError as exc:
+        raise ConfigError(f"weight spec {spec!r}: {exc}") from exc
 
 
 # -- function generators ------------------------------------------------------------
@@ -282,7 +294,7 @@ def run_characteristics(cfg: ScenarioConfig, sweep: bool = True) -> dict:
     cfgE = cfg.exponents()
     nu_spec = None
     probe = cfg.tree(min(depths))
-    mu_w, lam_w = parse_weight(cfg.mu, probe), parse_weight(cfg.lam, probe)
+    mu_w, lam_w = _weight(cfg.mu, probe), _weight(cfg.lam, probe)
     if mu_w.power is not None and lam_w.power is not None:
         gamma = (mu_w.power / cfg.p - lam_w.power / cfg.q) / cfgE.bloom_exponent
         nu_spec = f"power({gamma:.12g})"
@@ -293,7 +305,7 @@ def run_characteristics(cfg: ScenarioConfig, sweep: bool = True) -> dict:
         series_ap, series_fw = [], []
         for depth in depths:
             tree = cfg.tree(depth)
-            w = parse_weight(spec, tree)
+            w = _weight(spec, tree)
             series_ap.append(ap_characteristic(w, expo))
             series_fw.append(fujii_wilson_ainfty(w, None))
         for depth, v in zip(depths, series_ap):
@@ -391,8 +403,8 @@ def run_bloom_comparability(cfg: ScenarioConfig) -> dict:
     rng = np.random.default_rng(cfg.seed)
     tree = cfg.tree()
     cfgE = cfg.exponents()
-    mu = parse_weight(cfg.mu, tree)
-    lam = parse_weight(cfg.lam, tree)
+    mu = _weight(cfg.mu, tree)
+    lam = _weight(cfg.lam, tree)
     triple = BloomTriple(mu, lam, cfgE)
     bs = make_family(cfg.b_family, tree, cfg.family_size, rng)
     rows = []
@@ -555,8 +567,8 @@ def run_norms(cfg: ScenarioConfig) -> dict:
     rng = np.random.default_rng(cfg.seed)
     tree = cfg.tree()
     cfgE = cfg.exponents()
-    mu = parse_weight(cfg.mu, tree)
-    lam = parse_weight(cfg.lam, tree)
+    mu = _weight(cfg.mu, tree)
+    lam = _weight(cfg.lam, tree)
     triple = BloomTriple(mu, lam, cfgE)
     b = make_family(cfg.b_family, tree, 1, rng)[0]
     from .norms import discretized_sharp_sup

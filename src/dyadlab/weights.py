@@ -29,9 +29,9 @@ from .lattice import (
     IntervalBatch,
     LatticeError,
     as_blocks,
-    coarsen_once,
     coarsen_to,
     from_sixths,
+    level_sums,
     per_block,
     shifted_batches,
     shifted_intervals_1d,
@@ -312,11 +312,7 @@ class Weight:
     def level_masses(self) -> list[np.ndarray]:
         """Exact masses of every cube, one array per level (additivity up the tree)."""
         if self._level_masses is None:
-            ms = [None] * (self.tree.depth + 1)
-            ms[self.tree.depth] = self.cell_mass
-            for k in range(self.tree.depth - 1, -1, -1):
-                ms[k] = coarsen_once(ms[k + 1])
-            self._level_masses = ms
+            self._level_masses = level_sums(self.tree, self.cell_mass)
         return self._level_masses
 
     def mass(self, cube: Cube) -> float:

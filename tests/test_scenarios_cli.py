@@ -197,6 +197,21 @@ class TestCli:
         assert "config error" in capsys.readouterr().err
         assert not list(tmp_path.iterdir())
 
+    def test_dim_below_one_exit_3(self, tmp_path, capsys):
+        assert main(["char", "--dim", "0", "--out", str(tmp_path)]) == 3
+        assert "config error" in capsys.readouterr().err
+
+    def test_negative_depth_exit_3(self, tmp_path, capsys):
+        assert main(["norms", "--depth", "-1", "--out", str(tmp_path)]) == 3
+        assert "config error" in capsys.readouterr().err
+
+    def test_unparsable_weight_spec_exit_3(self, tmp_path, capsys):
+        bad = tmp_path / "bad.cfg"
+        bad.write_text("[scenario]\ndepth = 5\n\n[weights]\nmu = power(abc)\n")
+        assert main(["norms", "--config", str(bad), "--out", str(tmp_path)]) == 3
+        err = capsys.readouterr().err
+        assert "config error" in err and "power(abc)" in err
+
     def test_norms_takes_a_depth_below_depth_min(self, tmp_path):
         """`norms` sweeps no depths, so depth_min does not bound it."""
         assert main(["norms", "--depth", "3", "--out", str(tmp_path)]) == 0
