@@ -282,8 +282,10 @@ class Weight:
         and the subdivision boxes, O(n_cells) floats.  Each exponent builds
         the cells' node norms in blocks of `_BLOCK_CELLS` cells (10^d nodes
         each, 3.1 MiB at d = 2) and takes one power, product and sum per
-        block.
+        block.  gamma = 0 (either sign) is Lebesgue measure, exactly.
         """
+        if gamma == 0.0:
+            return cls(tree, np.ones(tree.shape), power=gamma)
         singular = gamma <= -tree.dim
         if tree.dim == 1:
             edges = tree.cell_edges()

@@ -82,8 +82,14 @@ PLAN_GAMMAS = [1.0, 1.0 / 3.0, -1.0 / 3.0, 0.0, -0.0, -1.0, -1.7, -2.0, -2.5, 2.
 
 
 def _assert_reference_power(tree, gamma):
-    """Density, masses and flag of the resident-plan quadrature equal the per-call one."""
-    density, mass, singular = oracles.reference_power_weight(tree, gamma)
+    """Density, masses and flag of the resident-plan quadrature equal the per-call one.
+
+    gamma = 0 of either sign is Lebesgue measure exactly, with no quadrature.
+    """
+    if gamma == 0.0:
+        density, mass, singular = np.ones(tree.shape), np.full(tree.shape, tree.cell_volume), False
+    else:
+        density, mass, singular = oracles.reference_power_weight(tree, gamma)
     w = Weight.power_weight(tree, gamma)
     assert np.array_equal(w.density, density)
     assert np.array_equal(w.cell_mass, mass)
