@@ -1,4 +1,4 @@
-"""Finite dyadic trees, cells, averages, and shifted-lattice geometry.
+"""Finite dyadic trees, cells, level sums, and shifted-lattice geometry.
 
 The universe for every computation in this package is a complete dyadic
 tree over the root cube [-H, H)^d: the root splits into 2^d half-open

@@ -4,7 +4,9 @@ Each check computes one quantity twice: through the main code path and
 through the stated independent route (brute-force enumeration, closed
 form, hand arithmetic, or direct grid summation).  A check returns
 (name, got, want, rel_tol); the oracle side never calls the code under
-test for the quantity it certifies.
+test for the quantity it certifies.  The module also keeps the reference
+implementations that tests compare the package against, and the helpers
+that only tests use.
 """
 
 from __future__ import annotations

@@ -7,9 +7,9 @@ to 1), envelope, oscillation levels and the Fujii-Wilson constant must
 match those references bit for bit.  Operators taking a cube collection
 are checked against per-cube loops built on `haar_difference` and slice
 means, to relative 1e-12; the sparse operators, which exist only as such
-loops, are checked against the level stacks they integrate to.  The stack drawn by
-`random_subcollection` must select the cubes of the cube-by-cube walk and
-leave the generator where that walk leaves it.
+loops, are checked against the level stacks they integrate to.  The stack
+drawn by `random_subcollection` must select the cubes of the cube-by-cube
+walk and leave the generator where that walk leaves it.
 """
 
 import numpy as np
