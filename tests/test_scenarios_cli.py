@@ -1,6 +1,7 @@
 """Scenario configs, runners, report determinism, and the CLI contract."""
 
 import json
+import math
 
 import pytest
 
@@ -13,6 +14,7 @@ from dyadlab.scenarios import (
     make_family,
     parse_config,
     run_characteristics,
+    run_counterexample,
     run_domination,
 )
 
@@ -37,6 +39,32 @@ q = 2
 mu = power(1.0)
 lam = lebesgue
 """
+
+HEADER_KEYS = ("schema", "scenario", "seed", "dim", "depth", "half_width")
+
+
+def _numbers(obj):
+    """Every numeric leaf of a JSON value."""
+    if isinstance(obj, dict):
+        for v in obj.values():
+            yield from _numbers(v)
+    elif isinstance(obj, list):
+        for v in obj:
+            yield from _numbers(v)
+    elif isinstance(obj, (int, float)) and not isinstance(obj, bool):
+        yield float(obj)
+
+
+def _check_report(out_a, out_b, stem, keys):
+    """The report carries the header and `keys`, only finite numbers, and a rerun's bytes."""
+    report = json.loads((out_a / f"{stem}.json").read_text())
+    assert [k for k in HEADER_KEYS + keys if k not in report] == []
+    assert all(math.isfinite(v) for v in _numbers(report))
+    names = sorted(p.name for p in out_a.iterdir())
+    assert names == sorted(p.name for p in out_b.iterdir())
+    for name in names:
+        assert (out_a / name).read_bytes() == (out_b / name).read_bytes(), name
+    return report
 
 
 class TestConfigParsing:
@@ -145,6 +173,46 @@ class TestRunners:
         assert report["regime"] == "p<=q"
         lo, hi = report["ratio_paraproduct"]["min"], report["ratio_paraproduct"]["max"]
         assert 0.0 < lo <= hi < 50.0
+
+
+class TestSweptRunners:
+    """The runners that sweep depths, each at two points, with a rerun."""
+
+    def test_counterexample_two_points(self, tmp_path):
+        for out in ("a", "b"):
+            cfg = ScenarioConfig(depth=6, depth_min=4, restarts=4, iterations=5,
+                                 out_dir=str(tmp_path / out))
+            run_counterexample(cfg)
+        report = _check_report(tmp_path / "a", tmp_path / "b", "counterexample",
+                               ("points", "verdicts"))
+        assert [pt["depth"] for pt in report["points"]] == [4, 6]
+        assert len(report["points"][0]["multiplier_grid"]["c"]) == 33
+        rows = (tmp_path / "a" / "counterexample.csv").read_text().splitlines()
+        assert [r.split(",")[0] for r in rows[1:]] == ["4", "6"]
+
+    def test_bloom_q_below_p_through_cli(self, tmp_path):
+        cfgfile = tmp_path / "c.cfg"
+        cfgfile.write_text(CONFIG_TEXT)  # p = 4, q = 2, mu = power(1.0), family_size = 2
+        for out in ("a", "b"):
+            assert main(["bloom", "--config", str(cfgfile), "--out", str(tmp_path / out),
+                         "--depth", "5"]) == 0
+        report = _check_report(tmp_path / "a", tmp_path / "b", "bloom",
+                               ("members", "ratio_paraproduct", "ratio_commutator",
+                                "characteristics", "regime"))
+        assert report["regime"] == "q<p"
+        assert [m["member"] for m in report["members"]] == [0, 1]
+
+    def test_characteristics_with_power_window_sweep(self, tmp_path):
+        for out in ("a", "b"):
+            cfg = ScenarioConfig(depth=5, depth_min=4, mu="power(1.0)", lam="power(0.25)",
+                                 out_dir=str(tmp_path / out))
+            run_characteristics(cfg)
+        report = _check_report(tmp_path / "a", tmp_path / "b", "characteristics",
+                               ("results", "depths"))
+        assert report["depths"] == [4, 5]
+        assert len(report["results"]["sweep_flags"]) == 3 * 13 - 2  # p = 2 repeats -0.5, 0.5
+        rows = (tmp_path / "a" / "characteristics.csv").read_text().splitlines()[1:]
+        assert len(rows) == (3 * 2 + 3 * 13) * 2  # mu, lam, nu for A_p and A_inf; the grid
 
 
 class TestEmitPlots:
