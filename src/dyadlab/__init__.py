@@ -7,7 +7,6 @@ from .lattice import (
     LatticeError,
     CoverError,
     one_third_cover,
-    restrict_tree,
 )
 from .weights import (
     BloomTriple,

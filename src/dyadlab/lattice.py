@@ -19,7 +19,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Iterator, Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -162,9 +162,6 @@ class DyadicTree:
     def root(self) -> "Cube":
         return Cube(self, 0, (0,) * self.dim)
 
-    def cube(self, level: int, index: Sequence[int]) -> "Cube":
-        return Cube(self, level, tuple(index))
-
     def cubes_at_level(self, level: int) -> Iterator["Cube"]:
         for index in itertools.product(range(2**level), repeat=self.dim):
             yield Cube(self, level, index)
@@ -173,10 +170,6 @@ class DyadicTree:
         top = self.depth if max_level is None else max_level
         for level in range(top + 1):
             yield from self.cubes_at_level(level)
-
-    def cell_cube(self, flat_index: int) -> "Cube":
-        index = np.unravel_index(flat_index, self.shape)
-        return Cube(self, self.depth, tuple(int(i) for i in index))
 
     def cell_centers(self, axis: int = 0) -> np.ndarray:
         """Midpoints of the finest cells along one axis."""
@@ -247,20 +240,6 @@ class Cube:
             )
         return out
 
-    def contains(self, other: "Cube") -> bool:
-        if other.level < self.level:
-            return False
-        shift = other.level - self.level
-        return all(o >> shift == i for i, o in zip(self.index, other.index))
-
-    def ancestors(self, within: "Cube | None" = None) -> Iterator["Cube"]:
-        """Cubes strictly containing self, from parent upward (optionally stopping at `within`)."""
-        cube = self
-        stop_level = 0 if within is None else within.level
-        while cube.level > stop_level:
-            cube = cube.parent()
-            yield cube
-
     def cell_slices(self) -> tuple[slice, ...]:
         """Index slices of the finest-cell array covered by this cube."""
         span = 2 ** (self.tree.depth - self.level)
@@ -268,24 +247,6 @@ class Cube:
 
     def cell_count(self) -> int:
         return 2 ** (self.tree.dim * (self.tree.depth - self.level))
-
-    def flat_cells(self) -> np.ndarray:
-        """Flat indices (into the raveled cell array) of the cells inside this cube."""
-        grid = np.zeros(self.tree.shape, dtype=bool)
-        grid[self.cell_slices()] = True
-        return np.flatnonzero(grid.ravel())
-
-
-def restrict_tree(tree: DyadicTree, q0: Cube) -> DyadicTree:
-    """Subtree rooted at q0, as a standalone tree of depth N - level(q0).
-
-    The restricted root keeps q0's geometry only up to recentring: grid
-    data must be moved with `GridFunction.restrict`, which slices cells.
-    """
-    if q0.tree != tree:
-        raise LatticeError("cube does not belong to this tree")
-    sub = DyadicTree(tree.dim, tree.depth - q0.level, half_width=q0.side / 2.0)
-    return sub
 
 
 class GridFunction:
@@ -307,12 +268,6 @@ class GridFunction:
         return cls(tree, np.full(tree.shape, float(c)))
 
     @classmethod
-    def from_callable(cls, tree: DyadicTree, fn: Callable[..., float]) -> "GridFunction":
-        """Sample `fn` at cell midpoints (d arguments, vectorized per axis)."""
-        axes = np.meshgrid(*(tree.cell_centers(a) for a in range(tree.dim)), indexing="ij")
-        return cls(tree, np.asarray(fn(*axes), dtype=float))
-
-    @classmethod
     def indicator(cls, tree: DyadicTree, cube: Cube) -> "GridFunction":
         vals = np.zeros(tree.shape)
         vals[cube.cell_slices()] = 1.0
@@ -327,55 +282,21 @@ class GridFunction:
 
     # -- arithmetic -------------------------------------------------------
 
-    def copy(self) -> "GridFunction":
-        return GridFunction(self.tree, self.values.copy())
-
-    def _binary(self, other, op) -> "GridFunction":
+    def __add__(self, other):
         if isinstance(other, GridFunction):
             if other.tree != self.tree:
                 raise LatticeError("grid functions live on different trees")
-            return GridFunction(self.tree, op(self.values, other.values))
-        return GridFunction(self.tree, op(self.values, other))
-
-    def __add__(self, other):
-        return self._binary(other, np.add)
+            other = other.values
+        return GridFunction(self.tree, self.values + other)
 
     __radd__ = __add__
-
-    def __sub__(self, other):
-        return self._binary(other, np.subtract)
-
-    def __rsub__(self, other):
-        return GridFunction(self.tree, other - self.values)
-
-    def __mul__(self, other):
-        return self._binary(other, np.multiply)
-
-    __rmul__ = __mul__
-
-    def __neg__(self):
-        return GridFunction(self.tree, -self.values)
 
     def abs(self) -> "GridFunction":
         return GridFunction(self.tree, np.abs(self.values))
 
-    # -- integration ------------------------------------------------------
-
-    def integral(self, cube: Cube | None = None) -> float:
-        """Exact Lebesgue integral over a tree cube (default: the root)."""
-        if cube is None:
-            return float(self.values.sum() * self.tree.cell_volume)
-        if cube.tree != self.tree:
-            raise LatticeError("cube does not belong to this function's tree")
-        return float(self.values[cube.cell_slices()].sum() * self.tree.cell_volume)
-
     def level_sums(self) -> list[np.ndarray]:
         """Per-level arrays of cell-value sums; entry k has shape (2^k,)^d."""
         return level_sums(self.tree, self.values)
-
-    def restrict(self, q0: Cube) -> "GridFunction":
-        sub = restrict_tree(self.tree, q0)
-        return GridFunction(sub, self.values[q0.cell_slices()].copy())
 
 
 # -- shifted lattices and the one-third covering -----------------------------

@@ -10,7 +10,7 @@ from __future__ import annotations
 import json
 import math
 import os
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from typing import Sequence
 
 import numpy as np
@@ -18,6 +18,7 @@ import numpy as np
 from .lattice import Cube, DyadicTree, GridFunction
 from .norms import (
     bmo_alpha_norm,
+    discretized_sharp_sup,
     empirical_operator_norm,
     multiplier_norm,
     multiplier_objective,
@@ -29,8 +30,10 @@ from .operators import (
     sharp_window_values,
 )
 from .sparse import (
+    SparseFamily,
     domination_bound,
     domination_worst_case,
+    family_to_text,
     partial_sums,
     paraproduct_sparse_dominate,
     pointwise_dominated,
@@ -44,7 +47,9 @@ from .weights import (
     ap_characteristic,
     divergence_flag,
     fujii_wilson_ainfty,
+    lower_joint_characteristic,
     parse_weight,
+    upper_joint_characteristic,
 )
 
 SCHEMA_VERSION = 1
@@ -90,22 +95,20 @@ class ScenarioConfig:
     def half_width(self) -> float:
         return float(2**self.half_width_exponent)
 
-    def tree(self, depth: int | None = None) -> DyadicTree:
-        return DyadicTree(self.dim, self.depth if depth is None else depth, self.half_width)
+    def tree(self) -> DyadicTree:
+        return DyadicTree(self.dim, self.depth, self.half_width)
 
     def exponents(self) -> ExponentConfig:
         return ExponentConfig(self.p, self.q, self.dim)
 
 
-_INT_KEYS = {
-    "dim", "half_width_exponent", "depth", "family_size", "trials",
-    "subcollections", "seed", "depth_min", "restarts", "iterations",
-}
-_FLOAT_KEYS = {"p", "q"}
-
-
 def parse_config(text: str, base: ScenarioConfig | None = None) -> ScenarioConfig:
-    """Parse the flat sectioned key-value format; errors carry line numbers."""
+    """Parse the flat sectioned key-value format; errors carry line numbers.
+
+    A key's type is its `ScenarioConfig` field's annotation ("int", "float"
+    or "str", kept as text by the `annotations` future import).
+    """
+    kinds = {f.name: f.type for f in fields(ScenarioConfig)}
     values: dict[str, object] = {}
     section = "scenario"
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -124,20 +127,14 @@ def parse_config(text: str, base: ScenarioConfig | None = None) -> ScenarioConfi
                 raise ConfigError(f"line {lineno}: unknown weight key {key!r}")
             values[key] = val
             continue
-        if key in _INT_KEYS:
-            try:
-                values[key] = int(val, 0)
-            except ValueError:
-                raise ConfigError(f"line {lineno}: {key} must be an integer, got {val!r}")
-        elif key in _FLOAT_KEYS:
-            try:
-                values[key] = float(val)
-            except ValueError:
-                raise ConfigError(f"line {lineno}: {key} must be a number, got {val!r}")
-        elif key in ("name", "b_family", "f_family", "out_dir", "mu", "lam"):
-            values[key] = val
-        else:
+        kind = kinds.get(key)
+        if kind is None:
             raise ConfigError(f"line {lineno}: unknown key {key!r}")
+        try:
+            values[key] = int(val, 0) if kind == "int" else float(val) if kind == "float" else val
+        except ValueError:
+            noun = "an integer" if kind == "int" else "a number"
+            raise ConfigError(f"line {lineno}: {key} must be {noun}, got {val!r}")
     base = base or ScenarioConfig()
     try:
         return replace(base, **values)
@@ -273,60 +270,55 @@ def ap_window_grid(p: float) -> list[float]:
     return sorted(grid + mid_extra)
 
 
-def _depth_sweep(cfg: ScenarioConfig, first: int, step: int = 1) -> list[int]:
-    """The depths first, first + step, ... up to cfg.depth; an empty sweep is a ConfigError."""
-    depths = list(range(first, cfg.depth + 1, step))
-    if not depths:
+def _sweep(cfg: ScenarioConfig, first: int, step: int = 1) -> list[ScenarioConfig]:
+    """cfg at the depths first, first + step, ... up to cfg.depth; an empty sweep is a ConfigError."""
+    points = [replace(cfg, depth=d) for d in range(first, cfg.depth + 1, step)]
+    if not points:
         raise ConfigError(f"depth {cfg.depth} is below the sweep's first depth {first}")
-    return depths
+    return points
 
 
 def run_characteristics(cfg: ScenarioConfig, sweep: bool = True) -> dict:
     """Characteristic battery: configured weights plus the power-window sweep.
 
     One CSV row per (weight, characteristic, depth), with a divergence flag
-    set by the factor-1.5-over-three-refinements rule.
+    set by the factor-1.5-over-three-refinements rule.  A spec that reads a
+    `piecewise(path)` file holds the cells of one tree, so it is evaluated
+    at `depth` only.
     """
-    depths = _depth_sweep(cfg, cfg.depth_min)
+    points = _sweep(cfg, cfg.depth_min)
+    depths = [c.depth for c in points]
     rows: list[list[object]] = []
     results: dict[str, object] = {}
 
+    def series(spec: str, name: str, at: list[ScenarioConfig], values: Sequence[float]) -> bool:
+        """One (weight, characteristic) series: its divergence flag, and its rows."""
+        flag = divergence_flag(values)
+        rows.extend([spec, name, c.depth, v, int(flag)] for c, v in zip(at, values))
+        return flag
+
     cfgE = cfg.exponents()
-    nu_spec = None
-    probe = cfg.tree(min(depths))
+    probe = cfg.tree()
     mu_w, lam_w = _weight(cfg.mu, probe), _weight(cfg.lam, probe)
+    jobs = [("mu", cfg.mu, cfg.p), ("lam", cfg.lam, cfg.q)]
     if mu_w.power is not None and lam_w.power is not None:
         gamma = (mu_w.power / cfg.p - lam_w.power / cfg.q) / cfgE.bloom_exponent
-        nu_spec = f"power({gamma:.12g})"
-    jobs = [("mu", cfg.mu, cfg.p), ("lam", cfg.lam, cfg.q)]
-    if nu_spec is not None:
-        jobs.append(("nu", nu_spec, 2.0 * cfgE.r_conj))
+        jobs.append(("nu", f"power({gamma:.12g})", 2.0 * cfgE.r_conj))
     for label, spec, expo in jobs:
-        series_ap, series_fw = [], []
-        for depth in depths:
-            tree = cfg.tree(depth)
-            w = _weight(spec, tree)
-            series_ap.append(ap_characteristic(w, expo))
-            series_fw.append(fujii_wilson_ainfty(w, None))
-        for depth, v in zip(depths, series_ap):
-            rows.append([spec, f"A_{expo:g}", depth, v, int(divergence_flag(series_ap))])
-        for depth, v in zip(depths, series_fw):
-            rows.append([spec, "A_inf", depth, v, int(divergence_flag(series_fw))])
-        results[label] = {"ap": series_ap, "fujii_wilson": series_fw}
+        at = points[-1:] if "piecewise(" in spec else points
+        weights = (_weight(spec, c.tree()) for c in at)
+        ap, fw = zip(*((ap_characteristic(w, expo), fujii_wilson_ainfty(w, None)) for w in weights))
+        results[label] = {"ap": list(ap), "fujii_wilson": list(fw)}
+        series(spec, f"A_{expo:g}", at, ap)
+        series(spec, "A_inf", at, fw)
 
     sweep_flags = {}
     if sweep and cfg.dim == 1:
         for p in (1.5, 2.0, 3.0):
             for delta in ap_window_grid(p):
-                series = []
-                for depth in depths:
-                    tree = cfg.tree(depth)
-                    w = Weight.power_weight(tree, delta)
-                    series.append(ap_characteristic(w, p))
-                flag = divergence_flag(series)
+                values = [ap_characteristic(Weight.power_weight(c.tree(), delta), p) for c in points]
+                flag = series(f"power({delta:.6g})", f"A_{p:g}", points, values)
                 sweep_flags[f"p={p:g},delta={delta:.6g}"] = bool(flag)
-                for depth, v in zip(depths, series):
-                    rows.append([f"power({delta:.6g})", f"A_{p:g}", depth, v, int(flag)])
     results["sweep_flags"] = sweep_flags
 
     csv_text = format_csv(["weight", "characteristic", "depth", "value", "divergent"], rows)
@@ -453,14 +445,18 @@ def run_bloom_comparability(cfg: ScenarioConfig) -> dict:
 # -- runner: the multiplier-condition counterexample -------------------------------------
 
 
-def counterexample_depth_point(depth: int, half_width_exponent: int = 2,
-                               restarts: int = 10, iterations: int = 40,
-                               seed: int = 0x5EED, c_grid_points: int = 33) -> dict:
-    """One depth of the q<p counterexample scenario (p=4, q=2, nu=|x|^(1/3), b the unit-ball indicator)."""
+_C_GRID_POINTS = 33  # constants c at which each counterexample point samples the multiplier objective
+
+
+def counterexample_point(cfg: ScenarioConfig) -> dict:
+    """One depth of the q<p counterexample scenario (p=4, q=2, nu=|x|^(1/3), b the unit-ball indicator).
+
+    The model is fixed (d=1, mu=|x|, lam=1); cfg gives the depth, the
+    window and the estimator's restarts, iterations and seed.
+    """
     p, q = 4.0, 2.0
-    cfgE = ExponentConfig(p, q, 1)
-    r = cfgE.r
-    tree = DyadicTree(1, depth, float(2**half_width_exponent))
+    r = ExponentConfig(p, q, 1).r
+    tree = DyadicTree(1, cfg.depth, cfg.half_width)
     b = GridFunction.ball_indicator(tree, 1.0)
     nu = Weight.power_weight(tree, 1.0 / 3.0)
     mu = Weight.power_weight(tree, 1.0)
@@ -471,20 +467,17 @@ def counterexample_depth_point(depth: int, half_width_exponent: int = 2,
     h = multiplier_objective(b, nu, r)
     span = float(b.values.max() - b.values.min())
     lo, hi = float(b.values.min()) - span, float(b.values.max()) + span
-    c_grid = np.linspace(lo, hi, c_grid_points)
+    c_grid = np.linspace(lo, hi, _C_GRID_POINTS)
     # per-c the r-th-power objective is the quantity whose truncation grows
     # logarithmically with the resolved scale; the norm is its 1/r root
     grid_values = [float(h(c)) for c in c_grid]
 
+    effort = dict(restarts=cfg.restarts, iterations=cfg.iterations, seed=cfg.seed)
     pp = empirical_operator_norm(
-        paraproduct_handle(b), mu, lam, p, q, tree,
-        restarts=restarts, iterations=iterations, seed=seed,
+        paraproduct_handle(b), mu, lam, p, q, tree, **effort,
         extra_starts=[(np.abs(b.values - 0.5) + 0.25) * mu.density ** (-0.5)],
     )
-    comm = empirical_operator_norm(
-        commutator_handle(b), mu, lam, p, q, tree,
-        restarts=restarts, iterations=iterations, seed=seed,
-    )
+    comm = empirical_operator_norm(commutator_handle(b), mu, lam, p, q, tree, **effort)
 
     xs = np.geomspace(2.0, 0.98 * tree.half_width, 9)
     sharp_at = sharp_window_values(b, nu, xs, n_left=192)
@@ -494,7 +487,7 @@ def counterexample_depth_point(depth: int, half_width_exponent: int = 2,
     slope = float(np.polyfit(logx, logy, 1)[0]) if mask.sum() >= 2 else float("nan")
 
     return {
-        "depth": depth,
+        "depth": cfg.depth,
         "sharp_norm": sharp_rep.value,
         "multiplier_inf": mult.value,
         "multiplier_argmin": mult.certificate,
@@ -515,43 +508,25 @@ def run_counterexample(cfg: ScenarioConfig) -> dict:
     values (each diverges with depth while c stays off the plateau value),
     and the two empirical operator norms (stay bounded).
     """
-    depths = _depth_sweep(cfg, max(4, cfg.depth_min), 2)
-    points = [
-        counterexample_depth_point(
-            d, cfg.half_width_exponent, restarts=cfg.restarts,
-            iterations=cfg.iterations, seed=cfg.seed,
-        )
-        for d in depths
+    points = [counterexample_point(c) for c in _sweep(cfg, max(4, cfg.depth_min), 2)]
+    columns = ["depth", "sharp_norm", "multiplier_inf", "paraproduct_norm", "commutator_norm", "tail_slope"]
+    rows = [[pt[k] for k in columns] for pt in points]
+    _, sharp, mult, pps, comms, _ = zip(*rows)
+    window = min(3, len(points) - 1)
+    per_c_divergent = [
+        bool(divergence_flag(series, factor=1.5, window=window))
+        for series in zip(*(pt["multiplier_grid"]["value"] for pt in points))
     ]
-    sharp = [pt["sharp_norm"] for pt in points]
-    mult = [pt["multiplier_inf"] for pt in points]
-    pps = [pt["paraproduct_norm"] for pt in points]
-    comms = [pt["commutator_norm"] for pt in points]
-
-    per_c_divergent = []
-    grid = points[0]["multiplier_grid"]["c"]
-    for i, c in enumerate(grid):
-        series = [pt["multiplier_grid"]["value"][i] for pt in points]
-        per_c_divergent.append(bool(divergence_flag(series, factor=1.5, window=min(3, len(series) - 1))))
-
     verdicts = {
         "sharp_converges": bool(abs(sharp[-1] - sharp[-2]) <= 0.05 * sharp[-2]) if len(sharp) >= 2 else None,
-        "multiplier_inf_diverges": bool(divergence_flag(mult, window=min(3, len(mult) - 1))),
+        "multiplier_inf_diverges": bool(divergence_flag(mult, window=window)),
         "multiplier_fixed_c_divergent_fraction": float(np.mean(per_c_divergent)),
         "operator_norms_bounded": bool(
             (max(pps) - min(pps)) <= 0.2 * max(pps) and (max(comms) - min(comms)) <= 0.2 * max(comms)
         ),
     }
-    rows = [
-        [pt["depth"], pt["sharp_norm"], pt["multiplier_inf"], pt["paraproduct_norm"],
-         pt["commutator_norm"], pt["tail_slope"]]
-        for pt in points
-    ]
-    csv_text = format_csv(
-        ["depth", "sharp_norm", "multiplier_inf", "paraproduct_norm", "commutator_norm", "tail_slope"],
-        rows,
-    )
-    return write_report(cfg, "counterexample", {"points": points, "verdicts": verdicts}, csv_text)
+    payload = {"points": points, "verdicts": verdicts}
+    return write_report(cfg, "counterexample", payload, format_csv(columns, rows))
 
 
 # -- runner: norm reports ------------------------------------------------------------------
@@ -571,9 +546,6 @@ def run_norms(cfg: ScenarioConfig) -> dict:
     lam = _weight(cfg.lam, tree)
     triple = BloomTriple(mu, lam, cfgE)
     b = make_family(cfg.b_family, tree, 1, rng)[0]
-    from .norms import discretized_sharp_sup
-    from .weights import lower_joint_characteristic, upper_joint_characteristic
-
     values = {
         "bmo_alpha": bmo_alpha_norm(b, triple.nu, cfgE.alpha),
         "upper_joint": upper_joint_characteristic(triple),
@@ -594,18 +566,14 @@ def run_norms(cfg: ScenarioConfig) -> dict:
         values[name] = rep.value
         reports_json[name] = json.loads(rep.to_json())
         if isinstance(rep.certificate, np.ndarray):
-            path = os.path.join(cfg.out_dir, f"certificate_{name}.csv")
-            with open(path, "w") as fh:
-                fh.write(rep.certificate_csv())
-            reports_json[name]["certificate-ref"] = os.path.basename(path)
+            file, text = f"certificate_{name}.csv", rep.certificate_csv()
+        elif isinstance(rep.certificate, SparseFamily):
+            file, text = f"certificate_{name}.sparse.txt", family_to_text(rep.certificate)
         else:
-            from .sparse import SparseFamily, family_to_text
-
-            if isinstance(rep.certificate, SparseFamily):
-                path = os.path.join(cfg.out_dir, f"certificate_{name}.sparse.txt")
-                with open(path, "w") as fh:
-                    fh.write(family_to_text(rep.certificate))
-                reports_json[name]["certificate-ref"] = os.path.basename(path)
+            continue
+        with open(os.path.join(cfg.out_dir, file), "w") as fh:
+            fh.write(text)
+        reports_json[name]["certificate-ref"] = file
     return write_report(cfg, "norms", {"values": values, "reports": reports_json})
 
 

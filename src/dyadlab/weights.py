@@ -334,14 +334,6 @@ class Weight:
         covered = np.minimum(edges[1:], float(hi)) - np.maximum(edges[:-1], float(lo))
         return float((self.cell_mass * (np.maximum(covered, 0.0) / self.tree.cell_side)).sum())
 
-    def restrict(self, q0: Cube) -> "Weight":
-        from .lattice import restrict_tree
-
-        sub = restrict_tree(self.tree, q0)
-        sl = q0.cell_slices()
-        return Weight(sub, self.density[sl].copy(), self.cell_mass[sl].copy(), power=None,
-                      singular=self.singular)
-
 
 def power_interval_masses(lo: np.ndarray, hi: np.ndarray, gamma: float) -> np.ndarray:
     """`power_interval_mass` over paired endpoint arrays, one exact scalar call each."""

@@ -15,7 +15,7 @@ import itertools
 import math
 from fractions import Fraction
 from functools import lru_cache
-from typing import Sequence
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
@@ -90,6 +90,69 @@ CHECKS = []
 def oracle(fn):
     CHECKS.append(fn)
     return fn
+
+
+# -- cube and grid-function helpers -----------------------------------------------------
+#
+# Cube geometry and grid-function operations that no report path calls.
+
+
+def cell_cube(tree: DyadicTree, flat_index: int) -> Cube:
+    """The finest-level cube of the cell with this flat index."""
+    index = np.unravel_index(flat_index, tree.shape)
+    return Cube(tree, tree.depth, tuple(int(i) for i in index))
+
+
+def cube_contains(outer: Cube, inner: Cube) -> bool:
+    if inner.level < outer.level:
+        return False
+    shift = inner.level - outer.level
+    return all(o >> shift == i for i, o in zip(outer.index, inner.index))
+
+
+def ancestors(cube: Cube, within: Cube | None = None) -> Iterator[Cube]:
+    """Cubes strictly containing `cube`, from its parent upward (optionally stopping at `within`)."""
+    stop_level = 0 if within is None else within.level
+    while cube.level > stop_level:
+        cube = cube.parent()
+        yield cube
+
+
+def flat_cells(cube: Cube) -> np.ndarray:
+    """Flat indices (into the raveled cell array) of the cells inside `cube`."""
+    grid = np.zeros(cube.tree.shape, dtype=bool)
+    grid[cube.cell_slices()] = True
+    return np.flatnonzero(grid.ravel())
+
+
+def from_callable(tree: DyadicTree, fn: Callable[..., float]) -> GridFunction:
+    """Sample `fn` at cell midpoints (d arguments, vectorized per axis)."""
+    axes = np.meshgrid(*(tree.cell_centers(a) for a in range(tree.dim)), indexing="ij")
+    return GridFunction(tree, np.asarray(fn(*axes), dtype=float))
+
+
+def integral(f: GridFunction, cube: Cube | None = None) -> float:
+    """Exact Lebesgue integral over a tree cube (default: the root)."""
+    if cube is None:
+        return float(f.values.sum() * f.tree.cell_volume)
+    if cube.tree != f.tree:
+        raise LatticeError("cube does not belong to this function's tree")
+    return float(f.values[cube.cell_slices()].sum() * f.tree.cell_volume)
+
+
+def restrict_tree(tree: DyadicTree, q0: Cube) -> DyadicTree:
+    """Subtree rooted at q0, as a standalone tree of depth N - level(q0).
+
+    The restricted root keeps q0's geometry only up to recentring: grid
+    data must be moved with `restrict`, which slices cells.
+    """
+    if q0.tree != tree:
+        raise LatticeError("cube does not belong to this tree")
+    return DyadicTree(tree.dim, tree.depth - q0.level, half_width=q0.side / 2.0)
+
+
+def restrict(f: GridFunction, q0: Cube) -> GridFunction:
+    return GridFunction(restrict_tree(f.tree, q0), f.values[q0.cell_slices()].copy())
 
 
 # -- test-only helpers ------------------------------------------------------------------
@@ -281,8 +344,8 @@ def fefferman_stein_check(b: GridFunction, nu: Weight, r: float) -> dict:
     chi_ainf = fujii_wilson_ainfty(nu, None)
     tree = b.tree
     chain_averages = []
-    cube = tree.cell_cube(tree.n_cells - 1)
-    chain = [cube] + list(cube.ancestors())
+    cube = cell_cube(tree, tree.n_cells - 1)
+    chain = [cube] + list(ancestors(cube))
     for qc in chain:
         sl = qc.cell_slices()
         chain_averages.append(float(b.values[sl].mean()))
@@ -343,7 +406,7 @@ def average_two_cell_weighted():
     """Weighted mean against a brute-force cell summation."""
     tree = DyadicTree(1, 4, 0.5)  # root [-1/2, 1/2), plays the unit cube
     w = _two_cell_weight(tree, 2.0, 1.0)
-    f = GridFunction.from_callable(tree, lambda x: (x < 0.0) * 1.0)
+    f = from_callable(tree, lambda x: (x < 0.0) * 1.0)
     got = average(f, tree.root(), w)
     want = float((f.values * w.cell_mass).sum() / w.cell_mass.sum())  # = 2/3
     assert abs(want - 2.0 / 3.0) < 1e-15
@@ -354,7 +417,7 @@ def average_two_cell_weighted():
 def haar_two_cell():
     """Haar-type difference against the unfolded definition on two cells."""
     tree = DyadicTree(1, 3, 0.5)
-    b = GridFunction.from_callable(tree, lambda x: (x < 0.0) * 1.0)
+    b = from_callable(tree, lambda x: (x < 0.0) * 1.0)
     diff = haar_difference(b, tree.root())
     left, right = tree.root().children()
     want_left, want_right = 0.5, -0.5  # child averages 1, 0 minus the mean 1/2
@@ -406,7 +469,7 @@ def restrict_then_integrate():
     rng = np.random.default_rng(5)
     f = GridFunction(tree, rng.normal(size=tree.shape))
     q0 = Cube(tree, 2, (1,))
-    got = f.restrict(q0).integral()
+    got = integral(restrict(f, q0))
     want = float(f.values[q0.cell_slices()].sum() * tree.cell_volume)
     return "restrict: integral preserved", got, want, 1e-12
 
@@ -436,11 +499,11 @@ def fujii_wilson_two_cell():
     best = 0.0
     for q in tree.cubes():
         total = 0.0
-        for cell in q.flat_cells():
-            c = tree.cell_cube(int(cell))
+        for cell in flat_cells(q):
+            c = cell_cube(tree, int(cell))
             ratios = []
-            for r in [c] + list(c.ancestors()):
-                if q.contains(r) or r == q:
+            for r in [c] + list(ancestors(c)):
+                if cube_contains(q, r) or r == q:
                     ratios.append(w.mass(r) / r.volume)
             total += max(ratios) * tree.cell_volume
         best = max(best, total / w.mass(q))
@@ -530,9 +593,9 @@ def maximal_brute_force():
     got = maximal(f)
     worst = 0.0
     for cell in range(tree.n_cells):
-        c = tree.cell_cube(cell)
+        c = cell_cube(tree, cell)
         best = 0.0
-        for q in [c] + list(c.ancestors()):
+        for q in [c] + list(ancestors(c)):
             sl = q.cell_slices()
             best = max(best, float(np.abs(f.values[sl]).mean()))
         worst = max(worst, abs(got.values[c.cell_slices()][0] - best))
@@ -543,7 +606,7 @@ def maximal_brute_force():
 def sharp_two_cell():
     """Sharp maximal of the half indicator on a depth-1 tree: constant 1/2."""
     tree = DyadicTree(1, 1, 0.5)
-    b = GridFunction.from_callable(tree, lambda x: (x >= 0.0) * 1.0)
+    b = from_callable(tree, lambda x: (x >= 0.0) * 1.0)
     nu = Weight.lebesgue(tree)
     got = sharp_maximal(b, nu)
     best = 0.0
@@ -558,7 +621,7 @@ def sharp_two_cell():
 def paraproduct_hand_case():
     """b = f = half indicator: direct tree summation gives +-1/4 on the halves."""
     tree = DyadicTree(1, 4, 0.5)
-    b = GridFunction.from_callable(tree, lambda x: (x < 0.0) * 1.0)
+    b = from_callable(tree, lambda x: (x < 0.0) * 1.0)
     got = paraproduct(b, b)
     direct = np.zeros(tree.shape)
     for q in tree.cubes():
@@ -615,7 +678,7 @@ def burkholder_weak_type_battery():
 def hilbert_log_kernel():
     """Indicator transform at distance: closed-form logarithm."""
     tree = DyadicTree(1, 8, 1.0)
-    f = GridFunction.from_callable(tree, lambda x: (x >= 0.0) * 1.0)
+    f = from_callable(tree, lambda x: (x >= 0.0) * 1.0)
     got = hilbert_at(f, 2.0)  # integral of 1/(2-y) over [0,1) = log 2
     return "Hilbert: log kernel value", got, math.log(2.0), 1e-2
 
@@ -640,8 +703,8 @@ def commutator_double_sum():
 def commutator_split_bump():
     """Sign-split b: the commutator is a nonzero operator, exact zero for constant b."""
     tree = DyadicTree(1, 6, 1.0)
-    b = GridFunction.from_callable(tree, lambda x: np.sign(x + 1e-12))
-    f = GridFunction.from_callable(tree, lambda x: np.exp(-4.0 * x * x))
+    b = from_callable(tree, lambda x: np.sign(x + 1e-12))
+    f = from_callable(tree, lambda x: np.exp(-4.0 * x * x))
     nonzero = float(np.abs(commutator(b, f).values).max())
     const_zero = float(np.abs(commutator(GridFunction.constant(tree, 2.0), f).values).max())
     assert nonzero > 1e-3
@@ -652,7 +715,7 @@ def commutator_split_bump():
 def domination_hand_case():
     """b = f = half indicator, F = {root}: both sides by direct grid summation."""
     tree = DyadicTree(1, 4, 0.5)
-    b = GridFunction.from_callable(tree, lambda x: (x < 0.0) * 1.0)
+    b = from_callable(tree, lambda x: (x < 0.0) * 1.0)
     family = paraproduct_sparse_dominate(b, b)
     lhs = paraproduct(b, b, [tree.root()])
     assert abs(float(np.abs(lhs.values).max()) - 0.25) < 1e-12
@@ -678,7 +741,7 @@ def lp_power_mass():
 def bmo_half_split():
     """Half-split oscillation norm = 1 by brute force over dyadic cubes."""
     tree = DyadicTree(1, 4, 0.5)
-    b = GridFunction.from_callable(tree, lambda x: np.where(x < 0.0, 1.0, -1.0))
+    b = from_callable(tree, lambda x: np.where(x < 0.0, 1.0, -1.0))
     nu = Weight.lebesgue(tree)
     got = bmo_alpha_norm(b, nu, 0.0)
     best = 0.0
@@ -706,7 +769,7 @@ def multiplier_quadratic():
 def discretized_sup_depth_one():
     """Depth-1 brute force over all witness-feasible families."""
     tree = DyadicTree(1, 1, 0.5)
-    b = GridFunction.from_callable(tree, lambda x: (x < 0.0) * 1.0)
+    b = from_callable(tree, lambda x: (x < 0.0) * 1.0)
     nu = Weight.lebesgue(tree)
     rep = discretized_sharp_sup(b, nu, 2.0, gamma=0.25)
     # families on the 3-cube tree: leaves have zero oscillation, so the
@@ -1674,7 +1737,7 @@ def reference_verify_sparse(family: SparseFamily, gamma: float | None = None,
     ok = True
     for cube, packed in zip(family.cubes, family.witnesses):
         claims = [(claim >> 2, claim & 3) for claim in packed.tolist()]
-        inside = set(int(i) for i in cube.flat_cells())
+        inside = set(int(i) for i in flat_cells(cube))
         for cell, kind in claims:
             if cell not in inside:
                 return False, 0.0

@@ -18,11 +18,19 @@ from dyadlab.lattice import (
     coarsen_to,
     level_sums,
     one_third_cover,
-    restrict_tree,
 )
 
 import oracles
-from oracles import average, haar_difference
+from oracles import (
+    ancestors,
+    average,
+    cell_cube,
+    cube_contains,
+    from_callable,
+    haar_difference,
+    integral,
+    restrict_tree,
+)
 
 
 class TestTreeGeometry:
@@ -53,7 +61,7 @@ class TestTreeGeometry:
             tree6.root().parent()
 
     def test_leaf_has_no_children(self, tree6):
-        leaf = tree6.cell_cube(5)
+        leaf = cell_cube(tree6, 5)
         assert leaf.is_leaf()
         with pytest.raises(LatticeError):
             leaf.children()
@@ -87,12 +95,12 @@ class TestPairSums:
 class TestAverages:
     def test_constant_function(self, tree6):
         f = GridFunction.constant(tree6, 3.25)
-        for q in [tree6.root(), Cube(tree6, 3, (5,)), tree6.cell_cube(0)]:
+        for q in [tree6.root(), Cube(tree6, 3, (5,)), cell_cube(tree6, 0)]:
             assert average(f, q) == 3.25
 
     def test_half_mass_indicator(self):
         tree = DyadicTree(1, 5, 0.5)
-        f = GridFunction.from_callable(tree, lambda x: (x < 0.0) * 1.0)
+        f = from_callable(tree, lambda x: (x < 0.0) * 1.0)
         assert average(f, tree.root()) == 0.5
 
     def test_two_cell_weighted(self):
@@ -120,7 +128,7 @@ class TestHaarDifference:
         b = GridFunction(tree6, rng.normal(size=tree6.shape))
         q = Cube(tree6, 3, (6,))
         d = haar_difference(b, q)
-        assert abs(d.integral(q)) < 1e-14
+        assert abs(integral(d, q)) < 1e-14
         outside = np.ones(tree6.shape, dtype=bool)
         outside[q.cell_slices()] = False
         assert np.all(d.values[outside] == 0.0)
@@ -128,10 +136,10 @@ class TestHaarDifference:
     def test_telescoping(self, tree6, rng):
         b = GridFunction(tree6, rng.normal(size=tree6.shape))
         q0 = Cube(tree6, 1, (1,))
-        cell = tree6.cell_cube(int(rng.integers(tree6.n_cells // 2, tree6.n_cells)))
-        assert q0.contains(cell)
+        cell = cell_cube(tree6, int(rng.integers(tree6.n_cells // 2, tree6.n_cells)))
+        assert cube_contains(q0, cell)
         total = 0.0
-        for q in cell.ancestors(within=q0):  # the chain cell < Q <= q0
+        for q in ancestors(cell, within=q0):  # the chain cell < Q <= q0
             total += float(haar_difference(b, q).values[cell.cell_slices()][0])
         want = float(b.values[cell.cell_slices()][0]) - average(b, q0)
         assert total == pytest.approx(want, abs=1e-12)
@@ -152,7 +160,7 @@ class TestHaarDifference:
     def test_leaf_rejected(self, tree6, rng):
         b = GridFunction(tree6, rng.normal(size=tree6.shape))
         with pytest.raises(LatticeError):
-            haar_difference(b, tree6.cell_cube(0))
+            haar_difference(b, cell_cube(tree6, 0))
 
 
 class TestOneThirdCover:

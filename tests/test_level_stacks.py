@@ -45,6 +45,7 @@ from dyadlab.weights import (
 )
 
 import oracles
+from oracles import cell_cube
 
 SHAPES = [(1, n) for n in (0, 1, 6, 12)] + [(2, n) for n in (1, 4, 7)]
 
@@ -116,12 +117,12 @@ def _collections(tree: DyadicTree) -> dict[str, list[Cube]]:
     rng = np.random.default_rng(tree.depth)
     every = list(tree.cubes())
     some = [every[i] for i in rng.choice(len(every), size=min(len(every), 9), replace=False)]
-    leaf = tree.cell_cube(tree.n_cells - 1)
+    leaf = cell_cube(tree, tree.n_cells - 1)
     return {
         "empty": [],
         "random": some,
         "repeated": some + some[:3] + [tree.root()],
-        "leaves": [leaf, tree.cell_cube(0), leaf],
+        "leaves": [leaf, cell_cube(tree, 0), leaf],
         "all": every,
     }
 
@@ -210,7 +211,7 @@ def test_stack_of_wrong_shape_is_refused():
 @pytest.mark.parametrize("seed", [0, 1, 7, 2024])
 def test_random_subcollection_matches_cube_walk(dim, depth, seed):
     tree = DyadicTree(dim, depth, 1.0)
-    starts = [tree.root(), Cube(tree, 1, (1,) * dim), tree.cell_cube(tree.n_cells // 3)]
+    starts = [tree.root(), Cube(tree, 1, (1,) * dim), cell_cube(tree, tree.n_cells // 3)]
     rng, ref = np.random.default_rng(seed), np.random.default_rng(seed)
     for q0 in starts:
         for inclusion in (None, 0.5):

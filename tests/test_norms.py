@@ -32,7 +32,14 @@ from dyadlab.weights import (
 )
 
 import oracles
-from oracles import fefferman_stein_check, identity_handle, trace_is_convex, zero_handle
+from oracles import (
+    cell_cube,
+    fefferman_stein_check,
+    from_callable,
+    identity_handle,
+    trace_is_convex,
+    zero_handle,
+)
 
 
 class TestLpNorm:
@@ -42,7 +49,7 @@ class TestLpNorm:
 
     def test_half_indicator_l2(self):
         tree = DyadicTree(1, 4, 0.5)
-        f = GridFunction.from_callable(tree, lambda x: (x < 0.0) * 1.0)
+        f = from_callable(tree, lambda x: (x < 0.0) * 1.0)
         assert lp_norm(f, None, 2.0) == pytest.approx(2.0**-0.5)
 
     def test_power_mass_oracle(self):
@@ -303,9 +310,9 @@ class TestSequentialTesting:
     def test_geometry_violations_rejected(self):
         tree = DyadicTree(1, 5, 1.0)
         nu = Weight.lebesgue(tree)
-        s = tree.cell_cube(0)
-        far = GridFunction.indicator(tree, tree.cell_cube(tree.n_cells - 1))
-        box = (tree.cell_cube(tree.n_cells - 1).corner, s.side)
+        s = cell_cube(tree, 0)
+        far = GridFunction.indicator(tree, cell_cube(tree, tree.n_cells - 1))
+        box = (cell_cube(tree, tree.n_cells - 1).corner, s.side)
         with pytest.raises(LatticeError):
             sequential_testing_functional(
                 paraproduct_handle(far), [ProbePair(s, far, far, box, box)], nu, 2.0
@@ -396,7 +403,7 @@ class TestWeightNecessity:
         w = Weight.lebesgue(tree)
         t = BloomTriple(w, w, ExponentConfig(2.0, 2.0))
         with pytest.raises(LatticeError):
-            weight_necessity_bound(1.0, t, tree.cell_cube(0))
+            weight_necessity_bound(1.0, t, cell_cube(tree, 0))
 
 
 @pytest.fixture(scope="module")

@@ -27,6 +27,7 @@ from dyadlab.weights import Weight, coeff_stack
 
 import oracles
 from oracles import (
+    from_callable,
     identity_handle,
     multiplication_handle,
     reference_sparse_op,
@@ -43,7 +44,7 @@ class TestMaximal:
 
     def test_half_indicator_values(self):
         tree = DyadicTree(1, 5, 0.5)
-        f = GridFunction.from_callable(tree, lambda x: (x < 0.0) * 1.0)
+        f = from_callable(tree, lambda x: (x < 0.0) * 1.0)
         m = maximal(f)
         half = tree.n_cells // 2
         np.testing.assert_allclose(m.values[:half], 1.0)
@@ -322,7 +323,7 @@ class TestCommutator:
         from dyadlab.operators import commutator_test_pairs
 
         tree = DyadicTree(1, 6, 1.0)
-        b = GridFunction.from_callable(tree, lambda x: np.sign(x + 1e-12))
+        b = from_callable(tree, lambda x: np.sign(x + 1e-12))
         with pytest.raises(LatticeError):
             commutator_test_pairs(b, Cube(tree, 1, (0,)))
 

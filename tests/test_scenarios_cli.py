@@ -214,6 +214,20 @@ class TestSweptRunners:
         rows = (tmp_path / "a" / "characteristics.csv").read_text().splitlines()[1:]
         assert len(rows) == (3 * 2 + 3 * 13) * 2  # mu, lam, nu for A_p and A_inf; the grid
 
+    def test_char_reports_a_piecewise_weight_at_its_depth(self, tmp_path):
+        density = tmp_path / "w.csv"
+        density.write_text("\n".join(repr(1.0 + (i % 7) / 4.0) for i in range(256)) + "\n")
+        cfgfile = tmp_path / "c.cfg"
+        cfgfile.write_text(f"[scenario]\ndepth = 8\n\n[weights]\nmu = piecewise({density})\n")
+        out = tmp_path / "out"
+        assert main(["char", "--config", str(cfgfile), "--out", str(out), "--no-sweep"]) == 0
+        report = json.loads((out / "characteristics.json").read_text())
+        assert [len(s) for s in report["results"]["mu"].values()] == [1, 1]
+        assert len(report["results"]["lam"]["ap"]) == 3  # depths 6, 7, 8
+        rows = [r.split(",") for r in (out / "characteristics.csv").read_text().splitlines()[1:]]
+        piecewise = [r for r in rows if r[0].startswith("piecewise(")]
+        assert [(r[1], r[2], r[4]) for r in piecewise] == [("A_4", "8", "0"), ("A_inf", "8", "0")]
+
 
 class TestEmitPlots:
     def test_empty_report_writes_header_file(self, tmp_path):
