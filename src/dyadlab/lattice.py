@@ -294,10 +294,6 @@ class GridFunction:
     def abs(self) -> "GridFunction":
         return GridFunction(self.tree, np.abs(self.values))
 
-    def level_sums(self) -> list[np.ndarray]:
-        """Per-level arrays of cell-value sums; entry k has shape (2^k,)^d."""
-        return level_sums(self.tree, self.values)
-
 
 # -- shifted lattices and the one-third covering -----------------------------
 
@@ -527,3 +523,32 @@ def window_batches(tree: DyadicTree, lo: np.ndarray, hi: np.ndarray) -> Iterator
     """Batches of intervals inside the window with exact binary float endpoints (d = 1)."""
     lo, hi = np.asarray(lo, dtype=float), np.asarray(hi, dtype=float)
     yield from _cut_batches(tree, lo, hi, tree.cell_edges(), lambda x: x)
+
+
+def _sliding_windows(tree: DyadicTree, n_scales: int = 4) -> tuple[np.ndarray, np.ndarray]:
+    """Quarter-stepped sliding windows [lo, hi) at the top n_scales scales (d=1)."""
+    lo, hi = [], []
+    for j in range(n_scales):
+        scale = tree.root_side / 2**j
+        start = -tree.half_width + np.arange(4 * 2**j - 3) * (scale / 4)
+        lo.append(start)
+        hi.append(start + scale)
+    return np.concatenate(lo), np.concatenate(hi)
+
+
+def scope_batches(tree: DyadicTree, scope: str) -> Iterator[IntervalBatch]:
+    """The interval batches a scope sweeps besides the dyadic cubes, checked before any is built.
+
+    "dyadic" adds none; "shifted" adds the three shifted lattices (d = 1);
+    "window" further adds a sliding family of non-lattice intervals at four
+    scales, a diagnostic for how far the lattice suprema sit from the
+    generic-cube one.
+    """
+    if scope not in ("dyadic", "shifted", "window"):
+        raise ValueError(f"unknown scope {scope!r}")
+    if scope == "dyadic":
+        return iter(())
+    if tree.dim != 1:
+        raise LatticeError("shifted scope is implemented for d=1 only")
+    windows = window_batches(tree, *_sliding_windows(tree)) if scope == "window" else ()
+    return itertools.chain(shifted_batches(tree), windows)

@@ -16,7 +16,7 @@ from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .lattice import Cube, DyadicTree, GridFunction, LatticeError, as_rows, shifted_batches
+from .lattice import Cube, DyadicTree, GridFunction, LatticeError, as_rows, scope_batches
 from .operators import (
     OperatorHandle,
     oscillation,
@@ -79,21 +79,14 @@ def lp_norm(f: GridFunction, weight: Weight | None, p: float) -> float:
 
 
 def bmo_alpha_norm(b: GridFunction, nu: Weight, alpha: float, scope: str = "dyadic") -> float:
-    """sup_Q nu(Q)^-(1 + alpha/d) int_Q |b - <b>_Q| dx."""
-    tree = b.tree
-    expo = 1.0 + alpha / tree.dim
-    oscs = oscillation_levels(b)
-    nus = nu.level_masses()
-    best = 0.0
-    for k in range(tree.depth + 1):
-        best = max(best, float((oscs[k] / nus[k] ** expo).max()))
-    if scope == "shifted":
-        for batch in shifted_batches(tree):
-            vals = batch.oscillation(b.values) / batch_masses(nu, batch) ** expo
-            best = max(best, float(vals.max()))
-    elif scope != "dyadic":
-        raise ValueError(f"unknown scope {scope!r}")
-    return best
+    """sup_Q nu(Q)^-(1 + alpha/d) int_Q |b - <b>_Q| dx, Q over the cubes of `scope`."""
+    batches = scope_batches(b.tree, scope)
+    expo = 1.0 + alpha / b.tree.dim
+    vals = itertools.chain(
+        (osc / mass**expo for osc, mass in zip(oscillation_levels(b), nu.level_masses())),
+        (batch.oscillation(b.values) / batch_masses(nu, batch) ** expo for batch in batches),
+    )
+    return max(float(v.max()) for v in vals)
 
 
 def sharp_maximal_r_norm(b: GridFunction, nu: Weight, r: float, scope: str = "dyadic") -> NormReport:

@@ -10,7 +10,6 @@ by FFT on its circulant embedding.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence
@@ -21,7 +20,6 @@ from .lattice import (
     Cube,
     DyadicTree,
     GridFunction,
-    IntervalBatch,
     LatticeError,
     as_blocks,
     coarsen_once,
@@ -29,7 +27,7 @@ from .lattice import (
     level_sums,
     per_block,
     refine_once,
-    shifted_batches,
+    scope_batches,
     window_batches,
 )
 from .weights import (
@@ -56,29 +54,26 @@ def _averages_by_level(f: GridFunction, weight: Weight | None = None) -> list[np
     return _level_averages(f.tree, f.values, weight)
 
 
+def _running_max(levels: Iterable[np.ndarray], shape: tuple[int, ...]) -> np.ndarray:
+    """Per cell, the max of the per-level cube values over the cubes containing it."""
+    levels = iter(levels)
+    run = next(levels)
+    for level in levels:
+        run = np.maximum(refine_once(run), level)
+    return np.array(run, dtype=float).reshape(shape)
+
+
 def maximal(f: GridFunction, weight: Weight | None = None, scope: str = "dyadic") -> GridFunction:
-    """Running supremum of |f|-averages over the cubes containing each cell."""
+    """Running supremum of |f|-averages over the cubes of `scope` that contain each cell."""
     tree = f.tree
-    avgs = _averages_by_level(f.abs(), weight)
-    run = avgs[0]
-    for k in range(1, tree.depth + 1):
-        run = np.maximum(refine_once(run), avgs[k])
-    out = GridFunction(tree, np.array(run, dtype=float).reshape(tree.shape))
-    if scope == "shifted":
-        out = GridFunction(tree, np.maximum(out.values, _shifted_average_sup(f.abs(), weight)))
-    elif scope != "dyadic":
-        raise ValueError(f"unknown scope {scope!r}")
-    return out
-
-
-def _shifted_average_sup(f: GridFunction, weight: Weight | None) -> np.ndarray:
-    """Sup of weighted averages over shifted-lattice cubes fully inside the window (d=1)."""
-    out = np.zeros(f.tree.shape)
-    for batch in shifted_batches(f.tree):
+    batches = scope_batches(tree, scope)
+    g = f.abs()
+    out = _running_max(_averages_by_level(g, weight), tree.shape)
+    for batch in batches:
         masses = batch_cell_masses(weight, batch)
-        means = (f.values[batch.cells] * masses).sum(axis=1) / masses.sum(axis=1)
+        means = (g.values[batch.cells] * masses).sum(axis=1) / masses.sum(axis=1)
         batch.max_onto_full_cells(out, means)
-    return out
+    return GridFunction(tree, out)
 
 
 def oscillation_levels(b: GridFunction) -> list[np.ndarray]:
@@ -100,41 +95,18 @@ def oscillation(b: GridFunction, cube: Cube) -> float:
 
 
 def sharp_maximal(b: GridFunction, nu: Weight, scope: str = "dyadic") -> GridFunction:
-    """Weighted sharp maximal function: sup over cubes of oscillation over nu-mass.
+    """Weighted sharp maximal function: sup over the cubes of `scope` of oscillation over nu-mass.
 
     The oscillation in the numerator is the plain Lebesgue integral
-    int_Q |b - <b>_Q| dx; only the normalization uses nu.  scope="shifted"
-    adds the three shifted lattices (d=1); scope="window" further adds a
-    sliding family of non-lattice intervals at four scales, a diagnostic
-    for how far the lattice suprema sit from the generic-cube one.
+    int_Q |b - <b>_Q| dx; only the normalization uses nu.
     """
     tree = b.tree
-    oscs = oscillation_levels(b)
-    nu_levels = nu.level_masses()
-    run = oscs[0] / nu_levels[0]
-    for k in range(1, tree.depth + 1):
-        run = np.maximum(refine_once(run), oscs[k] / nu_levels[k])
-    out = np.array(run, dtype=float).reshape(tree.shape)
-    if scope in ("shifted", "window"):
-        batches: Iterable[IntervalBatch] = shifted_batches(tree)
-        if scope == "window":
-            batches = itertools.chain(batches, window_batches(tree, *_sliding_windows(tree)))
-        for batch in batches:
-            batch.max_onto_full_cells(out, batch.oscillation(b.values) / batch_masses(nu, batch))
-    elif scope != "dyadic":
-        raise ValueError(f"unknown scope {scope!r}")
+    batches = scope_batches(tree, scope)
+    oscs = zip(oscillation_levels(b), nu.level_masses())
+    out = _running_max((osc / mass for osc, mass in oscs), tree.shape)
+    for batch in batches:
+        batch.max_onto_full_cells(out, batch.oscillation(b.values) / batch_masses(nu, batch))
     return GridFunction(tree, out)
-
-
-def _sliding_windows(tree: DyadicTree, n_scales: int = 4) -> tuple[np.ndarray, np.ndarray]:
-    """Quarter-stepped sliding windows [lo, hi) at the top n_scales scales (d=1)."""
-    lo, hi = [], []
-    for j in range(n_scales):
-        scale = tree.root_side / 2**j
-        start = -tree.half_width + np.arange(4 * 2**j - 3) * (scale / 4)
-        lo.append(start)
-        hi.append(start + scale)
-    return np.concatenate(lo), np.concatenate(hi)
 
 
 def sharp_window_values(

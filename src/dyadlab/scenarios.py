@@ -262,12 +262,12 @@ def write_report(cfg: ScenarioConfig, stem: str, payload: dict, csv_text: str | 
 
 
 def ap_window_grid(p: float) -> list[float]:
-    """13 deltas bracketing both edges of the power-weight window for exponent p."""
+    """Sorted distinct deltas bracketing both edges of the power-weight window for exponent p."""
     lower, upper = -1.0, p - 1.0
     offsets = (-0.5, -0.25, 0.0, 0.25, 0.5)
     grid = [lower + o for o in offsets] + [(lower + upper) / 2.0] + [upper + o for o in offsets]
     mid_extra = [(3 * lower + upper) / 4.0, (lower + 3 * upper) / 4.0]
-    return sorted(grid + mid_extra)
+    return sorted(set(grid + mid_extra))
 
 
 def _sweep(cfg: ScenarioConfig, first: int, step: int = 1) -> list[ScenarioConfig]:

@@ -18,7 +18,6 @@ import itertools
 import math
 import re
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -33,7 +32,7 @@ from .lattice import (
     from_sixths,
     level_sums,
     per_block,
-    shifted_batches,
+    scope_batches,
     shifted_intervals_1d,
 )
 
@@ -320,20 +319,6 @@ class Weight:
     def mass(self, cube: Cube) -> float:
         return float(self.level_masses()[cube.level][cube.index])
 
-    def total(self) -> float:
-        return float(self.cell_mass.sum())
-
-    def interval_mass(self, lo: Fraction | float, hi: Fraction | float) -> float:
-        """Mass of an arbitrary interval (d=1): closed form for power weights,
-        otherwise each cell's mass times the fraction of the cell covered."""
-        if self.tree.dim != 1:
-            raise LatticeError("interval_mass is one-dimensional")
-        if self.power is not None:
-            return power_interval_mass(float(lo), float(hi), self.power)
-        edges = self.tree.cell_edges()
-        covered = np.minimum(edges[1:], float(hi)) - np.maximum(edges[:-1], float(lo))
-        return float((self.cell_mass * (np.maximum(covered, 0.0) / self.tree.cell_side)).sum())
-
 
 def power_interval_masses(lo: np.ndarray, hi: np.ndarray, gamma: float) -> np.ndarray:
     """`power_interval_mass` over paired endpoint arrays, one exact scalar call each."""
@@ -432,28 +417,22 @@ def conjugate(p: float) -> float:
 def ap_characteristic(w: Weight, p: float, scope: str = "dyadic") -> float:
     """sup over cubes of <w>_Q <w^(-p'/p)>_Q^(p/p'), the strength of the weight at exponent p.
 
-    scope="dyadic" sweeps the tree; scope="shifted" additionally sweeps the
-    three shifted lattices (d=1), the finite surrogate for generic cubes.
+    Q runs over the tree and the intervals of `scope` (`lattice.scope_batches`),
+    inside the window only: grid data exists nowhere else.
     """
     if not 1.0 < p < math.inf:
         raise ValueError("p must be in (1, infinity)")
+    tree = w.tree
+    batches = scope_batches(tree, scope)
     pc = conjugate(p)
     dual = w.pointwise_power(-pc / p)
-    best = 1.0
-    for k in range(w.tree.depth + 1):
-        vol = w.tree.volume(k)
-        avg_w = w.level_masses()[k] / vol
-        avg_d = dual.level_masses()[k] / vol
-        best = max(best, float((avg_w * avg_d ** (p / pc)).max()))
-    if scope == "shifted":
-        # only cubes inside the window: grid data exists nowhere else
-        for batch in shifted_batches(w.tree):
-            avg_w = batch_masses(w, batch) / batch.size
-            avg_d = batch_masses(dual, batch) / batch.size
-            best = max(best, float((avg_w * avg_d ** (p / pc)).max()))
-    elif scope != "dyadic":
-        raise ValueError(f"unknown scope {scope!r}")
-    return best
+    levels = enumerate(zip(w.level_masses(), dual.level_masses()))
+    avgs = itertools.chain(
+        ((m / tree.volume(k), md / tree.volume(k)) for k, (m, md) in levels),
+        ((batch_masses(w, batch) / batch.size, batch_masses(dual, batch) / batch.size)
+         for batch in batches),
+    )
+    return max(1.0, max(float((a * ad ** (p / pc)).max()) for a, ad in avgs))
 
 
 def fujii_wilson_ainfty(w: Weight, mu: Weight | None = None) -> float:
@@ -558,31 +537,21 @@ class BloomTriple:
 
 def upper_joint_characteristic(t: BloomTriple) -> float:
     """sup_Q <mu'>^(1/p') <lambda>^(1/q) <nu>^(1/p+1/q'), the upper-bound weight constant."""
-    cfg = t.cfg
-    tree = t.tree
-    best = 0.0
-    for k in range(tree.depth + 1):
-        vol = tree.volume(k)
-        a = t.mu_dual.level_masses()[k] / vol
-        b = t.lam.level_masses()[k] / vol
-        c = t.nu.level_masses()[k] / vol
-        vals = a ** (1.0 / cfg.p_conj) * b ** (1.0 / cfg.q) * c**cfg.bloom_exponent
-        best = max(best, float(vals.max()))
-    return best
+    cfg, vol = t.cfg, t.tree.volume
+    levels = enumerate(zip(t.mu_dual.level_masses(), t.lam.level_masses(), t.nu.level_masses()))
+    return max(
+        float(((a / vol(k)) ** (1.0 / cfg.p_conj) * (b / vol(k)) ** (1.0 / cfg.q)
+               * (c / vol(k)) ** cfg.bloom_exponent).max())
+        for k, (a, b, c) in levels
+    )
 
 
 def lower_joint_characteristic(t: BloomTriple) -> float:
     """sup_Q (mu(Q)/nu(Q))^(1/p) (lambda'(Q)/nu(Q))^(1/q'), the lower-bound weight constant."""
     cfg = t.cfg
-    tree = t.tree
-    best = 0.0
-    for k in range(tree.depth + 1):
-        m = t.mu.level_masses()[k]
-        ld = t.lam_dual.level_masses()[k]
-        n = t.nu.level_masses()[k]
-        vals = (m / n) ** (1.0 / cfg.p) * (ld / n) ** (1.0 / cfg.q_conj)
-        best = max(best, float(vals.max()))
-    return best
+    levels = zip(t.mu.level_masses(), t.lam_dual.level_masses(), t.nu.level_masses())
+    return max(float(((m / n) ** (1.0 / cfg.p) * (ld / n) ** (1.0 / cfg.q_conj)).max())
+               for m, ld, n in levels)
 
 
 def power_weight_cube_lower_bound(tree: DyadicTree, gamma: float, scope: str = "shifted") -> float:
@@ -591,25 +560,25 @@ def power_weight_cube_lower_bound(tree: DyadicTree, gamma: float, scope: str = "
     Nonnegative powers give every cube mass at least proportional to its
     side raised to gamma+d; this measures the constant on the finite model.
     scope="dyadic" sweeps the tree; scope="shifted" adds the three shifted
-    lattices (d=1 only).
+    lattices (d=1 only), every interval that meets the window: power
+    masses are closed form, so intervals poking past it still get their
+    true mass.
     """
     if gamma < 0.0:
         raise ValueError("gamma must be nonnegative")
     if scope not in ("dyadic", "shifted"):
         raise ValueError(f"unknown scope {scope!r}")
     nu = Weight.power_weight(tree, gamma)
-    d = tree.dim
-    best = 0.0
-    for k in range(tree.depth + 1):
-        side = tree.side(k)
-        best = max(best, float((side ** (gamma + d) / nu.level_masses()[k]).max()))
+    e = gamma + tree.dim
+    vals = (tree.side(k) ** e / mass for k, mass in enumerate(nu.level_masses()))
     if scope == "shifted":
-        # power masses are closed form, so shifted cubes poking past the
-        # window still get their true mass
-        for lo, hi in shifted_intervals_1d(tree, inside=False):
-            mass = power_interval_masses(from_sixths(tree, lo), from_sixths(tree, hi), gamma)
-            best = max(best, float((from_sixths(tree, hi - lo) ** (gamma + d) / mass).max()))
-    return best
+        shifted = (
+            from_sixths(tree, hi - lo) ** e
+            / power_interval_masses(from_sixths(tree, lo), from_sixths(tree, hi), gamma)
+            for lo, hi in shifted_intervals_1d(tree, inside=False)
+        )
+        vals = itertools.chain(vals, shifted)
+    return max(float(v.max()) for v in vals)
 
 
 def divergence_flag(values: Sequence[float], factor: float = 1.5, window: int = 3) -> bool:

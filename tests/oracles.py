@@ -28,6 +28,7 @@ from dyadlab.lattice import (
     as_blocks,
     coarsen_once,
     coarsen_to,
+    level_sums,
     one_third_cover,
     per_block,
     refine_once,
@@ -1078,7 +1079,7 @@ def scalar_lebesgue_masses():
         full = [np.full((2**k,) * dim, tree.volume(k)) for k in range(depth + 1)]
         rng = np.random.default_rng(depth)
         f = GridFunction(tree, rng.standard_t(3, size=tree.shape))
-        sums = f.level_sums()
+        sums = level_sums(tree, f.values)
         want = [sums[k] * tree.cell_volume / full[k] for k in range(depth + 1)]
         same &= all(np.array_equal(a, w) for a, w in zip(_averages_by_level(f), want))
 
@@ -1294,7 +1295,7 @@ def reference_paraproduct(b: GridFunction, f: GridFunction) -> np.ndarray:
 
 def reference_paraproduct_adjoint(b: GridFunction, g: GridFunction) -> np.ndarray:
     tree = b.tree
-    bavg, gsum = _averages_by_level(b), g.level_sums()
+    bavg, gsum = _averages_by_level(b), level_sums(tree, g.values)
     out = np.zeros(tree.shape)
     for k in range(tree.depth):
         inner = coarsen_once(bavg[k + 1] * gsum[k + 1]) - bavg[k] * gsum[k]
@@ -1720,7 +1721,7 @@ def _reference_claims_mass(tree: DyadicTree, claims: list[tuple[int, int]],
             edges = tree.cell_edges()
             mid = (edges[cell] + edges[cell + 1]) / 2.0
             lo, hi = (edges[cell], mid) if kind == LO_HALF else (mid, edges[cell + 1])
-            total += measure.interval_mass(lo, hi)
+            total += power_interval_mass(float(lo), float(hi), measure.power)
         else:
             total += 0.5 * flat_mass[cell]
     return total

@@ -201,7 +201,7 @@ def test_criterion_3_power_weight_window():
             inside = -1.0 < delta < p - 1.0
             if flag == inside:
                 mismatches.append((p, delta, flag))
-    _report(3, not mismatches, f"13-point delta grids for p in (1.5, 2, 3); mismatches {mismatches}")
+    _report(3, not mismatches, f"delta grids for p in (1.5, 2, 3); mismatches {mismatches}")
 
 
 # ---------------------------------------------------------------- criterion 4

@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 from dyadlab.lattice import DyadicTree, GridFunction, LatticeError, shifted_intervals_1d
-from dyadlab.norms import bmo_alpha_norm
+from dyadlab.norms import bmo_alpha_norm, sharp_maximal_r_norm
 from dyadlab.operators import maximal, sharp_maximal, sharp_window_values
 from dyadlab.weights import Weight, ap_characteristic, power_weight_cube_lower_bound
 
@@ -141,3 +141,41 @@ class TestCubeLowerBoundScope:
 
     def test_dyadic_scope_runs_in_d2(self):
         assert power_weight_cube_lower_bound(DyadicTree(2, 3, 1.0), 0.5, scope="dyadic") > 0.0
+
+
+# every scoped functional, as (b, nu, scope) -> its value or its cell array
+SCOPED = {
+    "maximal": lambda b, nu, scope: maximal(b, nu, scope=scope).values,
+    "sharp_maximal": lambda b, nu, scope: sharp_maximal(b, nu, scope).values,
+    "sharp_maximal_r_norm": lambda b, nu, scope: sharp_maximal_r_norm(b, nu, 2.0, scope).value,
+    "bmo_alpha_norm": lambda b, nu, scope: bmo_alpha_norm(b, nu, 0.25, scope),
+    "ap_characteristic": lambda b, nu, scope: ap_characteristic(nu, 2.5, scope),
+}
+
+
+class TestScopeVocabulary:
+    """Every scoped functional takes the same three scopes and refuses the same way."""
+
+    @pytest.mark.parametrize("name", SCOPED)
+    def test_unknown_scope_is_refused(self, name):
+        tree = DyadicTree(1, 4, 1.0)
+        with pytest.raises(ValueError, match="unknown scope"):
+            SCOPED[name](_field(tree), _weight(tree, "power(1/3)"), "bogus")
+
+    @pytest.mark.parametrize("scope", ["shifted", "window"])
+    @pytest.mark.parametrize("name", SCOPED)
+    def test_non_dyadic_scope_is_refused_above_d1(self, name, scope):
+        tree = DyadicTree(2, 3, 1.0)
+        b = GridFunction(tree, np.random.default_rng(5).normal(size=tree.shape))
+        with pytest.raises(LatticeError, match="d=1 only"):
+            SCOPED[name](b, Weight.power_weight(tree, 0.5), scope)
+
+    @pytest.mark.parametrize("name", SCOPED)
+    def test_values_grow_with_the_scope(self, name):
+        """dyadic <= shifted <= window, cell by cell for the maximal functions."""
+        tree = DyadicTree(1, 6, 4.0)
+        b, nu = _field(tree), _weight(tree, "power(-0.5)")
+        dyadic, shifted, window = (np.asarray(SCOPED[name](b, nu, scope))
+                                   for scope in ("dyadic", "shifted", "window"))
+        assert np.all(dyadic <= shifted) and np.all(shifted <= window)
+        assert np.any(dyadic < window)

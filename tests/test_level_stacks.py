@@ -15,7 +15,7 @@ walk and leave the generator where that walk leaves it.
 import numpy as np
 import pytest
 
-from dyadlab.lattice import Cube, DyadicTree, GridFunction
+from dyadlab.lattice import Cube, DyadicTree, GridFunction, level_sums
 from dyadlab.norms import discretized_sharp_sup
 from dyadlab.operators import (
     _averages_by_level,
@@ -164,7 +164,7 @@ def test_sparse_op_exponent_against_cube_loop(dim, depth, s):
     """<S_s(f), 1> = sum_Q m_Q |Q| (|Q|^-s int_Q |f|^s)^(1/s), from the level sums of |f|^s."""
     (f,) = _fields(dim, depth, 1, seed=3)
     tree = f.tree
-    sums = GridFunction(tree, np.abs(f.values) ** s).level_sums()
+    sums = level_sums(tree, np.abs(f.values) ** s)
     for cubes in _collections(tree).values():
         got = oracles.reference_sparse_op_exponent(f, cubes, s).sum() * tree.cell_volume
         want = sum(

@@ -6,7 +6,8 @@ with its reason in `KEPT`, or belongs beside the tests that use it.  The
 scan reads the modules with `ast`: `__init__.py` only re-exports, and
 `cli.py` defines no library names but does reference the runners.  A
 method is `Class.name` here and counts as referenced when any attribute
-of that name is used, so methods sharing a name vouch for each other;
+of that name is used (`x.name`; a bare `name` is a module-level name or a
+local, never the method), so methods sharing a name vouch for each other;
 dunder methods are skipped, since Python calls them.
 """
 
@@ -28,7 +29,6 @@ KEPT = {
     "maximal": ITEM_5,
     "ShiftedCube.axis_interval": ITEM_5,
     "ShiftedLattice.cubes_overlapping_window": ITEM_5,
-    "Weight.interval_mass": "perfbench's tracer counts its calls as weights.interval_mass.calls",
     "family_from_text": "reads back the sparse-family certificates the reports write",
     "paraproduct": PUBLIC,
     "paraproduct_adjoint": PUBLIC,
@@ -73,6 +73,8 @@ def _unreferenced() -> set[str]:
             else:
                 continue
             for key in keys_of.get(ident, ()):
+                if "." in key and isinstance(node, ast.Name):
+                    continue  # a method is reached only as an attribute
                 _, home, body = defs[key]
                 if home != name or id(node) not in body:  # a call from its own body does not count
                     seen.add(key)

@@ -116,7 +116,8 @@ class TestWindowGrid:
     @pytest.mark.parametrize("p", [1.5, 2.0, 3.0])
     def test_thirteen_points_bracketing(self, p):
         grid = ap_window_grid(p)
-        assert len(grid) == 13
+        assert len(grid) == (11 if p == 2.0 else 13)  # p = 2 repeats -0.5 and 0.5
+        assert len(set(grid)) == len(grid)
         assert -1.0 in grid and (p - 1.0) in grid
         assert min(grid) < -1.0 and max(grid) > p - 1.0
 
@@ -210,9 +211,9 @@ class TestSweptRunners:
         report = _check_report(tmp_path / "a", tmp_path / "b", "characteristics",
                                ("results", "depths"))
         assert report["depths"] == [4, 5]
-        assert len(report["results"]["sweep_flags"]) == 3 * 13 - 2  # p = 2 repeats -0.5, 0.5
+        assert len(report["results"]["sweep_flags"]) == 37  # 13 + 11 + 13 grid points
         rows = (tmp_path / "a" / "characteristics.csv").read_text().splitlines()[1:]
-        assert len(rows) == (3 * 2 + 3 * 13) * 2  # mu, lam, nu for A_p and A_inf; the grid
+        assert len(rows) == (3 * 2 + 37) * 2  # mu, lam, nu for A_p and A_inf; the grid
 
     def test_char_reports_a_piecewise_weight_at_its_depth(self, tmp_path):
         density = tmp_path / "w.csv"

@@ -7,7 +7,8 @@ Each run is one `dyadlab` command in its own process, writing into a fresh
 temporary directory; the output is one sorted `sha256  <run>/<file>` line
 per file written.  The runs are every `configs/*.cfg` at its own seed
 (through its own command and through `char`), `char` (with and without
-`--no-sweep`) and `norms` with defaults, and every
+`--no-sweep`) and `norms` with defaults, `char` on `configs/bloom.cfg`
+at d = 2 (the power weights' quadrature through `ap_characteristic`), and every
 `perfbench/workloads/*.cfg` at seed 1 (only read).  Two checkouts write
 the same bytes exactly when `diff` of their outputs is empty:
 
@@ -40,6 +41,9 @@ def runs(root: str) -> list[tuple[str, list[str]]]:
         out.append((f"configs-{stem}", [stem, "--config", path]))
         out.append((f"configs-{stem}-char", ["char", "--config", path]))
     out += [("char", ["char"]), ("char-no-sweep", ["char", "--no-sweep"]), ("norms", ["norms"])]
+    bloom = os.path.join(root, "configs", "bloom.cfg")
+    out.append(("configs-bloom-char-d2",
+                ["char", "--config", bloom, "--dim", "2", "--no-sweep"]))
     for path in sorted(glob.glob(os.path.join(root, "perfbench", "workloads", "*.cfg"))):
         stem = os.path.splitext(os.path.basename(path))[0]
         out.append((f"workload-{stem}", [stem.split("-")[0], "--config", path, "--seed", "1"]))
