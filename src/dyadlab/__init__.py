@@ -5,8 +5,6 @@ from .lattice import (
     DyadicTree,
     GridFunction,
     LatticeError,
-    CoverError,
-    one_third_cover,
 )
 from .weights import (
     BloomTriple,

@@ -8,39 +8,23 @@ partition identities are exact in binary floating point.
 
 Shifted lattices (the three per-axis shifts 0, 1/3, 2/3) are geometry
 only: they are integration domains against the base-tree cell partition,
-never carriers of data.  `ShiftedLattice` and `one_third_cover` keep exact
-`Fraction` corners; the d = 1 interval engine at the end of this module
-counts every shifted endpoint as an exact integer number of sixths of a
-finest cell and batches whole (shift, level) families as integer arrays.
+never carriers of data.  The d = 1 interval engine at the end of this
+module is their one representation: it counts every shifted endpoint as
+an exact integer number of sixths of a finest cell and batches whole
+(shift, level) families as integer arrays.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from fractions import Fraction
-from typing import Iterator, Sequence
+from typing import Iterator
 
 import numpy as np
-
-THIRD_SHIFTS = (Fraction(0), Fraction(1, 3), Fraction(2, 3))
 
 
 class LatticeError(ValueError):
     """Raised for structurally invalid lattice operations."""
-
-
-class CoverError(LatticeError):
-    """Raised when no shifted cube can cover a target within the finite model.
-
-    The ``reason`` attribute reports which constraint failed:
-    ``"too-small"`` (target below the finest resolved scale) or
-    ``"too-large"`` (target too big relative to the root window).
-    """
-
-    def __init__(self, reason: str, message: str):
-        super().__init__(message)
-        self.reason = reason
 
 
 def _reduce_axis(arr: np.ndarray, axis: int) -> np.ndarray:
@@ -171,19 +155,14 @@ class DyadicTree:
         for level in range(top + 1):
             yield from self.cubes_at_level(level)
 
-    def cell_centers(self, axis: int = 0) -> np.ndarray:
-        """Midpoints of the finest cells along one axis."""
+    def cell_centers(self) -> np.ndarray:
+        """Midpoints of the finest cells along any one axis."""
         n = 2**self.depth
         return -self.half_width + (np.arange(n) + 0.5) * self.cell_side
 
-    def cell_edges(self, axis: int = 0) -> np.ndarray:
+    def cell_edges(self) -> np.ndarray:
         n = 2**self.depth
         return -self.half_width + np.arange(n + 1) * self.cell_side
-
-    def contains_box(self, corner: Sequence[float], side: float) -> bool:
-        return all(
-            -self.half_width <= c and c + side <= self.half_width for c in corner
-        )
 
 
 @dataclass(frozen=True)
@@ -276,7 +255,7 @@ class GridFunction:
     @classmethod
     def ball_indicator(cls, tree: DyadicTree, radius: float = 1.0) -> "GridFunction":
         """Indicator of the Euclidean ball of given radius, sampled at midpoints."""
-        axes = np.meshgrid(*(tree.cell_centers(a) for a in range(tree.dim)), indexing="ij")
+        axes = np.meshgrid(*(tree.cell_centers(),) * tree.dim, indexing="ij")
         rr = sum(a**2 for a in axes)
         return cls(tree, (rr <= radius**2).astype(float))
 
@@ -293,134 +272,6 @@ class GridFunction:
 
     def abs(self) -> "GridFunction":
         return GridFunction(self.tree, np.abs(self.values))
-
-
-# -- shifted lattices and the one-third covering -----------------------------
-
-
-@dataclass(frozen=True)
-class ShiftedCube:
-    """A cube of a shifted lattice, with exact rational geometry.
-
-    Level-k cubes of the lattice with per-axis shift alpha have side
-    s = root_side / 2^k and corners s * (j + (-1)^k alpha).  Thirds are not
-    binary rationals, so corners are kept as `Fraction`s.
-    """
-
-    alpha: tuple[Fraction, ...]
-    level: int
-    index: tuple[int, ...]
-    side_frac: Fraction
-
-    @property
-    def corner_frac(self) -> tuple[Fraction, ...]:
-        sign = -1 if self.level % 2 else 1
-        return tuple(self.side_frac * (j + sign * a) for j, a in zip(self.index, self.alpha))
-
-    @property
-    def side(self) -> float:
-        return float(self.side_frac)
-
-    @property
-    def corner(self) -> tuple[float, ...]:
-        return tuple(float(c) for c in self.corner_frac)
-
-    def contains_box(self, corner: Sequence[Fraction], side: Fraction) -> bool:
-        own = self.corner_frac
-        return all(oc <= c and c + side <= oc + self.side_frac for oc, c in zip(own, corner))
-
-    def axis_interval(self, axis: int) -> tuple[Fraction, Fraction]:
-        c = self.corner_frac[axis]
-        return c, c + self.side_frac
-
-
-class ShiftedLattice:
-    """The family of 3^d shifted lattices over a tree's root window, geometry only."""
-
-    def __init__(self, tree: DyadicTree):
-        self.tree = tree
-        self.root_side = Fraction(tree.root_side)
-        self.alphas = list(itertools.product(THIRD_SHIFTS, repeat=tree.dim))
-
-    def side_frac(self, level: int) -> Fraction:
-        return self.root_side / 2**level
-
-    def cube_containing(
-        self, alpha: tuple[Fraction, ...], level: int, point: Sequence[Fraction]
-    ) -> ShiftedCube:
-        """The unique level-`level` cube of lattice alpha whose half-open box contains `point`."""
-        s = self.side_frac(level)
-        sign = -1 if level % 2 else 1
-        index = tuple(int((Fraction(x) / s - sign * a).__floor__()) for x, a in zip(point, alpha))
-        return ShiftedCube(alpha, level, index, s)
-
-    def cubes_overlapping_window(self, alpha: tuple[Fraction, ...], level: int) -> Iterator[ShiftedCube]:
-        """All level-`level` cubes of lattice alpha meeting the open root window.
-
-        One cube at a time with rational corners; `shifted_intervals_1d` is
-        the batched d = 1 form, and this is its reference enumeration.
-        """
-        s = self.side_frac(level)
-        sign = -1 if level % 2 else 1
-        h = Fraction(self.tree.half_width)
-        ranges = []
-        for a in alpha:
-            # corner s(j + sign*a) must satisfy corner < H and corner + s > -H
-            lo = int(((-h) / s - sign * a - 1).__floor__()) + 1
-            hi = int((h / s - sign * a).__ceil__())  # exclusive
-            ranges.append(range(lo, hi))
-        for index in itertools.product(*ranges):
-            yield ShiftedCube(alpha, level, tuple(index), s)
-
-
-def one_third_cover(
-    tree_or_lattice: DyadicTree | ShiftedLattice,
-    corner: Sequence[float],
-    side: float,
-) -> tuple[tuple[Fraction, ...], ShiftedCube]:
-    """Cover an arbitrary axis-parallel cube by a shifted-lattice cube.
-
-    Returns a shift tag alpha and a cube R of that lattice with Q inside R
-    and side(R) <= 3 side(Q).  Raises CoverError when the finite model
-    cannot host such an R (target below the finest scale, or too large
-    relative to the root).
-    """
-    lattice = (
-        tree_or_lattice
-        if isinstance(tree_or_lattice, ShiftedLattice)
-        else ShiftedLattice(tree_or_lattice)
-    )
-    tree = lattice.tree
-    corner_f = tuple(Fraction(float(c)) for c in corner)
-    side_f = Fraction(float(side))
-    if side_f <= 0:
-        raise LatticeError("cube side must be positive")
-    if not tree.contains_box([float(c) for c in corner_f], float(side_f)):
-        raise LatticeError("target cube is not inside the root window")
-
-    # Finest level whose cubes are at least as large as the target.
-    k_fine = 0
-    while lattice.side_frac(k_fine + 1) >= side_f and k_fine + 1 <= tree.depth:
-        k_fine += 1
-    if lattice.side_frac(k_fine) < side_f:
-        raise CoverError("too-large", f"no lattice scale at least {float(side_f)} within the model")
-    if side_f < Fraction(tree.cell_side):
-        raise CoverError("too-small", f"target side {float(side_f)} is below the finest cell scale")
-
-    for level in (k_fine, k_fine - 1):
-        if level < 0:
-            continue
-        if lattice.side_frac(level) > 3 * side_f:
-            continue
-        for alpha in lattice.alphas:
-            cand = lattice.cube_containing(alpha, level, corner_f)
-            if cand.contains_box(corner_f, side_f):
-                return alpha, cand
-    raise CoverError(
-        "too-large",
-        "no shifted cube of side <= 3*side(Q) covers the target; it sits too close "
-        "to the root scale for the finite model",
-    )
 
 
 # -- the d = 1 interval engine ---------------------------------------------------
@@ -440,17 +291,17 @@ def shifted_intervals_1d(
 
     Units are sixths of a finest cell from the origin: level-k interval j of
     shift alpha is [L j + t, L (j + 1) + t) with L = 6 * 2^(N-k) and
-    t = (-1)^k 6 alpha 2^(N-k).  Families come in `ShiftedLattice.alphas`
-    order, then by level.  inside=True keeps the intervals inside the root
-    window, inside=False every interval meeting it.
+    t = (-1)^k 6 alpha 2^(N-k), 6 alpha being 0, 2 or 4.  Families come by
+    shift alpha = 0, 1/3, 2/3, then by level.  inside=True keeps the
+    intervals inside the root window, inside=False every interval meeting it.
     """
     if tree.dim != 1:
         raise LatticeError("shifted scope is implemented for d=1 only")
     half = 3 * 2**tree.depth  # H in sixths of a cell
-    for alpha in THIRD_SHIFTS:
+    for six_alpha in (0, 2, 4):
         for level in range(tree.depth + 1):
             length = 6 * 2 ** (tree.depth - level)
-            t = (-1) ** level * int(6 * alpha) * 2 ** (tree.depth - level)
+            t = (-1) ** level * six_alpha * 2 ** (tree.depth - level)
             if inside:
                 j = np.arange(-((half + t) // length), (half - t) // length)
             else:

@@ -458,7 +458,7 @@ def _check_pair_geometry(pair: ProbePair, comparability: float):
         tree = fn.tree
         mask = np.ones(tree.shape, dtype=bool)
         for axis in range(tree.dim):
-            centers = tree.cell_centers(axis)
+            centers = tree.cell_centers()
             inside = (centers >= bc[axis]) & (centers < bc[axis] + bs)
             shape = [1] * tree.dim
             shape[axis] = -1

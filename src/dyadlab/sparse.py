@@ -35,7 +35,7 @@ from .operators import (
     _top_down,
     oscillation_levels,
 )
-from .weights import Weight, coeff_stack, parse_weight, power_interval_masses
+from .weights import Weight, cube_stack, parse_weight, power_interval_masses
 
 # the halves of its cell along axis 0 that a claim covers, as bits
 LO_HALF, HI_HALF, FULL = 1, 2, 3
@@ -66,7 +66,8 @@ class SparseFamily:
             raise ValueError(f"{len(self.witnesses)} witnesses for {len(self.cubes)} cubes")
 
     def indicator_stack(self) -> list[np.ndarray]:
-        return coeff_stack(self.tree, {q: 1.0 for q in self.cubes})
+        """Per-level listing counts of the member cubes; a cube listed twice counts twice."""
+        return cube_stack(self.tree, self.cubes)
 
 
 def _claim_masses(tree: DyadicTree, cells: np.ndarray, kinds: np.ndarray,

@@ -288,11 +288,8 @@ class Weight:
         singular = gamma <= -tree.dim
         if tree.dim == 1:
             edges = tree.cell_edges()
-            mass = np.array(
-                [power_interval_mass(edges[i], edges[i + 1], gamma) for i in range(len(edges) - 1)]
-            )
-            mids = tree.cell_centers()
-            density = np.abs(mids) ** gamma
+            mass = power_interval_masses(edges[:-1], edges[1:], gamma)
+            density = np.abs(tree.cell_centers()) ** gamma
         else:
             density, mass = _quadrature_plan(tree).evaluate(gamma)
         return cls(tree, density, mass, power=gamma, singular=singular)

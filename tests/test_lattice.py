@@ -1,23 +1,19 @@
 """Tree geometry, averages, Haar differences, and the one-third covering."""
 
-from fractions import Fraction
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dyadlab.lattice import (
-    CoverError,
     Cube,
     DyadicTree,
     GridFunction,
     LatticeError,
-    ShiftedLattice,
     coarsen_once,
     coarsen_to,
     level_sums,
-    one_third_cover,
+    shifted_intervals_1d,
 )
 
 import oracles
@@ -164,50 +160,59 @@ class TestHaarDifference:
 
 
 class TestOneThirdCover:
+    """The one-third lemma on the engine's lattices: a target of side s sits in an
+    interval of some shift at every level whose length L has 1.5 s <= L <= 3 s."""
+
     def test_self_cover(self):
-        tree = DyadicTree(1, 5, 1.0)
-        alpha, cube = one_third_cover(tree, (0.0,), 0.25)
-        assert alpha == (Fraction(0),)
-        assert cube.corner == (0.0,) and cube.side == 0.25
+        """A dyadic target is held by its own lattice: [0, 1/4) by its dyadic parent."""
+        tree = DyadicTree(1, 5, 1.0)  # positions count sixths of a cell, 1/96
+        shifts = oracles.one_third_shifts(tree, np.array([0]), 24)
+        assert list(shifts) == [2] and shifts[2].tolist() == [0]
 
     def test_exhaustive_oracle(self):
         name, got, want, tol = oracles.one_third_cover_exhaustive()
-        assert got == pytest.approx(want, rel=tol)
+        assert got == want == 0.0
+        assert oracles.one_third_cover_misses(3) == (477, 0)
+        assert oracles.one_third_cover_misses(7) == (222357, 0)
 
-    def test_random_battery(self):
-        name, got, want, tol = oracles.one_third_cover_random_battery()
-        assert got == pytest.approx(want, rel=tol)
+    def test_random_battery(self, rng):
+        """100 random targets at depth 8, corners and sides in 64ths of a sixth of a cell."""
+        tree = DyadicTree(1, 8, 1.0)
+        half = 64 * 3 * 2**tree.depth
+        for _ in range(100):
+            side = int(rng.integers(2 * 64 * 6, half // 2 + 1))
+            corner = int(rng.integers(-half, half - side + 1))
+            shifts = oracles.one_third_shifts(tree, np.array([corner]), side, unit=64)
+            assert shifts and all(found[0] >= 0 for found in shifts.values())
 
     def test_two_dimensional_cover(self):
-        tree = DyadicTree(2, 5, 1.0)
-        alpha, cube = one_third_cover(tree, (0.12, -0.4), 0.3)
-        for axis in range(2):
-            lo, hi = cube.axis_interval(axis)
-            target_lo = Fraction((0.12, -0.4)[axis])
-            assert lo <= target_lo and target_lo + Fraction(0.3) <= hi
-        assert cube.side <= 3 * 0.3 + 1e-12
+        """The square [1/8, 7/16) x [-5/48, 5/24): both axes find a shift at the one level
+        of length 1/2, so the product of their intervals, of lattice (0, 2/3), holds it."""
+        tree = DyadicTree(1, 5, 1.0)  # positions count sixths of a cell, 1/96
+        shifts = oracles.one_third_shifts(tree, np.array([12, -10]), 30)
+        assert list(shifts) == [2] and shifts[2].tolist() == [0, 2]
 
     def test_too_small_reports_reason(self):
-        tree = DyadicTree(1, 3, 1.0)
-        with pytest.raises(CoverError) as err:
-            one_third_cover(tree, (0.1,), tree.cell_side / 4.0)
-        assert err.value.reason == "too-small"
+        """A quarter-cell target: L <= 3 s fails at every level, down to one cell."""
+        tree = DyadicTree(1, 3, 1.0)  # positions count twelfths of a cell
+        assert oracles.one_third_shifts(tree, np.array([2]), 3, unit=2) == {}
 
     def test_root_sized_target_reports_too_large(self):
-        """The full window straddles every scale-matched shifted cube."""
+        """The full window needs L >= 1.5 * 2H, beyond the root."""
         tree = DyadicTree(1, 4, 1.0)
-        with pytest.raises(CoverError) as err:
-            one_third_cover(tree, (-1.0,), 2.0)
-        assert err.value.reason == "too-large"
+        half = 3 * 2**tree.depth
+        assert oracles.one_third_shifts(tree, np.array([-half]), 2 * half) == {}
 
-    @given(st.floats(0.02, 0.4), st.floats(-0.9, 0.45))
+    @given(st.integers(0, 2**20), st.floats(0.0, 1.0))
     @settings(max_examples=60, deadline=None)
-    def test_cover_property(self, side, corner):
+    def test_cover_property(self, side_seed, where):
         tree = DyadicTree(1, 7, 1.0)
-        alpha, cube = one_third_cover(tree, (corner,), side)
-        lo, hi = cube.axis_interval(0)
-        assert lo <= Fraction(corner) and Fraction(corner) + Fraction(side) <= hi
-        assert float(cube.side_frac) <= 3.0 * side
+        unit = 16
+        half = unit * 3 * 2**tree.depth
+        side = unit * 6 + side_seed % (half // 2 - unit * 6 + 1)  # one cell to H/2
+        corner = -half + int(where * (2 * half - side))
+        shifts = oracles.one_third_shifts(tree, np.array([corner]), side, unit)
+        assert shifts and all(found[0] >= 0 for found in shifts.values())
 
 
 class TestRestrictTree:
@@ -229,13 +234,11 @@ class TestRestrictTree:
 
 class TestShiftedLattice:
     def test_shifted_levels_nest(self):
-        tree = DyadicTree(1, 4, 1.0)
-        lattice = ShiftedLattice(tree)
-        for alpha in lattice.alphas:
-            for level in range(3):
-                for cube in lattice.cubes_overlapping_window(alpha, level):
-                    lo, hi = cube.axis_interval(0)
-                    mid = (lo + hi) / 2
-                    finer = lattice.cube_containing(alpha, level + 1, (mid,))
-                    flo, fhi = finer.axis_interval(0)
-                    assert lo <= flo and fhi <= hi  # refinement respects nesting
+        """Each level-(k+1) interval of a shift lies inside a level-k interval of that shift."""
+        for depth in (1, 3, 6):
+            families = list(shifted_intervals_1d(DyadicTree(1, depth, 1.0), inside=False))
+            for shift in range(3):
+                per_level = families[shift * (depth + 1):(shift + 1) * (depth + 1)]
+                for (lo, hi), (flo, fhi) in zip(per_level, per_level[1:]):
+                    i = np.searchsorted(lo, flo, side="right") - 1
+                    assert np.all(i >= 0) and np.all(fhi <= hi[i])

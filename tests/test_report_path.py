@@ -1,14 +1,17 @@
-"""Every top-level function and class of the package, and every method of
-its classes, is on a path that `src` uses.
+"""Every top-level function, class and module-level name of the package, and
+every method of its classes, is on a path that `src` uses.
 
 A name that no other package code references is either kept on purpose,
 with its reason in `KEPT`, or belongs beside the tests that use it.  The
 scan reads the modules with `ast`: `__init__.py` only re-exports, and
 `cli.py` defines no library names but does reference the runners.  A
-method is `Class.name` here and counts as referenced when any attribute
-of that name is used (`x.name`; a bare `name` is a module-level name or a
-local, never the method), so methods sharing a name vouch for each other;
-dunder methods are skipped, since Python calls them.
+module-level name is each name a top-level assignment binds, one per
+element of a tuple target, and counts as referenced when read outside
+that assignment.  A method is `Class.name` here and counts as referenced
+when any attribute of that name is used (`x.name`; a bare `name` is a
+module-level name or a local, never the method), so methods sharing a
+name vouch for each other; dunder methods and names are skipped, since
+Python uses them.
 """
 
 import ast
@@ -24,11 +27,8 @@ KEPT = {
     "sequential_testing_functional": ITEM_3,
     "q_ge_p_testing": ITEM_3,
     "weight_necessity_bound": ITEM_3,
-    "one_third_cover": ITEM_5,
     "power_weight_cube_lower_bound": ITEM_5,
     "maximal": ITEM_5,
-    "ShiftedCube.axis_interval": ITEM_5,
-    "ShiftedLattice.cubes_overlapping_window": ITEM_5,
     "family_from_text": "reads back the sparse-family certificates the reports write",
     "paraproduct": PUBLIC,
     "paraproduct_adjoint": PUBLIC,
@@ -42,14 +42,25 @@ def _modules() -> dict[str, ast.Module]:
             if p.name != "__init__.py"}
 
 
+def _bound_names(node: ast.stmt) -> list[str]:
+    """The names a top-level assignment binds, tuple targets unpacked."""
+    targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+    return [n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)]
+
+
 def _definitions(modules: dict[str, ast.Module]):
-    """(key, identifier, module, node) per top-level function or class and per non-dunder method."""
+    """(key, identifier, module, node) per top-level function, class or assigned
+    name and per method, dunders aside."""
     for name, tree in modules.items():
         if name == "cli.py":
             continue
         for node in tree.body:
             if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
                 yield node.name, node.name, name, node
+            if isinstance(node, (ast.Assign, ast.AnnAssign)):
+                for ident in _bound_names(node):
+                    if not ident.startswith("__"):
+                        yield ident, ident, name, node
             if isinstance(node, ast.ClassDef):
                 for item in node.body:
                     if isinstance(item, ast.FunctionDef) and not item.name.startswith("__"):

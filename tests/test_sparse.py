@@ -14,6 +14,7 @@ from dyadlab.sparse import (
     LO_HALF,
     SparseFamily,
     domination_bound,
+    domination_rhs,
     domination_worst_case,
     family_from_text,
     family_to_text,
@@ -203,6 +204,18 @@ class TestConstructor:
     def test_hand_case(self):
         name, got, want, tol = oracles.domination_hand_case()
         assert got == pytest.approx(want, rel=tol)
+
+    def test_cube_listed_twice_counts_twice(self, tree6, rng):
+        """Each listing of a cube, with its own witness, adds its own term to the bound."""
+        q = Cube(tree6, 2, (1,))
+        b = GridFunction(tree6, rng.normal(size=tree6.shape))
+        f = GridFunction(tree6, rng.normal(size=tree6.shape))
+        once = SparseFamily(tree6, [q], [whole_cells(q)], gamma=1.0)
+        twice = SparseFamily(tree6, [q, q], full_witnesses(q.children()), gamma=0.5)
+        assert verify_sparse(twice) == (True, 0.5)
+        single = domination_rhs(once, b, f)
+        assert np.count_nonzero(single) == q.cell_count()
+        np.testing.assert_array_equal(domination_rhs(twice, b, f), 2.0 * single)
 
     def test_zero_f_trivial(self, tree6):
         b = GridFunction(tree6, np.arange(tree6.n_cells, dtype=float))
