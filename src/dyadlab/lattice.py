@@ -150,9 +150,8 @@ class DyadicTree:
         for index in itertools.product(range(2**level), repeat=self.dim):
             yield Cube(self, level, index)
 
-    def cubes(self, max_level: int | None = None) -> Iterator["Cube"]:
-        top = self.depth if max_level is None else max_level
-        for level in range(top + 1):
+    def cubes(self) -> Iterator["Cube"]:
+        for level in range(self.depth + 1):
             yield from self.cubes_at_level(level)
 
     def cell_centers(self) -> np.ndarray:
@@ -337,7 +336,7 @@ class IntervalBatch:
     cells: np.ndarray
     lengths: np.ndarray
 
-    def oscillation(self, values: np.ndarray) -> np.ndarray:
+    def oscillations(self, values: np.ndarray) -> np.ndarray:
         """int |b - <b>| dx over each interval, the mean taken against the overlaps."""
         vals = values[self.cells]
         mean = (vals * self.lengths).sum(axis=1) / self.lengths.sum(axis=1)
@@ -376,10 +375,10 @@ def window_batches(tree: DyadicTree, lo: np.ndarray, hi: np.ndarray) -> Iterator
     yield from _cut_batches(tree, lo, hi, tree.cell_edges(), lambda x: x)
 
 
-def _sliding_windows(tree: DyadicTree, n_scales: int = 4) -> tuple[np.ndarray, np.ndarray]:
-    """Quarter-stepped sliding windows [lo, hi) at the top n_scales scales (d=1)."""
+def _sliding_windows(tree: DyadicTree) -> tuple[np.ndarray, np.ndarray]:
+    """Quarter-stepped sliding windows [lo, hi) at the top four scales (d=1)."""
     lo, hi = [], []
-    for j in range(n_scales):
+    for j in range(4):
         scale = tree.root_side / 2**j
         start = -tree.half_width + np.arange(4 * 2**j - 3) * (scale / 4)
         lo.append(start)

@@ -9,7 +9,6 @@ returns a `NormReport` whose certificate re-evaluates to the reported value.
 from __future__ import annotations
 
 import itertools
-import json
 import math
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Iterator, Sequence
@@ -17,12 +16,7 @@ from typing import Callable, Iterable, Iterator, Sequence
 import numpy as np
 
 from .lattice import Cube, DyadicTree, GridFunction, LatticeError, as_rows, scope_batches
-from .operators import (
-    OperatorHandle,
-    oscillation,
-    oscillation_levels,
-    sharp_maximal,
-)
+from .operators import OperatorHandle, oscillation_levels, sharp_maximal
 from .sparse import SparseFamily, owned_cells, principal_cubes, verify_sparse
 from .weights import BloomTriple, Weight, batch_masses
 
@@ -40,7 +34,8 @@ class NormReport:
     trace: list = field(default_factory=list)
     details: dict = field(default_factory=dict)
 
-    def to_json(self) -> str:
+    def to_dict(self) -> dict:
+        """The report as plain JSON types, the certificate by reference."""
         cert: object
         if isinstance(self.certificate, np.ndarray):
             cert = "grid-function"
@@ -54,14 +49,13 @@ class NormReport:
             [float(x) for x in t] if isinstance(t, (tuple, list)) else float(t)
             for t in self.trace
         ]
-        payload = {
+        return {
             "value": self.value,
             "method": self.method,
             "certificate-ref": cert,
             "trace": trace,
             "details": {k: float(v) for k, v in self.details.items()},
         }
-        return json.dumps(payload, sort_keys=True)
 
     def certificate_csv(self) -> str:
         if not isinstance(self.certificate, np.ndarray):
@@ -70,12 +64,22 @@ class NormReport:
         return "\n".join(map(repr, flat.tolist())) + "\n"
 
 
+def _row_norms(rows: np.ndarray, masses, p: float) -> list[float]:
+    """(sum over cells of |row|^p mass)^(1/p) for every row of `rows`.
+
+    Each row's sum is raised as a scalar: numpy's array power can differ
+    from the scalar one in the last bit.
+    """
+    sums = (np.abs(rows) ** p * masses).reshape(len(rows), -1).sum(axis=1)
+    return [float(s ** (1.0 / p)) for s in sums]
+
+
 def lp_norm(f: GridFunction, weight: Weight | None, p: float) -> float:
     """(sum over cells of |f|^p mass)^(1/p), exact."""
     if not 0.0 < p < math.inf:
         raise ValueError("p must lie in (0, infinity)")
     masses = weight.cell_mass if weight is not None else f.tree.cell_volume
-    return float((np.abs(f.values) ** p * masses).sum() ** (1.0 / p))
+    return _row_norms(f.values[None], masses, p)[0]
 
 
 def bmo_alpha_norm(b: GridFunction, nu: Weight, alpha: float, scope: str = "dyadic") -> float:
@@ -84,7 +88,7 @@ def bmo_alpha_norm(b: GridFunction, nu: Weight, alpha: float, scope: str = "dyad
     expo = 1.0 + alpha / b.tree.dim
     vals = itertools.chain(
         (osc / mass**expo for osc, mass in zip(oscillation_levels(b), nu.level_masses())),
-        (batch.oscillation(b.values) / batch_masses(nu, batch) ** expo for batch in batches),
+        (batch.oscillations(b.values) / batch_masses(nu, batch) ** expo for batch in batches),
     )
     return max(float(v.max()) for v in vals)
 
@@ -119,15 +123,15 @@ def multiplier_objective(b: GridFunction, nu: Weight, r: float) -> Callable[[flo
     return h
 
 
-def golden_section(h: Callable[[float], float], lo: float, hi: float, iterations: int = 200):
-    """Standard golden-section minimization on [lo, hi]; returns (argmin, min, trace)."""
+def golden_section(h: Callable[[float], float], lo: float, hi: float):
+    """Golden-section minimization on [lo, hi] in at most 200 steps; returns (argmin, min, trace)."""
     trace = []
     a, b = lo, hi
     c = b - GOLDEN * (b - a)
     d = a + GOLDEN * (b - a)
     fc, fd = h(c), h(d)
     trace.extend([(c, fc), (d, fd)])
-    for _ in range(iterations):
+    for _ in range(200):
         if fc <= fd:
             b, d, fd = d, c, fc
             c = b - GOLDEN * (b - a)
@@ -202,11 +206,13 @@ def discretized_sharp_sup(
     )
     ok, worst = verify_sparse(family)
 
+    # b varies on p exactly when its median oscillation is positive; at a non-dyadic H
+    # the level-array oscillation of a constant cube can round to a positive value
+    oscs = oscillation_levels(b)
     total = 0.0
     for p in principal:
-        osc = oscillation(b, p)
-        mass = float(nus[p.level][p.index])
-        if osc > 0.0:
+        if phi[p.level][p.index] > 0.0:
+            osc, mass = float(oscs[p.level][p.index]), float(nus[p.level][p.index])
             total += (osc / mass) ** r * mass
     value = total ** (1.0 / r) if total > 0.0 else 0.0
 
@@ -224,20 +230,6 @@ def discretized_sharp_sup(
 
 # cells held per lockstep group: a group runs max(1, _GROUP_CELLS // n_cells) starts
 _GROUP_CELLS = 4096
-
-
-def _row_norms(rows: np.ndarray, masses, p: float) -> list[float]:
-    """(sum over cells of |row|^p mass)^(1/p) for every row of `rows`.
-
-    Each row's sum is raised as a scalar: numpy's array power can differ
-    from the scalar one in the last bit.
-    """
-    sums = (np.abs(rows) ** p * masses).reshape(len(rows), -1).sum(axis=1)
-    return [float(s ** (1.0 / p)) for s in sums]
-
-
-def _weighted_norm(vals: np.ndarray, masses, p: float) -> float:
-    return _row_norms(vals[None], masses, p)[0]
 
 
 def _column(values: Sequence[float], rows: np.ndarray) -> np.ndarray:
@@ -334,9 +326,7 @@ def _structured_starts(tree: DyadicTree) -> Iterator[np.ndarray]:
     yield np.ones(tree.shape)
     for level in range(min(2, tree.depth) + 1):
         for cube in tree.cubes_at_level(level):
-            ind = np.zeros(tree.shape)
-            ind[cube.cell_slices()] = 1.0
-            yield ind
+            yield GridFunction.indicator(tree, cube).values
     # a few Haar-type bumps
     for cube in tree.cubes_at_level(min(1, tree.depth)):
         bump = np.zeros(tree.shape)
@@ -502,15 +492,14 @@ def q_ge_p_testing(U: OperatorHandle, t: BloomTriple) -> NormReport:
     best_cube = tree.root()
     max_ind_ratio = 0.0
     for cube in tree.cubes():
-        ind = np.zeros(tree.shape)
-        ind[cube.cell_slices()] = 1.0
+        ind = GridFunction.indicator(tree, cube).values
         u = U.apply(ind)
         val = float(np.abs(u[cube.cell_slices()]).sum() * tree.cell_volume)
         val /= t.nu.mass(cube) ** e
         if val > best:
             best, best_cube = val, cube
-        num = _weighted_norm(u, t.lam.cell_mass, cfg.q)
-        den = _weighted_norm(ind, t.mu.cell_mass, cfg.p)
+        num = _row_norms(u[None], t.lam.cell_mass, cfg.q)[0]
+        den = _row_norms(ind[None], t.mu.cell_mass, cfg.p)[0]
         max_ind_ratio = max(max_ind_ratio, num / den)
     return NormReport(
         value=best,

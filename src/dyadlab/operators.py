@@ -87,13 +87,6 @@ def oscillation_levels(b: GridFunction) -> list[np.ndarray]:
     return out
 
 
-def oscillation(b: GridFunction, cube: Cube) -> float:
-    """int_Q |b - <b>_Q| dx, exact."""
-    sl = cube.cell_slices()
-    vals = b.values[sl]
-    return float(np.abs(vals - vals.mean()).sum() * b.tree.cell_volume)
-
-
 def sharp_maximal(b: GridFunction, nu: Weight, scope: str = "dyadic") -> GridFunction:
     """Weighted sharp maximal function: sup over the cubes of `scope` of oscillation over nu-mass.
 
@@ -105,7 +98,7 @@ def sharp_maximal(b: GridFunction, nu: Weight, scope: str = "dyadic") -> GridFun
     oscs = zip(oscillation_levels(b), nu.level_masses())
     out = _running_max((osc / mass for osc, mass in oscs), tree.shape)
     for batch in batches:
-        batch.max_onto_full_cells(out, batch.oscillation(b.values) / batch_masses(nu, batch))
+        batch.max_onto_full_cells(out, batch.oscillations(b.values) / batch_masses(nu, batch))
     return GridFunction(tree, out)
 
 
@@ -131,7 +124,7 @@ def sharp_window_values(
     hi = np.repeat(np.minimum(h, points + tree.cell_side), n_left)
     vals = np.zeros(len(lo))
     for batch in window_batches(tree, lo, hi):
-        vals[batch.rows] = batch.oscillation(b.values) / batch_masses(nu, batch)
+        vals[batch.rows] = batch.oscillations(b.values) / batch_masses(nu, batch)
     return vals.reshape(len(points), n_left).max(axis=1, initial=0.0)
 
 
@@ -273,15 +266,8 @@ def kernel_lags(tree: DyadicTree, spec: KernelSpec1D = HILBERT_KERNEL) -> np.nda
     return np.concatenate([above[:0:-1], below]) * tree.cell_volume
 
 
-def kernel_matrix(tree: DyadicTree, spec: KernelSpec1D = HILBERT_KERNEL) -> np.ndarray:
-    """Dense N x N quadrature matrix lags[i - j]; for test oracles, never on an apply path."""
-    lags = kernel_lags(tree, spec)
-    n = tree.n_cells
-    return lags[np.subtract.outer(np.arange(n), np.arange(n)) + n - 1]
-
-
 def _hilbert_apply(tree: DyadicTree, rows: np.ndarray) -> np.ndarray:
-    """kernel_matrix(tree) @ row for every row of `rows`, by one batched rfft/irfft pair.
+    """The lags' Toeplitz matrix times every row of `rows`, by one batched rfft/irfft pair.
 
     The products are circular convolutions with the length-2N circulant
     embedding of the lags; the rfft of one tree's embedding is kept resident.
@@ -314,25 +300,15 @@ def commutator(b: GridFunction, f: GridFunction) -> GridFunction:
     return GridFunction(b.tree, _commutator_rows(b, f.values))
 
 
-def commutator_bilinear(b: GridFunction, f: GridFunction, g: GridFunction) -> float:
-    """Double-sum form sum_{i != j} (b_i - b_j) K(x_i, x_j) f_j g_i vol^2.
-
-    The same quadrature as `commutator`, summed densely: the test oracle
-    for the FFT apply, with or without support separation.
-    """
-    mat = kernel_matrix(b.tree)
-    weighted = mat * (b.values[:, None] - b.values[None, :])
-    return float(g.values @ (weighted @ f.values) * b.tree.cell_volume)
-
-
 def commutator_test_pairs(b: GridFunction, cube: Cube):
     """Median-split test pairs for the Hilbert commutator at one cube (d=1).
 
     The partner cube sits two side lengths away (flipped near the window
     edge), and each pair splits its cube at the median of b so the kernel
     sign cannot cancel the oscillation wholesale.  Returns the pairs plus
-    the measured ratio of the oscillation to the bilinear forms; the
-    domination constant is an observation, not an asserted bound.
+    the measured ratio of the oscillation to the bilinear forms, both
+    forms taken from one FFT apply of the stacked f's; the domination
+    constant is an observation, not an asserted bound.
     """
     tree = b.tree
     if tree.dim != 1:
@@ -351,21 +327,18 @@ def commutator_test_pairs(b: GridFunction, cube: Cube):
 
     med_q = float(np.median(b.values[q_cells]))
     med_t = float(np.median(b.values[t_cells]))
-    pairs = []
-    for f_side, g_side in ((1.0, -1.0), (-1.0, 1.0)):
-        f_vals = np.zeros(tree.shape)
-        g_vals = np.zeros(tree.shape)
-        f_sel = (b.values[q_cells] - med_q) * f_side >= 0.0
-        g_sel = (b.values[t_cells] - med_t) * g_side > 0.0
-        f_vals[q_cells] = np.where(f_sel, 1.0, 0.0)
-        g_vals[t_cells] = np.where(g_sel, 1.0, 0.0)
-        if not g_vals.any():
-            g_vals[t_cells] = 1.0  # constant partner side: any test function works
-        pairs.append((GridFunction(tree, f_vals), GridFunction(tree, g_vals)))
+    f_rows = np.zeros((2,) + tree.shape)
+    g_rows = np.zeros((2,) + tree.shape)
+    for row, (f_side, g_side) in enumerate(((1.0, -1.0), (-1.0, 1.0))):
+        f_rows[row, q_cells] = (b.values[q_cells] - med_q) * f_side >= 0.0
+        g_rows[row, t_cells] = (b.values[t_cells] - med_t) * g_side > 0.0
+        if not g_rows[row].any():
+            g_rows[row, t_cells] = 1.0  # constant partner side: any test function works
+    pairs = [(GridFunction(tree, f), GridFunction(tree, g)) for f, g in zip(f_rows, g_rows)]
 
-    osc = oscillation(b, cube)
-    forms = [abs(commutator_bilinear(b, f, g)) for f, g in pairs]
-    total = sum(forms)
+    osc = float(oscillation_levels(b)[cube.level][cube.index])
+    forms = np.abs((g_rows * _commutator_rows(b, f_rows)).sum(axis=-1)) * tree.cell_volume
+    total = float(forms.sum())
     measured = osc / total if total > 0.0 else math.inf
     corner = (-tree.half_width + t_start * tree.cell_side,)
     partner = {"corner": corner, "side": cube.side}

@@ -167,15 +167,14 @@ def half_split(tree: DyadicTree, cube: Cube, scale: float = 1.0) -> GridFunction
     return GridFunction(tree, vals)
 
 
-def random_haar_sum(tree: DyadicTree, rng: np.random.Generator, terms: int = 12,
-                    heavy: bool = True) -> GridFunction:
+def random_haar_sum(tree: DyadicTree, rng: np.random.Generator) -> GridFunction:
+    """Twelve half-splits at random cubes, with Cauchy coefficients clipped to [-50, 50]."""
     out = GridFunction.constant(tree, 0.0)
-    for _ in range(terms):
+    for _ in range(12):
         level = int(rng.integers(0, tree.depth))
         index = tuple(int(rng.integers(0, 2**level)) for _ in range(tree.dim))
         cube = Cube(tree, level, index)
-        coeff = float(rng.standard_cauchy()) if heavy else float(rng.normal())
-        coeff = float(np.clip(coeff, -50.0, 50.0))
+        coeff = float(np.clip(rng.standard_cauchy(), -50.0, 50.0))
         out = out + half_split(tree, cube, coeff)
     return out
 
@@ -564,7 +563,7 @@ def run_norms(cfg: ScenarioConfig) -> dict:
     reports_json = {}
     for name, rep in full_reports.items():
         values[name] = rep.value
-        reports_json[name] = json.loads(rep.to_json())
+        reports_json[name] = rep.to_dict()
         if isinstance(rep.certificate, np.ndarray):
             file, text = f"certificate_{name}.csv", rep.certificate_csv()
         elif isinstance(rep.certificate, SparseFamily):

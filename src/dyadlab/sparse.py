@@ -230,7 +230,8 @@ def paraproduct_sparse_dominate(
 
     rows = [as_rows(b.values[q0.cell_slices()], j) for j in range(len(bavg))]
     # an iterate's state: <|f|>, a_q = 2^5 <|b - <b>|> <|f|>, whether b varies on it,
-    # and the chain's summed positive and negative parts
+    # and the chain's summed positive and negative parts; these read the rows, not
+    # `oscillation_levels`, whose rounded averages at a non-dyadic H make constant cubes vary
     thresholds = [32.0 * np.abs(r - a[..., None]).mean(axis=-1) * fa
                   for r, a, fa in zip(rows, bavg, fabs)]
     varies = [r.min(axis=-1) < r.max(axis=-1) for r in rows]

@@ -452,13 +452,9 @@ def fujii_wilson_ainfty(w: Weight, mu: Weight | None = None) -> float:
     return best
 
 
-def coeff_stack(tree: DyadicTree, entries: dict[Cube, float] | None = None) -> list[np.ndarray]:
-    """An all-zero per-cube coefficient stack, optionally seeded from a dict."""
-    stack = [np.zeros((2**k,) * tree.dim) for k in range(tree.depth + 1)]
-    if entries:
-        for cube, value in entries.items():
-            stack[cube.level][cube.index] = value
-    return stack
+def coeff_stack(tree: DyadicTree) -> list[np.ndarray]:
+    """An all-zero per-cube coefficient stack, one array per level."""
+    return [np.zeros((2**k,) * tree.dim) for k in range(tree.depth + 1)]
 
 
 def cube_stack(tree: DyadicTree, cubes: Iterable) -> list[np.ndarray]:
@@ -519,12 +515,12 @@ class BloomTriple:
             self.nu = Weight(mu.tree, density)
         self._check_pointwise_relation()
 
-    def _check_pointwise_relation(self, rel_tol: float = 1e-12):
+    def _check_pointwise_relation(self):
         e = self.cfg.bloom_exponent
         lhs = self.nu.density**e
         rhs = self.mu.density ** (1.0 / self.cfg.p) * self.lam.density ** (-1.0 / self.cfg.q)
         err = np.max(np.abs(lhs - rhs) / np.maximum(np.abs(rhs), 1e-300))
-        if err > rel_tol:
+        if err > 1e-12:
             raise AssertionError(f"intermediate weight violates the defining relation: {err}")
 
     @property

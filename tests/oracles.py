@@ -48,12 +48,13 @@ from dyadlab.norms import (
     sharp_maximal_r_norm,
 )
 from dyadlab.operators import (
+    HILBERT_KERNEL,
+    KernelSpec1D,
     OperatorHandle,
     _averages_by_level,
     commutator,
-    commutator_bilinear,
+    kernel_lags,
     maximal,
-    oscillation,
     paraproduct,
     paraproduct_handle,
     sharp_maximal,
@@ -159,9 +160,10 @@ def restrict(f: GridFunction, q0: Cube) -> GridFunction:
 # -- test-only helpers ------------------------------------------------------------------
 #
 # References and acceptance helpers that no report path calls, kept here for the
-# tests: cube averages and Haar differences, Carleson packing norms, the power-weight
-# factorization, weak-type level sets, off-grid Hilbert values, trivial operator
-# handles, and the two-sided and shrunken-family checks.
+# tests: cube averages, oscillations and Haar differences, dict-seeded coefficient
+# stacks, the dense Hilbert kernel and its commutator double sum, Carleson packing
+# norms, the power-weight factorization, weak-type level sets, off-grid Hilbert
+# values, trivial operator handles, and the two-sided and shrunken-family checks.
 
 
 def average(f: GridFunction, cube: Cube, weight=None) -> float:
@@ -182,6 +184,38 @@ def average(f: GridFunction, cube: Cube, weight=None) -> float:
     if not total > 0.0:
         raise LatticeError(f"zero-mass cube {cube}: weight is corrupted")
     return float((f.values[sl] * masses).sum() / total)
+
+
+def oscillation(b: GridFunction, cube: Cube) -> float:
+    """int_Q |b - <b>_Q| dx, summed over the cube's own cells."""
+    vals = b.values[cube.cell_slices()]
+    return float(np.abs(vals - vals.mean()).sum() * b.tree.cell_volume)
+
+
+def dict_stack(tree: DyadicTree, entries: dict[Cube, float]) -> list[np.ndarray]:
+    """A per-level coefficient stack holding one value per listed cube, zero elsewhere."""
+    stack = coeff_stack(tree)
+    for cube, value in entries.items():
+        stack[cube.level][cube.index] = value
+    return stack
+
+
+def kernel_matrix(tree: DyadicTree, spec: KernelSpec1D = HILBERT_KERNEL) -> np.ndarray:
+    """Dense N x N quadrature matrix lags[i - j], the Toeplitz matrix the FFT apply multiplies by."""
+    lags = kernel_lags(tree, spec)
+    n = tree.n_cells
+    return lags[np.subtract.outer(np.arange(n), np.arange(n)) + n - 1]
+
+
+def commutator_bilinear(b: GridFunction, f: GridFunction, g: GridFunction) -> float:
+    """Double-sum form sum_{i != j} (b_i - b_j) K(x_i, x_j) f_j g_i vol^2.
+
+    The same quadrature as `commutator`, summed densely: the reference
+    for the FFT apply, with or without support separation.
+    """
+    mat = kernel_matrix(b.tree)
+    weighted = mat * (b.values[:, None] - b.values[None, :])
+    return float(g.values @ (weighted @ f.values) * b.tree.cell_volume)
 
 
 def haar_difference(b: GridFunction, cube: Cube) -> GridFunction:
@@ -543,7 +577,7 @@ def relative_ainfty_single_cube():
     w = _two_cell_weight(tree, 3.0, 1.0)
     worst = 0.0
     for cube in tree.cubes():
-        stack = coeff_stack(tree, {cube: 1.0})
+        stack = dict_stack(tree, {cube: 1.0})
         ratio = carleson_norm(stack, w, tree) / carleson_norm(stack, None, tree)
         worst = max(worst, abs(ratio - 1.0))
     return "relative A_inf: single-cube ratios", worst, 0.0, 1e-12

@@ -38,7 +38,6 @@ from dyadlab.sparse import (
 from dyadlab.weights import (
     BloomTriple,
     Weight,
-    coeff_stack,
     cube_stack,
     fujii_wilson_ainfty,
     parse_weight,
@@ -183,7 +182,7 @@ def test_martingale_dict_against_cube_loop(dim, depth):
     for cubes in _collections(f.tree).values():
         coeffs = {q: float(rng.normal()) for q in cubes}
         want = oracles.reference_martingale_dict(f, coeffs)
-        _assert_close(paraproduct(f, one, coeff_stack(f.tree, coeffs)).values, want)
+        _assert_close(paraproduct(f, one, oracles.dict_stack(f.tree, coeffs)).values, want)
 
 
 @pytest.mark.parametrize("dim,depth", COLLECTION_SHAPES)

@@ -227,7 +227,8 @@ class TestEmpiricalNorm:
         b = GridFunction(tree, rng.normal(size=tree.shape))
         rep = empirical_operator_norm(paraproduct_handle(b), None, None, 2.0, 2.0, tree,
                                       restarts=4, iterations=10)
-        payload = json.loads(rep.to_json())
+        payload = rep.to_dict()
+        assert json.loads(json.dumps(payload)) == payload
         assert payload["value"] == rep.value
         assert payload["certificate-ref"] == "grid-function"
         assert rep.certificate_csv().count("\n") == tree.n_cells

@@ -67,21 +67,28 @@ def test_paraproduct_family_matches_recursive_walk(dim, depth, b_kind, f_kind):
             )
 
 
-# a power weight vanishes on the one cell of depth 0
-SHARP_CASES = [case + (m,) for case in CASES for m in ("lebesgue", "power(1.0)")
-               if case[1] or m == "lebesgue"]
+# a power weight vanishes on the one cell of depth 0; at the non-dyadic H = 3 the
+# level-array oscillation of a constant cube can be roundoff-positive, and the value
+# must not pick it up
+SHARP_CASES = [case + (m, h) for case in CASES for m in ("lebesgue", "power(1.0)")
+               for h in (2.0, 3.0) if case[1] or m == "lebesgue"]
+SHARP_IDS = ["-".join(map(str, c[:4])) + ("" if c[4] == 2.0 else f"-H{c[4]:g}")
+             for c in SHARP_CASES]
 
 
-@pytest.mark.parametrize("dim,depth,b_kind,measure", SHARP_CASES)
-def test_sharp_sup_matches_recursive_walk(dim, depth, b_kind, measure):
-    tree = DyadicTree(dim, depth, 2.0)
+@pytest.mark.parametrize("dim,depth,b_kind,measure,half_width", SHARP_CASES, ids=SHARP_IDS)
+def test_sharp_sup_matches_recursive_walk(dim, depth, b_kind, measure, half_width):
+    """Cubes, witnesses and details exactly; the value to float reordering, since the
+    oscillations come from the level arrays and the reference sums each cube's cells."""
+    tree = DyadicTree(dim, depth, half_width)
     nu = Weight.lebesgue(tree) if measure == "lebesgue" else parse_weight(measure, tree)
     rng = np.random.default_rng(10 * dim + depth)
     for _ in range(2):
         b = _field(b_kind, tree, rng)
         got = discretized_sharp_sup(b, nu, 4.0)
         want = oracles.reference_discretized_sharp_sup(b, nu, 4.0)
-        assert (got.value, got.method, got.details) == (want.value, want.method, want.details)
+        assert (got.method, got.details) == (want.method, want.details)
+        assert got.value == pytest.approx(want.value, rel=1e-12, abs=0.0)
         _assert_same_family(got.certificate, want.certificate)
 
 

@@ -12,7 +12,6 @@ from dyadlab.weights import (
     ExponentConfig,
     Weight,
     ap_characteristic,
-    coeff_stack,
     divergence_flag,
     dual_weight,
     fujii_wilson_ainfty,
@@ -24,7 +23,12 @@ from dyadlab.weights import (
 )
 
 import oracles
-from oracles import carleson_norm, factor_power_weights, relative_ainfty_carleson_ratio
+from oracles import (
+    carleson_norm,
+    dict_stack,
+    factor_power_weights,
+    relative_ainfty_carleson_ratio,
+)
 
 
 def power_triple(tree, a, b, p, q):
@@ -214,7 +218,7 @@ class TestCarleson:
     def test_single_cube_norm_one(self):
         tree = DyadicTree(1, 4, 1.0)
         w = Weight.power_weight(tree, 0.5)
-        stack = coeff_stack(tree, {Cube(tree, 2, (1,)): 1.0})
+        stack = dict_stack(tree, {Cube(tree, 2, (1,)): 1.0})
         assert carleson_norm(stack, w, tree) == pytest.approx(1.0)
 
     def test_all_ones_closed_form(self):
