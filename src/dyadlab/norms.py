@@ -74,12 +74,11 @@ def _row_norms(rows: np.ndarray, masses, p: float) -> list[float]:
     return [float(s ** (1.0 / p)) for s in sums]
 
 
-def lp_norm(f: GridFunction, weight: Weight | None, p: float) -> float:
+def lp_norm(f: GridFunction, weight: Weight, p: float) -> float:
     """(sum over cells of |f|^p mass)^(1/p), exact."""
     if not 0.0 < p < math.inf:
         raise ValueError("p must lie in (0, infinity)")
-    masses = weight.cell_mass if weight is not None else f.tree.cell_volume
-    return _row_norms(f.values[None], masses, p)[0]
+    return _row_norms(f.values[None], weight.cell_mass, p)[0]
 
 
 def bmo_alpha_norm(b: GridFunction, nu: Weight, alpha: float, scope: str = "dyadic") -> float:
@@ -361,6 +360,9 @@ def empirical_operator_norm(
     extra_starts: Iterable[np.ndarray] = (),
 ) -> NormReport:
     """Certified lower bound on the operator norm L^p(mu) -> L^q(lambda).
+
+    `mu` or `lam` None is Lebesgue measure, the one place in the package
+    that reads None so.
 
     Normalized gradient ascent on the Rayleigh-type ratio with backtracking
     line search, restarted from structured starts (indicators, two-level

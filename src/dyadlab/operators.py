@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
@@ -30,28 +31,17 @@ from .lattice import (
     scope_batches,
     window_batches,
 )
-from .weights import (
-    Weight,
-    batch_cell_masses,
-    batch_masses,
-    cube_stack,
-    level_masses_or_lebesgue,
-)
+from .weights import Weight, batch_cell_masses, batch_masses, cube_stack
 
 
-def _level_averages(
-    tree: DyadicTree, rows: np.ndarray, weight: Weight | None = None
-) -> list[np.ndarray]:
-    """Per-level weighted averages over every cube, for cell arrays shaped (..., *tree.shape)."""
-    masses = level_masses_or_lebesgue(tree, weight)
-    if weight is not None:
-        rows = rows * weight.cell_mass / tree.cell_volume
-    return [s * tree.cell_volume / m for s, m in zip(level_sums(tree, rows), masses)]
+def _level_averages(tree: DyadicTree, rows: np.ndarray) -> list[np.ndarray]:
+    """Per-level averages over every cube, for cell arrays shaped (..., *tree.shape)."""
+    return [s * tree.cell_volume / tree.volume(k) for k, s in enumerate(level_sums(tree, rows))]
 
 
-def _averages_by_level(f: GridFunction, weight: Weight | None = None) -> list[np.ndarray]:
-    """Per-level arrays of weighted averages of f over every cube."""
-    return _level_averages(f.tree, f.values, weight)
+def _averages_by_level(f: GridFunction) -> list[np.ndarray]:
+    """Per-level arrays of the averages of f over every cube."""
+    return _level_averages(f.tree, f.values)
 
 
 def _running_max(levels: Iterable[np.ndarray], shape: tuple[int, ...]) -> np.ndarray:
@@ -63,12 +53,13 @@ def _running_max(levels: Iterable[np.ndarray], shape: tuple[int, ...]) -> np.nda
     return np.array(run, dtype=float).reshape(shape)
 
 
-def maximal(f: GridFunction, weight: Weight | None = None, scope: str = "dyadic") -> GridFunction:
-    """Running supremum of |f|-averages over the cubes of `scope` that contain each cell."""
+def maximal(f: GridFunction, weight: Weight, scope: str = "dyadic") -> GridFunction:
+    """Running supremum of |f|-averages in `weight` over the cubes of `scope` at each cell."""
     tree = f.tree
     batches = scope_batches(tree, scope)
     g = f.abs()
-    out = _running_max(_averages_by_level(g, weight), tree.shape)
+    sums = level_sums(tree, g.values * weight.cell_mass)
+    out = _running_max((s / m for s, m in zip(sums, weight.level_masses())), tree.shape)
     for batch in batches:
         masses = batch_cell_masses(weight, batch)
         means = (g.values[batch.cells] * masses).sum(axis=1) / masses.sum(axis=1)
@@ -242,8 +233,6 @@ class KernelSpec1D:
 
 HILBERT_KERNEL = KernelSpec1D("hilbert", lambda x, y: 1.0 / (x - y))
 
-_HILBERT_SPECTRUM: dict[DyadicTree, np.ndarray] = {}
-
 
 def kernel_lags(tree: DyadicTree, spec: KernelSpec1D = HILBERT_KERNEL) -> np.ndarray:
     """Quadrature weights K(x_i, x_j) * vol by lag: entry m + N - 1 is lag m = i - j, |m| < N.
@@ -266,21 +255,22 @@ def kernel_lags(tree: DyadicTree, spec: KernelSpec1D = HILBERT_KERNEL) -> np.nda
     return np.concatenate([above[:0:-1], below]) * tree.cell_volume
 
 
+@lru_cache(maxsize=1)
+def _hilbert_spectrum(tree: DyadicTree) -> np.ndarray:
+    """The rfft of the length-2N circulant embedding of the Hilbert lags, resident for one tree."""
+    n = tree.n_cells
+    lags = kernel_lags(tree)
+    # first column of the circulant: lags 0 .. N-1, one zero, lags -(N-1) .. -1
+    return np.fft.rfft(np.concatenate([lags[n - 1:], [0.0], lags[:n - 1]]))
+
+
 def _hilbert_apply(tree: DyadicTree, rows: np.ndarray) -> np.ndarray:
     """The lags' Toeplitz matrix times every row of `rows`, by one batched rfft/irfft pair.
 
-    The products are circular convolutions with the length-2N circulant
-    embedding of the lags; the rfft of one tree's embedding is kept resident.
+    The products are circular convolutions with the circulant embedding of the lags.
     """
     n = tree.n_cells
-    spectrum = _HILBERT_SPECTRUM.get(tree)
-    if spectrum is None:
-        lags = kernel_lags(tree)
-        # first column of the circulant: lags 0 .. N-1, one zero, lags -(N-1) .. -1
-        spectrum = np.fft.rfft(np.concatenate([lags[n - 1:], [0.0], lags[:n - 1]]))
-        _HILBERT_SPECTRUM.clear()
-        _HILBERT_SPECTRUM[tree] = spectrum
-    return np.fft.irfft(np.fft.rfft(rows, 2 * n) * spectrum, 2 * n)[..., :n]
+    return np.fft.irfft(np.fft.rfft(rows, 2 * n) * _hilbert_spectrum(tree), 2 * n)[..., :n]
 
 
 def hilbert_transform(f: GridFunction) -> GridFunction:

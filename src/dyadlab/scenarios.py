@@ -306,7 +306,8 @@ def run_characteristics(cfg: ScenarioConfig, sweep: bool = True) -> dict:
     for label, spec, expo in jobs:
         at = points[-1:] if "piecewise(" in spec else points
         weights = (_weight(spec, c.tree()) for c in at)
-        ap, fw = zip(*((ap_characteristic(w, expo), fujii_wilson_ainfty(w, None)) for w in weights))
+        ap, fw = zip(*((ap_characteristic(w, expo), fujii_wilson_ainfty(w, Weight.lebesgue(w.tree)))
+                       for w in weights))
         results[label] = {"ap": list(ap), "fujii_wilson": list(fw)}
         series(spec, f"A_{expo:g}", at, ap)
         series(spec, "A_inf", at, fw)

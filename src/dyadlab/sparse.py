@@ -58,7 +58,7 @@ class SparseFamily:
     cubes: list[Cube]
     witnesses: list[np.ndarray]
     gamma: float
-    measure: Weight | None = None  # None = Lebesgue
+    measure: Weight
     stopping_mass_max: float = 0.0  # observed max of (stopping mass)/(node mass)
 
     def __post_init__(self):
@@ -71,11 +71,9 @@ class SparseFamily:
 
 
 def _claim_masses(tree: DyadicTree, cells: np.ndarray, kinds: np.ndarray,
-                  measure: Weight | None) -> np.ndarray:
+                  measure: Weight) -> np.ndarray:
     """The mass of each claim: its cell's, or half of it (exact halves for d = 1 powers)."""
     full = kinds == FULL
-    if measure is None:
-        return np.where(full, 1.0, 0.5) * tree.cell_volume
     masses = measure.cell_mass.ravel()[cells]
     masses[~full] *= 0.5
     if measure.power is not None and tree.dim == 1:
@@ -112,19 +110,16 @@ def _disjoint(tree: DyadicTree, cells: np.ndarray, kinds: np.ndarray) -> bool:
         (count[shared] == 2) & (np.bincount(cells, kinds, tree.n_cells)[shared] == 3)))
 
 
-def verify_sparse(family: SparseFamily, gamma: float | None = None,
-                  measure: Weight | None = None) -> tuple[bool, float]:
-    """Check witness containment, disjointness, and the mass ratio.
+def verify_sparse(family: SparseFamily) -> tuple[bool, float]:
+    """Check witness containment, disjointness, and the mass ratio against the family's gamma.
 
     Returns (ok, worst_ratio) where worst_ratio is the minimum over cubes
-    of witness mass over cube mass, and (False, 0.0) when a claim lies
-    outside its cube.  A cell may carry one claim, or one lower and one
-    upper half.  Each cube's claim masses are added in claim order.
-    `gamma`/`measure` default to the family's own tags.
+    of witness mass over cube mass in the family's measure, and
+    (False, 0.0) when a claim lies outside its cube.  A cell may carry one
+    claim, or one lower and one upper half.  Each cube's claim masses are
+    added in claim order.
     """
-    gamma = family.gamma if gamma is None else gamma
-    measure = family.measure if measure is None else measure
-    tree, cubes = family.tree, family.cubes
+    tree, cubes, gamma, measure = family.tree, family.cubes, family.gamma, family.measure
     if not cubes:
         return True, 1.0
     sizes = [len(w) for w in family.witnesses]
@@ -139,7 +134,7 @@ def verify_sparse(family: SparseFamily, gamma: float | None = None,
     for cube, part in zip(cubes, np.split(masses, np.cumsum(sizes)[:-1])):
         # cumsum adds a cube's claims in order, from its first
         mass = float(np.cumsum(part)[-1]) if part.size else 0.0
-        ratio = mass / (cube.volume if measure is None else measure.mass(cube))
+        ratio = mass / measure.mass(cube)
         worst = min(worst, ratio)
         if ratio < gamma * (1.0 - 1e-12):
             ok = False
@@ -291,7 +286,7 @@ def paraproduct_sparse_dominate(
         cubes=family_cubes,
         witnesses=witnesses,
         gamma=gamma,
-        measure=None,
+        measure=Weight.lebesgue(tree),
         stopping_mass_max=float(ratios.max()),
     )
 
@@ -308,12 +303,9 @@ def domination_rhs(family: SparseFamily, b: GridFunction, f: GridFunction) -> np
     return _top_down(terms)
 
 
-def domination_bound(
-    family: SparseFamily, b: GridFunction, f: GridFunction, constant: float | None = None
-) -> np.ndarray:
-    """constant * domination_rhs, the constant defaulting to 2^(d+5)."""
-    constant = 2.0 ** (family.tree.dim + 5) if constant is None else constant
-    return constant * domination_rhs(family, b, f)
+def domination_bound(family: SparseFamily, b: GridFunction, f: GridFunction) -> np.ndarray:
+    """2^(d+5) * domination_rhs, the bound of `paraproduct_sparse_dominate`."""
+    return 2.0 ** (family.tree.dim + 5) * domination_rhs(family, b, f)
 
 
 def pointwise_dominated(lhs: np.ndarray, bound: np.ndarray) -> tuple[bool, float]:
@@ -356,15 +348,14 @@ def domination_worst_case(
     b: GridFunction,
     f: GridFunction,
     q0: Cube | None = None,
-    constant: float | None = None,
 ) -> tuple[bool, float]:
     """Exact check over EVERY sub-collection at once, through `domination_envelope`.
 
-    Returns (ok, worst gap) against constant * RHS on q0; this subsumes any
+    Returns (ok, worst gap) against `domination_bound` on q0; this subsumes any
     randomized sub-collection battery.
     """
     q0 = family.tree.root() if q0 is None else q0
-    bound = domination_bound(family, b, f, constant)[q0.cell_slices()]
+    bound = domination_bound(family, b, f)[q0.cell_slices()]
     return pointwise_dominated(domination_envelope(b, f, q0), bound)
 
 
@@ -412,18 +403,18 @@ def random_subcollection(
 # -- serialization ----------------------------------------------------------------
 
 
-def _measure_tag(measure: Weight | None) -> str:
-    """`lebesgue`, `power(<gamma>)` for a power weight, else `unnamed`."""
-    if measure is None:
-        return "lebesgue"
+def _measure_tag(measure: Weight) -> str:
+    """`power(<gamma>)` for a power weight (Lebesgue measure is `power(0.0)`), else `unnamed`."""
     if measure.power is not None:
         return f"power({measure.power!r})"
     return "unnamed"
 
 
-def _measure_from_tag(tag: str | None, tree: DyadicTree) -> Weight | None:
+def _measure_from_tag(tag: str | None, tree: DyadicTree) -> Weight:
+    """The measure of a header tag: `lebesgue` or `power(...)` only, so that outside text
+    never makes `parse_weight` open a file."""
     if tag == "lebesgue":
-        return None
+        return Weight.lebesgue(tree)
     if tag is not None and tag.startswith("power("):
         return parse_weight(tag, tree)
     raise ValueError(f"cannot rebuild the sparseness measure {tag!r} from text")

@@ -18,6 +18,7 @@ import itertools
 import math
 import re
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -44,9 +45,6 @@ _SUBDIVISION_DEPTH = 30  # halvings toward the origin before a plain Gauss rule
 # fault in fresh pages after every heap trim: 132k page faults against 11k in a norms-d2
 # run, and 6.8 % more wall time (medians of 10 runs on a 2-CPU x86-64 Linux host).
 _BLOCK_CELLS = 4096
-
-# The d >= 2 quadrature plan of one tree, replaced when another tree asks.
-_QUADRATURE_PLAN: dict[DyadicTree, "_QuadraturePlan"] = {}
 
 
 def _power_antiderivative(x: float, gamma: float) -> float:
@@ -192,7 +190,9 @@ class _QuadraturePlan:
         return density, mass
 
 
-def _build_quadrature_plan(tree: DyadicTree) -> _QuadraturePlan:
+@lru_cache(maxsize=1)
+def _quadrature_plan(tree: DyadicTree) -> _QuadraturePlan:
+    """The d >= 2 quadrature plan of `tree`, resident until another tree asks for one."""
     d, s = tree.dim, tree.cell_side
     half = 0.5 * s
     edges = tree.cell_edges()[:-1]
@@ -221,15 +221,6 @@ def _build_quadrature_plan(tree: DyadicTree) -> _QuadraturePlan:
     )
     return _QuadraturePlan(s, mid_radii, node_coords, node_weights, origin_cells, box_radii,
                            box_weights)
-
-
-def _quadrature_plan(tree: DyadicTree) -> _QuadraturePlan:
-    """The resident plan of `tree`; a plan for another tree is dropped first."""
-    plan = _QUADRATURE_PLAN.get(tree)
-    if plan is None:
-        _QUADRATURE_PLAN.clear()
-        plan = _QUADRATURE_PLAN[tree] = _build_quadrature_plan(tree)
-    return plan
 
 
 class Weight:
@@ -262,7 +253,9 @@ class Weight:
     # -- constructors ---------------------------------------------------
 
     @classmethod
+    @lru_cache(maxsize=1)
     def lebesgue(cls, tree: DyadicTree) -> "Weight":
+        """Lebesgue measure on `tree`, one instance per tree while it is the last one asked."""
         return cls(tree, np.ones(tree.shape), power=0.0)
 
     @classmethod
@@ -322,14 +315,12 @@ def power_interval_masses(lo: np.ndarray, hi: np.ndarray, gamma: float) -> np.nd
     return np.array([power_interval_mass(a, b, gamma) for a, b in zip(lo.tolist(), hi.tolist())])
 
 
-def batch_cell_masses(weight: Weight | None, batch: IntervalBatch) -> np.ndarray:
-    """Per-cell masses of every interval of a batch (None is Lebesgue measure).
+def batch_cell_masses(weight: Weight, batch: IntervalBatch) -> np.ndarray:
+    """Per-cell masses of every interval of a batch.
 
     Each cell contributes its mass times the fraction of it covered; power
     weights take the partial end cells from the closed form instead.
     """
-    if weight is None:
-        return batch.lengths
     cell = weight.tree.cell_side
     masses = weight.cell_mass[batch.cells] * (batch.lengths / cell)
     if weight.power is not None:
@@ -348,13 +339,6 @@ def batch_masses(weight: Weight, batch: IntervalBatch) -> np.ndarray:
     if weight.power is not None:
         return power_interval_masses(batch.lo, batch.hi, weight.power)
     return batch_cell_masses(weight, batch).sum(axis=1)
-
-
-def level_masses_or_lebesgue(tree: DyadicTree, weight: Weight | None) -> list:
-    """Per-level cube masses; Lebesgue ones are the scalars `tree.volume(k)`, to broadcast."""
-    if weight is not None:
-        return weight.level_masses()
-    return [tree.volume(k) for k in range(tree.depth + 1)]
 
 
 # -- exponent bookkeeping ------------------------------------------------------
@@ -422,7 +406,7 @@ def ap_characteristic(w: Weight, p: float, scope: str = "dyadic") -> float:
     tree = w.tree
     batches = scope_batches(tree, scope)
     pc = conjugate(p)
-    dual = w.pointwise_power(-pc / p)
+    dual = dual_weight(w, p)
     levels = enumerate(zip(w.level_masses(), dual.level_masses()))
     avgs = itertools.chain(
         ((m / tree.volume(k), md / tree.volume(k)) for k, (m, md) in levels),
@@ -432,7 +416,7 @@ def ap_characteristic(w: Weight, p: float, scope: str = "dyadic") -> float:
     return max(1.0, max(float((a * ad ** (p / pc)).max()) for a, ad in avgs))
 
 
-def fujii_wilson_ainfty(w: Weight, mu: Weight | None = None) -> float:
+def fujii_wilson_ainfty(w: Weight, mu: Weight) -> float:
     """sup_Q (1/w(Q)) int_Q sup_{R in D(Q), R ni x} w(R)/mu(R) dmu.
 
     One sweep up the tree carrying the running max of the cube ratios per
@@ -440,7 +424,7 @@ def fujii_wilson_ainfty(w: Weight, mu: Weight | None = None) -> float:
     """
     tree = w.tree
     w_levels = w.level_masses()
-    mu_levels = level_masses_or_lebesgue(tree, mu)
+    mu_levels = mu.level_masses()
     mu_cell = mu_levels[tree.depth]
     # running: max over the cubes R between level k and the cell
     running = w_levels[tree.depth] / mu_cell

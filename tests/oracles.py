@@ -79,7 +79,6 @@ from dyadlab.weights import (
     ap_characteristic,
     coeff_stack,
     fujii_wilson_ainfty,
-    level_masses_or_lebesgue,
     lower_joint_characteristic,
     power_interval_mass,
     power_weight_cube_lower_bound,
@@ -233,8 +232,15 @@ def haar_difference(b: GridFunction, cube: Cube) -> GridFunction:
     return GridFunction(b.tree, out)
 
 
+def level_masses_or_lebesgue(tree: DyadicTree, weight: Weight | None) -> list:
+    """Per-level cube masses; None is Lebesgue measure, the scalars `tree.volume(k)`."""
+    if weight is not None:
+        return weight.level_masses()
+    return [tree.volume(k) for k in range(tree.depth + 1)]
+
+
 def carleson_norm(coeffs: Sequence[np.ndarray], mu: Weight | None, tree: DyadicTree) -> float:
-    """Least packing constant of a nonnegative per-cube family.
+    """Least packing constant of a nonnegative per-cube family (None is Lebesgue measure).
 
     `coeffs` is one array per level, entry k shaped (2^k,)^d.  One
     bottom-up pass accumulates the subtree sums exactly.
@@ -276,7 +282,7 @@ def relative_ainfty_carleson_ratio(
         if denom <= 0.0:
             continue
         best = max(best, carleson_norm(stack, w, tree) / denom)
-    upper = fujii_wilson_ainfty(w, mu)
+    upper = fujii_wilson_ainfty(w, Weight.lebesgue(tree) if mu is None else mu)
     if best > upper * (1.0 + 1e-9):
         raise AssertionError(
             f"sampled Carleson ratio {best} exceeded the Fujii-Wilson value {upper}"
@@ -376,7 +382,7 @@ def fefferman_stein_check(b: GridFunction, nu: Weight, r: float) -> dict:
     sharp = sharp_maximal_r_norm(b, nu, r, scope="dyadic").value
     mult = multiplier_norm(b, nu, r)
     chi_arc = ap_characteristic(nu, r_conj)
-    chi_ainf = fujii_wilson_ainfty(nu, None)
+    chi_ainf = fujii_wilson_ainfty(nu, Weight.lebesgue(nu.tree))
     tree = b.tree
     chain_averages = []
     cube = cell_cube(tree, tree.n_cells - 1)
@@ -545,7 +551,7 @@ def fujii_wilson_two_cell():
     """Fujii-Wilson value against exhaustive per-cell inner suprema."""
     tree = DyadicTree(1, 1, 0.5)
     w = _two_cell_weight(tree, 2.0, 1.0)
-    got = fujii_wilson_ainfty(w, None)
+    got = fujii_wilson_ainfty(w, Weight.lebesgue(tree))
     best = 0.0
     for q in tree.cubes():
         total = 0.0
@@ -640,7 +646,7 @@ def maximal_brute_force():
     tree = DyadicTree(1, 4, 0.5)
     rng = np.random.default_rng(12)
     f = GridFunction(tree, rng.normal(size=tree.shape))
-    got = maximal(f)
+    got = maximal(f, Weight.lebesgue(tree))
     worst = 0.0
     for cell in range(tree.n_cells):
         c = cell_cube(tree, cell)
@@ -720,7 +726,8 @@ def burkholder_weak_type_battery():
         if top == 0.0:
             continue
         ts = np.linspace(top / 100.0, top, 100)
-        worst = max(worst, weak_level_set_bound(g, lp_norm(f, None, 1.0), 2.0, ts))
+        norm = lp_norm(f, Weight.lebesgue(tree), 1.0)
+        worst = max(worst, weak_level_set_bound(g, norm, 2.0, ts))
     return "Burkholder: weak-type slack <= 0", max(worst, 0.0), 0.0, 1e-12
 
 
@@ -1119,8 +1126,9 @@ def whole_line_sharp_sup_slope_unit_bump():
 def scalar_lebesgue_masses():
     """Scalar Lebesgue level masses give the bits of the per-cube `np.full` arrays.
 
-    `_averages_by_level`, `carleson_norm` and `fujii_wilson_ainfty` with no
-    measure, against their formulas evaluated on full arrays of `tree.volume(k)`.
+    `_averages_by_level`, `carleson_norm` with no measure and `fujii_wilson_ainfty`
+    against `Weight.lebesgue`, against their formulas evaluated on full arrays of
+    `tree.volume(k)`.
     """
     same = True
     for dim, depth, half_width in ((1, 6, 1.0), (1, 7, 3.0), (2, 4, 0.7), (2, 5, 5.0)):
@@ -1147,7 +1155,7 @@ def scalar_lebesgue_masses():
             ratio_k = per_block(w_levels[k] / full[k])
             running = np.maximum(ratio_k, as_blocks(running, k)).reshape(tree.shape)
             ainfty = max(ainfty, float((coarsen_to(running * full[depth], k) / w_levels[k]).max()))
-        same &= fujii_wilson_ainfty(w) == ainfty
+        same &= fujii_wilson_ainfty(w, Weight.lebesgue(tree)) == ainfty
     return "lebesgue level masses: scalars against np.full arrays", float(same), 1.0, 0.0
 
 
@@ -1637,7 +1645,8 @@ def reference_paraproduct_sparse_dominate(
             donor_claims[split_cell] = LO_HALF
         witnesses[parent] = parent_claims
     return SparseFamily(tree=tree, cubes=family_cubes, witnesses=_packed(family_cubes, witnesses),
-                        gamma=2.0 ** -(d + 2), stopping_mass_max=mass_ratio_max)
+                        gamma=2.0 ** -(d + 2), measure=Weight.lebesgue(tree),
+                        stopping_mass_max=mass_ratio_max)
 
 
 def reference_discretized_sharp_sup(b: GridFunction, nu: Weight, r: float,

@@ -109,7 +109,8 @@ def test_criterion_1_exact_paper_constants():
         if top == 0.0:
             continue
         ts = np.linspace(top / 100.0, top, 100)
-        w = max(w, weak_level_set_bound(g, lp_norm(f, None, 1.0), 2.0, ts))
+        norm = lp_norm(f, Weight.lebesgue(tree), 1.0)
+        w = max(w, weak_level_set_bound(g, norm, 2.0, ts))
     worst["weak-type"] = w
 
     # (d) sparse families satisfy the 1/gamma packing bound

@@ -93,7 +93,7 @@ def test_sharp_window_values(depth, spec):
 def test_shifted_maximal(depth, spec):
     tree = DyadicTree(1, depth, 4.0)
     f = _field(tree)
-    w = None if spec is None else _weight(tree, spec)
+    w = Weight.lebesgue(tree) if spec is None else _weight(tree, spec)
     got = maximal(f, w, scope="shifted").values
     want = np.maximum(maximal(f, w).values, oracles.reference_shifted_average_sup(f.abs(), w))
     _assert_matches(got, want, exact=True)

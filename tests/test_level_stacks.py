@@ -105,8 +105,9 @@ def test_fujii_wilson_bit_identical(dim, depth):
     rng = np.random.default_rng(depth + 7 * dim)
     w = Weight(tree, np.exp(rng.normal(size=tree.shape)))
     mu = Weight(tree, np.exp(rng.normal(size=tree.shape)))
-    for m in (None, mu):
-        assert fujii_wilson_ainfty(w, m) == oracles.reference_fujii_wilson(w, m)
+    assert fujii_wilson_ainfty(w, mu) == oracles.reference_fujii_wilson(w, mu)
+    # the reference keeps the scalar Lebesgue volumes
+    assert fujii_wilson_ainfty(w, Weight.lebesgue(tree)) == oracles.reference_fujii_wilson(w, None)
 
 
 # -- cube collections against per-cube loops ---------------------------------------------
@@ -192,7 +193,7 @@ def test_domination_rhs_against_cube_loop(dim, depth):
     for cubes in _collections(tree).values():
         distinct = list(dict.fromkeys(cubes))  # a family holds each cube once
         family = SparseFamily(tree, distinct, [np.zeros(0, dtype=np.int64)] * len(distinct),
-                              gamma=1.0)
+                              gamma=1.0, measure=Weight.lebesgue(tree))
         want = oracles.reference_domination_rhs(distinct, b, f)
         _assert_close(domination_rhs(family, b, f), want)
 
@@ -239,7 +240,7 @@ def _norms_family(dim: int, depth: int, mu: str) -> SparseFamily:
                                           (2, 4, "power(1.0)")])
 def test_sparse_text_round_trips_its_measure(dim, depth, mu):
     family = _norms_family(dim, depth, mu)
-    assert family.measure is not None and family.measure.power is not None
+    assert family.measure.power is not None
     text = family_to_text(family)
     assert f"measure=power({family.measure.power!r})" in text.splitlines()[0]
     back = family_from_text(text)
@@ -250,13 +251,19 @@ def test_sparse_text_round_trips_its_measure(dim, depth, mu):
 
 
 def test_lebesgue_family_reloads_lebesgue():
+    """Lebesgue measure is written as `power(0.0)`; a `lebesgue` header still loads."""
     tree = DyadicTree(1, 5, 1.0)
     rng = np.random.default_rng(3)
     b, f = (GridFunction(tree, rng.normal(size=tree.shape)) for _ in range(2))
     family = paraproduct_sparse_dominate(b, f)
     text = family_to_text(family)
-    assert text.splitlines()[0].endswith("measure=lebesgue")
-    assert family_from_text(text).measure is None
+    assert text.splitlines()[0].endswith("measure=power(0.0)")
+    old = text.replace("measure=power(0.0)", "measure=lebesgue")
+    for back in (family_from_text(text), family_from_text(old)):
+        assert back.measure.power == 0.0
+        assert np.array_equal(back.measure.cell_mass, family.measure.cell_mass)
+        assert verify_sparse(back) == verify_sparse(family)
+        assert family_to_text(back) == text
 
 
 def test_unnamed_measure_is_refused_on_reload():

@@ -31,9 +31,9 @@ def _traced(fn, *args, **kwargs):
     return out, held, peak
 
 
-def test_d2_power_weight_from_an_empty_plan_cache(monkeypatch):
+def test_d2_power_weight_from_an_empty_plan_cache():
     """The plan build and one exponent at 65,536 cells stay below 8 MiB."""
-    monkeypatch.setattr(weights, "_QUADRATURE_PLAN", {})
+    weights._quadrature_plan.cache_clear()
     tree = DyadicTree(2, 8, 4.0)
     w, _, peak = _traced(Weight.power_weight, tree, 1.0)
     assert w.cell_mass.shape == tree.shape

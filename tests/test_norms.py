@@ -45,12 +45,13 @@ from oracles import (
 class TestLpNorm:
     def test_unit_constant(self):
         tree = DyadicTree(1, 4, 0.5)
-        assert lp_norm(GridFunction.constant(tree, 1.0), None, 2.0) == pytest.approx(1.0)
+        one = GridFunction.constant(tree, 1.0)
+        assert lp_norm(one, Weight.lebesgue(tree), 2.0) == pytest.approx(1.0)
 
     def test_half_indicator_l2(self):
         tree = DyadicTree(1, 4, 0.5)
         f = from_callable(tree, lambda x: (x < 0.0) * 1.0)
-        assert lp_norm(f, None, 2.0) == pytest.approx(2.0**-0.5)
+        assert lp_norm(f, Weight.lebesgue(tree), 2.0) == pytest.approx(2.0**-0.5)
 
     def test_power_mass_oracle(self):
         name, got, want, tol = oracles.lp_power_mass()
@@ -59,7 +60,7 @@ class TestLpNorm:
     def test_rejects_bad_exponent(self):
         tree = DyadicTree(1, 3, 1.0)
         with pytest.raises(ValueError):
-            lp_norm(GridFunction.constant(tree, 1.0), None, 0.0)
+            lp_norm(GridFunction.constant(tree, 1.0), Weight.lebesgue(tree), 0.0)
 
 
 class TestBmoNorm:
@@ -454,9 +455,9 @@ class TestTwoSidedEstimateShadows:
         tree, cfg, t = setting
         rhs_chars = (
             upper_joint_characteristic(t)
-            * fujii_wilson_ainfty(t.mu_dual, None) ** (1.0 / cfg.p)
-            * fujii_wilson_ainfty(t.lam, None) ** (1.0 / cfg.q_conj)
-            * fujii_wilson_ainfty(t.nu, None) ** (1.0 / cfg.r)
+            * fujii_wilson_ainfty(t.mu_dual, Weight.lebesgue(tree)) ** (1.0 / cfg.p)
+            * fujii_wilson_ainfty(t.lam, Weight.lebesgue(tree)) ** (1.0 / cfg.q_conj)
+            * fujii_wilson_ainfty(t.nu, Weight.lebesgue(tree)) ** (1.0 / cfg.r)
         )
         for i, b in enumerate(make_family("random-haar", tree, 8, rng)):
             phi = sharp_maximal_r_norm(b, t.nu, cfg.r).value

@@ -43,12 +43,12 @@ class TestMaximal:
     def test_nonnegative_constant_fixed(self):
         tree = DyadicTree(1, 5, 1.0)
         f = GridFunction.constant(tree, 2.0)
-        np.testing.assert_allclose(maximal(f).values, 2.0)
+        np.testing.assert_allclose(maximal(f, Weight.lebesgue(tree)).values, 2.0)
 
     def test_half_indicator_values(self):
         tree = DyadicTree(1, 5, 0.5)
         f = from_callable(tree, lambda x: (x < 0.0) * 1.0)
-        m = maximal(f)
+        m = maximal(f, Weight.lebesgue(tree))
         half = tree.n_cells // 2
         np.testing.assert_allclose(m.values[:half], 1.0)
         np.testing.assert_allclose(m.values[half:], 0.5)  # the root average
@@ -64,8 +64,8 @@ class TestMaximal:
     def test_shifted_scope_dominates(self, rng):
         tree = DyadicTree(1, 5, 1.0)
         f = GridFunction(tree, rng.normal(size=tree.shape))
-        dy = maximal(f).values
-        sh = maximal(f, scope="shifted").values
+        dy = maximal(f, Weight.lebesgue(tree)).values
+        sh = maximal(f, Weight.lebesgue(tree), scope="shifted").values
         assert np.all(sh >= dy - 1e-14)
 
 
@@ -329,7 +329,7 @@ class TestCommutator:
         """Both forms come from one FFT apply; one dense 4096 x 4096 kernel alone is 128 MiB."""
         tree = DyadicTree(1, 12, 4.0)
         b = GridFunction(tree, rng.normal(size=tree.shape))
-        operators._HILBERT_SPECTRUM.clear()
+        operators._hilbert_spectrum.cache_clear()
         tracemalloc.start()
         try:
             _, _, ratio = commutator_test_pairs(b, Cube(tree, 3, (2,)))
@@ -394,7 +394,7 @@ class TestKernelFFT:
         temporary at this depth would be 2 GiB."""
         tree = DyadicTree(1, 14, 4.0)
         b, f = (GridFunction(tree, rng.normal(size=tree.shape)) for _ in range(2))
-        operators._HILBERT_SPECTRUM.clear()
+        operators._hilbert_spectrum.cache_clear()
         tracemalloc.start()
         try:
             out = commutator(b, f)

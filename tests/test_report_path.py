@@ -12,6 +12,10 @@ when any attribute of that name is used (`x.name`; a bare `name` is a
 module-level name or a local, never the method), so methods sharing a
 name vouch for each other; dunder methods and names are skipped, since
 Python uses them.
+
+Lebesgue measure is `Weight.lebesgue(tree)`: no parameter or dataclass
+field of the package takes `None` for it, but for those in
+`OPTIONAL_MEASURES`, each with its reason.
 """
 
 import ast
@@ -34,6 +38,12 @@ KEPT = {
     "paraproduct_adjoint": PUBLIC,
     "commutator": PUBLIC,
     "hilbert_transform": PUBLIC,
+}
+
+ITEM_6 = "None as Lebesgue measure, still read by the benchmark's self-test and trace check"
+OPTIONAL_MEASURES = {
+    "empirical_operator_norm.mu": ITEM_6,
+    "empirical_operator_norm.lam": ITEM_6,
 }
 
 
@@ -99,3 +109,28 @@ def test_every_unreferenced_name_is_kept_on_purpose():
 def test_every_kept_name_is_still_unreferenced():
     """A kept name that gains a caller in `src` leaves `KEPT`."""
     assert sorted(set(KEPT) - _unreferenced()) == []
+
+
+def _optional_measures() -> set[str]:
+    """`owner.name` of every parameter and class field annotated `Weight | None`."""
+    optional = {"Weight | None", "None | Weight", "Optional[Weight]"}
+    found = set()
+    for tree in _modules().values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.FunctionDef):
+                args = node.args
+                named = [(a.arg, a.annotation)
+                         for a in args.posonlyargs + args.args + args.kwonlyargs]
+            elif isinstance(node, ast.ClassDef):
+                named = [(item.target.id, item.annotation) for item in node.body
+                         if isinstance(item, ast.AnnAssign) and isinstance(item.target, ast.Name)]
+            else:
+                continue
+            for name, annotation in named:
+                if annotation is not None and ast.unparse(annotation).strip("'\"") in optional:
+                    found.add(f"{node.name}.{name}")
+    return found
+
+
+def test_lebesgue_measure_is_a_weight():
+    assert sorted(_optional_measures()) == sorted(OPTIONAL_MEASURES)

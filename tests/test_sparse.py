@@ -1,5 +1,7 @@
 """Sparse families: verification, packing, the domination constructor, serialization."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -49,11 +51,15 @@ def full_witnesses(cubes):
     return [whole_cells(q) for q in cubes]
 
 
+def lebesgue_family(tree, cubes, witnesses, gamma):
+    return SparseFamily(tree, cubes, witnesses, gamma, Weight.lebesgue(tree))
+
+
 class TestVerifySparse:
     def test_disjoint_cubes_full_witnesses(self):
         tree = DyadicTree(1, 4, 1.0)
         cubes = [Cube(tree, 2, (0,)), Cube(tree, 2, (2,)), Cube(tree, 3, (3,))]
-        fam = SparseFamily(tree, cubes, full_witnesses(cubes), gamma=1.0)
+        fam = lebesgue_family(tree, cubes, full_witnesses(cubes), gamma=1.0)
         ok, worst = verify_sparse(fam)
         assert ok and worst == pytest.approx(1.0)
 
@@ -62,21 +68,21 @@ class TestVerifySparse:
         tree = DyadicTree(1, 3, 1.0)
         cubes = list(tree.cubes())
         witnesses = [whole_cells(q) if q.is_leaf() else packed([]) for q in cubes]
-        fam = SparseFamily(tree, cubes, witnesses, gamma=0.01)
+        fam = lebesgue_family(tree, cubes, witnesses, gamma=0.01)
         ok, worst = verify_sparse(fam)
         assert not ok and worst == 0.0
 
     def test_witness_escape_detected(self):
         tree = DyadicTree(1, 3, 1.0)
         q = Cube(tree, 1, (0,))
-        fam = SparseFamily(tree, [q], [packed([(tree.n_cells - 1, FULL)])], gamma=0.5)
+        fam = lebesgue_family(tree, [q], [packed([(tree.n_cells - 1, FULL)])], gamma=0.5)
         ok, _ = verify_sparse(fam)
         assert not ok
 
     def test_overlapping_claims_detected(self):
         tree = DyadicTree(1, 3, 1.0)
         a, b = Cube(tree, 1, (0,)), tree.root()
-        fam = SparseFamily(tree, [a, b], [packed([(0, FULL)])] * 2, gamma=0.01)
+        fam = lebesgue_family(tree, [a, b], [packed([(0, FULL)])] * 2, gamma=0.01)
         ok, _ = verify_sparse(fam)
         assert not ok
 
@@ -86,7 +92,7 @@ class TestVerifySparse:
         tree = DyadicTree(1, 3, 1.0)
         cubes = [tree.root(), Cube(tree, 1, (0,))]
         with pytest.raises(ValueError):
-            SparseFamily(tree, cubes, [packed([(0, FULL)])] * n_witnesses, gamma=0.1)
+            lebesgue_family(tree, cubes, [packed([(0, FULL)])] * n_witnesses, gamma=0.1)
 
 
 def _measures(tree, rng):
@@ -99,9 +105,14 @@ class TestVerifySparseMatchesReference:
     """The array check returns the cell-by-cell reference's (ok, worst) exactly."""
 
     @staticmethod
-    def _assert_same(fam, **kwargs):
-        got = verify_sparse(fam, **kwargs)
-        want = oracles.reference_verify_sparse(fam, **kwargs)
+    def _assert_same(fam, **tags):
+        """`fam` retagged by `tags` (gamma, measure), checked by both.  measure=None is
+        Lebesgue measure: src gets `Weight.lebesgue`, the reference its own None path."""
+        src = replace(fam, **tags)
+        if "measure" in tags and tags["measure"] is None:
+            src = replace(src, measure=Weight.lebesgue(fam.tree))
+        got = verify_sparse(src)
+        want = oracles.reference_verify_sparse(replace(fam, **tags))
         assert got == want
         assert type(got[0]) is bool
 
@@ -116,7 +127,7 @@ class TestVerifySparseMatchesReference:
             fam = paraproduct_sparse_dominate(b, f)
             halves += sum(int(np.count_nonzero(w & 3 != FULL)) for w in fam.witnesses)
             for measure in _measures(tree, rng):
-                for gamma in (None, 0.3, 0.9):
+                for gamma in (fam.gamma, 0.3, 0.9):
                     self._assert_same(fam, gamma=gamma, measure=measure)
         assert halves or depth == 1
 
@@ -153,7 +164,7 @@ class TestVerifySparseMatchesReference:
         inner, root = Cube(tree, 1, (0,) * dim), tree.root()
         cell = 0
         witnesses = [packed([(cell, kinds[0]), (1, FULL)]), packed([(cell, kinds[1])])]
-        fam = SparseFamily(tree, [inner, root], witnesses, gamma=0.01)
+        fam = lebesgue_family(tree, [inner, root], witnesses, gamma=0.01)
         for measure in _measures(tree, np.random.default_rng(dim)):
             self._assert_same(fam, measure=measure)
         assert verify_sparse(fam)[0] is ok
@@ -163,25 +174,25 @@ class TestVerifySparseMatchesReference:
         """A claim outside its cube (or outside the tree) fails with worst 0.0."""
         tree = DyadicTree(2, 3, 1.0)
         q = Cube(tree, 1, (0, 0))  # cells 0-3, 8-11, 16-19 and 24-27
-        fam = SparseFamily(tree, [tree.root(), q],
-                           [packed([(40, FULL)]), packed([(0, FULL), (cell, FULL), (1, LO_HALF)])],
-                           gamma=0.5)
+        fam = lebesgue_family(
+            tree, [tree.root(), q],
+            [packed([(40, FULL)]), packed([(0, FULL), (cell, FULL), (1, LO_HALF)])], gamma=0.5)
         self._assert_same(fam)
         assert verify_sparse(fam) == (False, 0.0)
 
     def test_empty_families(self):
         tree = DyadicTree(2, 3, 1.0)
-        for fam in (SparseFamily(tree, [], [], gamma=0.5),
-                    SparseFamily(tree, [tree.root()], [packed([])], gamma=0.5),
-                    SparseFamily(tree, [tree.root()] * 2, [packed([])] * 2, gamma=0.0)):
+        for fam in (lebesgue_family(tree, [], [], gamma=0.5),
+                    lebesgue_family(tree, [tree.root()], [packed([])], gamma=0.5),
+                    lebesgue_family(tree, [tree.root()] * 2, [packed([])] * 2, gamma=0.0)):
             for measure in _measures(tree, np.random.default_rng(3)):
                 self._assert_same(fam, measure=measure)
-        assert verify_sparse(SparseFamily(tree, [], [], gamma=0.5)) == (True, 1.0)
+        assert verify_sparse(lebesgue_family(tree, [], [], gamma=0.5)) == (True, 1.0)
 
     def test_repeated_cube_overlaps_itself(self):
         tree = DyadicTree(1, 3, 1.0)
         q = Cube(tree, 1, (1,))
-        fam = SparseFamily(tree, [q, q], [packed([(4, FULL), (5, LO_HALF)])] * 2, gamma=0.1)
+        fam = lebesgue_family(tree, [q, q], [packed([(4, FULL), (5, LO_HALF)])] * 2, gamma=0.1)
         self._assert_same(fam)
         assert not verify_sparse(fam)[0]
 
@@ -189,7 +200,7 @@ class TestVerifySparseMatchesReference:
         """Each listing of a cube has its own witness entry; disjoint entries pass."""
         tree = DyadicTree(1, 3, 1.0)
         q = Cube(tree, 1, (1,))
-        fam = SparseFamily(tree, [q, q], [packed([(4, FULL)]), packed([(5, FULL)])], gamma=0.25)
+        fam = lebesgue_family(tree, [q, q], [packed([(4, FULL)]), packed([(5, FULL)])], gamma=0.25)
         self._assert_same(fam)
         assert verify_sparse(fam) == (True, 0.25)
 
@@ -210,8 +221,8 @@ class TestConstructor:
         q = Cube(tree6, 2, (1,))
         b = GridFunction(tree6, rng.normal(size=tree6.shape))
         f = GridFunction(tree6, rng.normal(size=tree6.shape))
-        once = SparseFamily(tree6, [q], [whole_cells(q)], gamma=1.0)
-        twice = SparseFamily(tree6, [q, q], full_witnesses(q.children()), gamma=0.5)
+        once = lebesgue_family(tree6, [q], [whole_cells(q)], gamma=1.0)
+        twice = lebesgue_family(tree6, [q, q], full_witnesses(q.children()), gamma=0.5)
         assert verify_sparse(twice) == (True, 0.5)
         single = domination_rhs(once, b, f)
         assert np.count_nonzero(single) == q.cell_count()
@@ -315,7 +326,7 @@ class TestPacking:
     def test_disjoint_family_norm_one(self):
         tree = DyadicTree(1, 4, 1.0)
         cubes = [Cube(tree, 2, (i,)) for i in range(4)]
-        fam = SparseFamily(tree, cubes, full_witnesses(cubes), gamma=1.0)
+        fam = lebesgue_family(tree, cubes, full_witnesses(cubes), gamma=1.0)
         assert carleson_from_sparse(fam) == pytest.approx(1.0)
 
     def test_half_sparse_family_packs_at_two(self):
@@ -324,7 +335,7 @@ class TestPacking:
         root = tree.root()
         left, right = root.children()
         witnesses = [whole_cells(right), whole_cells(left)]
-        fam = SparseFamily(tree, [root, left], witnesses, gamma=0.5)
+        fam = lebesgue_family(tree, [root, left], witnesses, gamma=0.5)
         ok, worst = verify_sparse(fam)
         assert ok and worst == pytest.approx(0.5)
         assert carleson_from_sparse(fam, check=True) == pytest.approx(1.5)
@@ -342,7 +353,7 @@ class TestPacking:
         """Lebesgue-sparse families stay packed under an A_inf weight, with the relative constant."""
         rng = np.random.default_rng(8)
         w = Weight(tree6, np.exp(rng.normal(size=tree6.shape)))
-        bound_factor = fujii_wilson_ainfty(w, None)
+        bound_factor = fujii_wilson_ainfty(w, Weight.lebesgue(tree6))
         for _ in range(10):
             b = spiky_field(tree6, rng, sigma=3.0)
             f = spiky_field(tree6, rng, sigma=3.0)
@@ -420,8 +431,9 @@ class TestSerialization:
         """Every token is a claim, in order; an overlap is left for verify_sparse to report."""
         fam = family_from_text(self.HEADER + f"0 0 | 0-1 {tokens}\n")
         assert np.array_equal(fam.witnesses[0], packed([(0, FULL), (1, FULL)] + claims))
-        assert verify_sparse(fam, gamma=0.1)[0] is ok
-        assert verify_sparse(fam, gamma=0.1) == oracles.reference_verify_sparse(fam, gamma=0.1)
+        got = verify_sparse(replace(fam, gamma=0.1))
+        assert got[0] is ok
+        assert got == oracles.reference_verify_sparse(fam, gamma=0.1)
 
 
 class TestBatchedPartialSums:
