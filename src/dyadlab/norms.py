@@ -242,21 +242,21 @@ def _applied(U: OperatorHandle, rows: np.ndarray, mum, lamm, p: float, q: float)
     return u, _row_norms(u, lamm, q), _row_norms(rows, mum, p)
 
 
-def _log_gradients(U: OperatorHandle, v: np.ndarray, u: np.ndarray, a: list[float],
-                   bn: list[float], mum, lamm, p: float, q: float):
+def _log_gradients(U: OperatorHandle, v: np.ndarray, u: np.ndarray, ratios: list[float],
+                   mum, lamm, p: float, q: float):
     """Gradients of log ||Uv||_{L^q(lam)} - log ||v||_{L^p(mu)} for the rows of v.
 
-    `u`, `a` and `bn` are `_applied(U, v, ...)`.  A row with Uv = 0 (or
-    v = 0) gets the zero gradient.
+    Every row has unit L^p(mu) norm, so `ratios` are the rows' ||Uv||_{L^q(lam)};
+    `u` is Uv.  A gradient is one adjoint apply and no forward one.  A row of
+    ratio 0 gets the zero gradient.
     """
-    live = [i for i in range(len(v)) if a[i] != 0.0 and bn[i] != 0.0]
+    live = [i for i in range(len(v)) if ratios[i] != 0.0]
     g = np.zeros(v.shape)
     if live:
         u, w = u[live], v[live]
         ga = U.adjoint(lamm * np.abs(u) ** (q - 1.0) * np.sign(u)) / _column(
-            [a[i] ** q for i in live], u)
-        gb = mum * np.abs(w) ** (p - 1.0) * np.sign(w) / _column([bn[i] ** p for i in live], w)
-        g[live] = ga - gb
+            [ratios[i] ** q for i in live], u)
+        g[live] = ga - mum * np.abs(w) ** (p - 1.0) * np.sign(w)
     return g
 
 
@@ -270,11 +270,13 @@ def _ascend(U: OperatorHandle, v: np.ndarray, mum, lamm, p: float, q: float,
     """Backtracking ascent of every row of v (each of unit L^p(mu) norm), in lockstep.
 
     Returns the rows' final ratios, the final rows and the number of trials.
-    The first gradients reuse the apply that gave the rows' first ratios.
+    Each row keeps its image Uv beside it: the first from the group's first
+    apply, then U(w) / ||w|| of its last accepted trial w.  So a trial is the
+    only forward apply, and a gradient is one adjoint apply.
     """
     n = len(v)
-    applied = _applied(U, v, mum, lamm, p, q)
-    r_cur = _ratios(*applied[1:])
+    uv, nums, dens = _applied(U, v, mum, lamm, p, q)
+    r_cur = _ratios(nums, dens)
     step = [1.0] * n
     left = [iterations] * n  # gradients each row may still take
     g = np.zeros(v.shape)
@@ -284,10 +286,8 @@ def _ascend(U: OperatorHandle, v: np.ndarray, mum, lamm, p: float, q: float,
     evals = 0
     while wanting or searching:
         if wanting:
-            if applied is None:
-                applied = _applied(U, v[wanting], mum, lamm, p, q)
-            grads = _log_gradients(U, v[wanting], *applied, mum, lamm, p, q)
-            applied = None
+            grads = _log_gradients(U, v[wanting], uv[wanting], [r_cur[i] for i in wanting],
+                                   mum, lamm, p, q)
             g[wanting] = grads
             norms = np.sqrt((grads * grads).reshape(len(wanting), -1).sum(axis=1))
             for i, norm in zip(wanting, norms):
@@ -302,13 +302,14 @@ def _ascend(U: OperatorHandle, v: np.ndarray, mum, lamm, p: float, q: float,
             continue
         w = v[searching] + _column([step[i] for i in searching], v) * g[searching] / _column(
             [gn[i] for i in searching], v)
-        _, nums, dens = _applied(U, w, mum, lamm, p, q)
+        uw, nums, dens = _applied(U, w, mum, lamm, p, q)
         r_new = _ratios(nums, dens)
         evals += len(searching)
         still = []
         for j, i in enumerate(searching):
             if r_new[j] > r_cur[i] * (1.0 + 1e-13):
                 v[i] = w[j] / dens[j]
+                uv[i] = uw[j] / dens[j]
                 r_cur[i] = r_new[j]
                 step[i] *= 1.8
                 if left[i] > 0:
@@ -372,9 +373,12 @@ def empirical_operator_norm(
     line search.
 
     The starts run in lockstep, in consecutive groups of
-    max(1, 4096 // n_cells) rows: each round `U.apply`/`U.adjoint` take the
-    gradients of the rows that need one as one stack, then one line-search
-    trial of every row still searching as another.  A group's starts are
+    max(1, 4096 // n_cells) rows: each round `U.adjoint` takes the
+    gradients of the rows that need one as one stack, then `U.apply` one
+    line-search trial of every row still searching as another.  Each row
+    keeps its image Uv from its last accepted trial (from the group's first
+    apply before that), so a trial is the only forward apply and a gradient
+    is one adjoint apply.  A group's starts are
     built when it runs, and its results fold into the best so far before
     the next group, so memory does not grow with `restarts`.  Per-row
     norms and their powers are raised as scalars, so every row follows

@@ -1706,8 +1706,8 @@ def reference_discretized_sharp_sup(b: GridFunction, nu: Weight, r: float,
 # -- the sequential operator-norm ascent -------------------------------------------
 #
 # `empirical_operator_norm` runs its starts in lockstep; this is the same
-# ascent one start at a time, as it ran before, and the lockstep estimator
-# must match it bit for bit.
+# ascent one start at a time, carrying (v, Uv, ratio) the same way, and the
+# lockstep estimator must match it bit for bit.
 
 
 def _reference_weighted_norm(vals: np.ndarray, masses, p: float) -> float:
@@ -1729,20 +1729,19 @@ def reference_empirical_operator_norm(
     mum = mu.cell_mass if mu is not None else np.full(tree.shape, tree.cell_volume)
     lamm = lam.cell_mass if lam is not None else np.full(tree.shape, tree.cell_volume)
 
-    def ratio(v: np.ndarray) -> float:
+    def ratio(v: np.ndarray) -> tuple[float, np.ndarray]:
+        u = U.apply(v)
         denom = _reference_weighted_norm(v, mum, p)
         if denom == 0.0:
-            return 0.0
-        return _reference_weighted_norm(U.apply(v), lamm, q) / denom
+            return 0.0, u
+        return _reference_weighted_norm(u, lamm, q) / denom, u
 
-    def log_grad(v: np.ndarray) -> np.ndarray:
-        u = U.apply(v)
-        a = _reference_weighted_norm(u, lamm, q)
-        bn = _reference_weighted_norm(v, mum, p)
-        if a == 0.0 or bn == 0.0:
+    def log_grad(v: np.ndarray, u: np.ndarray, r: float) -> np.ndarray:
+        # v has unit L^p(mu) norm and u = Uv, so r = ||Uv||_{L^q(lam)}
+        if r == 0.0:
             return np.zeros_like(v)
-        ga = U.adjoint(lamm * np.abs(u) ** (q - 1.0) * np.sign(u)) / a**q
-        gb = mum * np.abs(v) ** (p - 1.0) * np.sign(v) / bn**p
+        ga = U.adjoint(lamm * np.abs(u) ** (q - 1.0) * np.sign(u)) / r**q
+        gb = mum * np.abs(v) ** (p - 1.0) * np.sign(v)
         return ga - gb
 
     starts: list[np.ndarray] = []
@@ -1773,20 +1772,21 @@ def reference_empirical_operator_norm(
         if nv == 0.0:
             continue
         v = v / nv
-        r_cur = ratio(v)
+        r_cur, uv = ratio(v)
         step = 1.0
         for _ in range(iterations):
-            g = log_grad(v)
+            g = log_grad(v, uv, r_cur)
             gn = float(np.sqrt((g * g).sum()))
             if gn < 1e-15:
                 break
             improved = False
             while step > 1e-12:
                 w = v + step * g / gn
-                r_new = ratio(w)
+                r_new, uw = ratio(w)
                 evals += 1
                 if r_new > r_cur * (1.0 + 1e-13):
-                    v = w / _reference_weighted_norm(w, mum, p)
+                    den = _reference_weighted_norm(w, mum, p)
+                    v, uv = w / den, uw / den
                     r_cur = r_new
                     step *= 1.8
                     improved = True
