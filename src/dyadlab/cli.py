@@ -1,7 +1,8 @@
 """Command-line front end: thin argument handling over the scenario runners.
 
 Exit codes: 0 all assertions pass, 2 an inequality or runtime assertion
-was violated, 3 configuration error.
+was violated, 3 configuration error (a malformed config file or command
+line).
 """
 
 from __future__ import annotations
@@ -12,7 +13,6 @@ import sys
 from .scenarios import (
     ConfigError,
     ScenarioConfig,
-    emit_plots,
     parse_config,
     run_bloom_comparability,
     run_characteristics,
@@ -22,13 +22,20 @@ from .scenarios import (
 )
 
 
+class _Parser(argparse.ArgumentParser):
+    """A command-line usage error is a configuration error (exit 3), not
+    argparse's exit 2, which here means a violated inequality."""
+
+    def error(self, message):
+        raise ConfigError(message)
+
+
 def _add_common(sub: argparse.ArgumentParser):
     sub.add_argument("--config", help="scenario config file (flat key = value with [sections])")
     sub.add_argument("--seed", type=lambda s: int(s, 0), help="override the scenario seed")
     sub.add_argument("--out", help="output directory")
     sub.add_argument("--depth", type=int, help="override the finest level")
     sub.add_argument("--dim", type=int, help="override the dimension")
-    sub.add_argument("--plots", action="store_true", help="emit gnuplot data beside the report")
 
 
 def _load_config(args) -> ScenarioConfig:
@@ -53,7 +60,7 @@ def _load_config(args) -> ScenarioConfig:
 
 
 def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(prog="dyadlab", description=__doc__)
+    parser = _Parser(prog="dyadlab", description=__doc__)
     subs = parser.add_subparsers(dest="command", required=True)
     for name, help_text in (
         ("char", "weight characteristics and the power-window sweep"),
@@ -66,9 +73,8 @@ def main(argv=None) -> int:
         _add_common(sub)
         if name == "char":
             sub.add_argument("--no-sweep", action="store_true", help="skip the power-window sweep")
-    args = parser.parse_args(argv)
-
     try:
+        args = parser.parse_args(argv)
         cfg = _load_config(args)
     except (ConfigError, OSError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
@@ -95,8 +101,6 @@ def main(argv=None) -> int:
         print(f"assertion violated: {exc}", file=sys.stderr)
         return 2
 
-    if args.plots:
-        emit_plots(report, cfg.out_dir)
     print(f"wrote report for '{args.command}' to {cfg.out_dir}/")
     return 0
 

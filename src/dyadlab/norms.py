@@ -17,7 +17,7 @@ import numpy as np
 
 from .lattice import Cube, DyadicTree, GridFunction, LatticeError, as_rows, scope_batches
 from .operators import OperatorHandle, oscillation_levels, sharp_maximal
-from .sparse import SparseFamily, owned_cells, principal_cubes, verify_sparse
+from .sparse import SparseFamily, family_to_text, owned_cells, principal_cubes, verify_sparse
 from .weights import BloomTriple, Weight, batch_masses
 
 GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
@@ -34,17 +34,25 @@ class NormReport:
     trace: list = field(default_factory=list)
     details: dict = field(default_factory=dict)
 
-    def to_dict(self) -> dict:
-        """The report as plain JSON types, the certificate by reference."""
-        cert: object
+    def serialize(self, name: str) -> tuple[dict, dict[str, str]]:
+        """The report of the functional `name` as plain JSON types, and the text
+        of each file its `certificate-ref` names: a grid function goes to
+        `certificate_<name>.csv`, one float repr per cell in C order, a sparse
+        family to `certificate_<name>.sparse.txt`; a number stays in the JSON."""
+        files = {}
         if isinstance(self.certificate, np.ndarray):
-            cert = "grid-function"
+            cert = f"certificate_{name}.csv"
+            flat = np.asarray(self.certificate, dtype=float).ravel()
+            # in blocks: no list of one string per cell lives beside the other files
+            files[cert] = "".join("".join(f"{x!r}\n" for x in flat[i:i + 4096].tolist())
+                                  for i in range(0, flat.size, 4096))
         elif isinstance(self.certificate, SparseFamily):
-            cert = f"sparse-family({len(self.certificate.cubes)} cubes)"
-        elif isinstance(self.certificate, (int, float)):
+            cert = f"certificate_{name}.sparse.txt"
+            files[cert] = family_to_text(self.certificate)
+        elif self.certificate is None or isinstance(self.certificate, (int, float)):
             cert = self.certificate
         else:
-            cert = None if self.certificate is None else str(type(self.certificate).__name__)
+            cert = type(self.certificate).__name__
         trace = [
             [float(x) for x in t] if isinstance(t, (tuple, list)) else float(t)
             for t in self.trace
@@ -55,13 +63,7 @@ class NormReport:
             "certificate-ref": cert,
             "trace": trace,
             "details": {k: float(v) for k, v in self.details.items()},
-        }
-
-    def certificate_csv(self) -> str:
-        if not isinstance(self.certificate, np.ndarray):
-            raise TypeError("only grid-function certificates serialize to CSV")
-        flat = np.asarray(self.certificate, dtype=float).ravel()
-        return "\n".join(map(repr, flat.tolist())) + "\n"
+        }, files
 
 
 def _row_norms(rows: np.ndarray, masses, p: float) -> list[float]:

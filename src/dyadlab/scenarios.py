@@ -30,10 +30,8 @@ from .operators import (
     sharp_window_values,
 )
 from .sparse import (
-    SparseFamily,
     domination_bound,
     domination_worst_case,
-    family_to_text,
     partial_sums,
     paraproduct_sparse_dominate,
     pointwise_dominated,
@@ -235,7 +233,9 @@ def format_csv(header: Sequence[str], rows: Sequence[Sequence[object]]) -> str:
     return "\n".join(lines) + "\n"
 
 
-def write_report(cfg: ScenarioConfig, stem: str, payload: dict, csv_text: str | None = None) -> dict:
+def write_report(cfg: ScenarioConfig, stem: str, payload: dict, files: dict[str, str]) -> dict:
+    """Write `<stem>.json` (the payload under the run's header) and each text of
+    `files` under its name into `cfg.out_dir`: the one place a run writes files."""
     os.makedirs(cfg.out_dir, exist_ok=True)
     # the root size travels with every reported number: truncating coarse
     # scales shifts constants, so results are only comparable at equal H
@@ -248,12 +248,10 @@ def write_report(cfg: ScenarioConfig, stem: str, payload: dict, csv_text: str | 
         "half_width": cfg.half_width,
         **payload,
     }
-    with open(os.path.join(cfg.out_dir, f"{stem}.json"), "w") as fh:
-        json.dump(payload, fh, indent=1, sort_keys=True)
-        fh.write("\n")
-    if csv_text is not None:
-        with open(os.path.join(cfg.out_dir, f"{stem}.csv"), "w") as fh:
-            fh.write(csv_text)
+    texts = {f"{stem}.json": json.dumps(payload, indent=1, sort_keys=True) + "\n", **files}
+    for file, text in texts.items():
+        with open(os.path.join(cfg.out_dir, file), "w") as fh:
+            fh.write(text)
     return payload
 
 
@@ -321,8 +319,9 @@ def run_characteristics(cfg: ScenarioConfig, sweep: bool = True) -> dict:
                 sweep_flags[f"p={p:g},delta={delta:.6g}"] = bool(flag)
     results["sweep_flags"] = sweep_flags
 
-    csv_text = format_csv(["weight", "characteristic", "depth", "value", "divergent"], rows)
-    return write_report(cfg, "characteristics", {"results": results, "depths": depths}, csv_text)
+    header = ["weight", "characteristic", "depth", "value", "divergent"]
+    csv = {"characteristics.csv": format_csv(header, rows)}
+    return write_report(cfg, "characteristics", {"results": results, "depths": depths}, csv)
 
 
 # -- runner: sparse domination ---------------------------------------------------------
@@ -378,7 +377,7 @@ def run_domination(cfg: ScenarioConfig) -> dict:
         "failures": failures,
         "passed": failures == 0,
     }
-    return write_report(cfg, "domination", payload)
+    return write_report(cfg, "domination", payload, {})
 
 
 # -- runner: Bloom comparability --------------------------------------------------------
@@ -438,8 +437,8 @@ def run_bloom_comparability(cfg: ScenarioConfig) -> dict:
             for r in rows
         ],
     }
-    csv_text = format_csv(["member", "b_functional", "paraproduct_norm", "commutator_norm"], rows)
-    return write_report(cfg, "bloom", payload, csv_text)
+    csv = {"bloom.csv": format_csv(["member", "b_functional", "paraproduct_norm", "commutator_norm"], rows)}
+    return write_report(cfg, "bloom", payload, csv)
 
 
 # -- runner: the multiplier-condition counterexample -------------------------------------
@@ -526,7 +525,7 @@ def run_counterexample(cfg: ScenarioConfig) -> dict:
         ),
     }
     payload = {"points": points, "verdicts": verdicts}
-    return write_report(cfg, "counterexample", payload, format_csv(columns, rows))
+    return write_report(cfg, "counterexample", payload, {"counterexample.csv": format_csv(columns, rows)})
 
 
 # -- runner: norm reports ------------------------------------------------------------------
@@ -536,8 +535,8 @@ def run_norms(cfg: ScenarioConfig) -> dict:
     """All scalar functionals for one configured triple and b-family member.
 
     Functionals backed by a NormReport are embedded as their full JSON
-    objects, and grid-function certificates are written as CSV next to the
-    report.
+    objects, and each certificate that is not a number is written next to
+    the report, in the file its `certificate-ref` names.
     """
     rng = np.random.default_rng(cfg.seed)
     tree = cfg.tree()
@@ -560,66 +559,9 @@ def run_norms(cfg: ScenarioConfig) -> dict:
         paraproduct_handle(b), mu, lam, cfgE.p, cfgE.q, tree,
         restarts=cfg.restarts, iterations=cfg.iterations, seed=cfg.seed,
     )
-    os.makedirs(cfg.out_dir, exist_ok=True)
-    reports_json = {}
+    reports_json, files = {}, {}
     for name, rep in full_reports.items():
         values[name] = rep.value
-        reports_json[name] = rep.to_dict()
-        if isinstance(rep.certificate, np.ndarray):
-            file, text = f"certificate_{name}.csv", rep.certificate_csv()
-        elif isinstance(rep.certificate, SparseFamily):
-            file, text = f"certificate_{name}.sparse.txt", family_to_text(rep.certificate)
-        else:
-            continue
-        with open(os.path.join(cfg.out_dir, file), "w") as fh:
-            fh.write(text)
-        reports_json[name]["certificate-ref"] = file
-    return write_report(cfg, "norms", {"values": values, "reports": reports_json})
-
-
-# -- plot emission ---------------------------------------------------------------------------
-
-
-def emit_plots(report: dict, out_dir: str) -> list[str]:
-    """Convert a runner report into gnuplot-ready two-column data plus a script."""
-    os.makedirs(out_dir, exist_ok=True)
-    written: list[str] = []
-
-    def write_series(stem: str, xs, ys):
-        path = os.path.join(out_dir, f"{stem}.dat")
-        with open(path, "w") as fh:
-            fh.write(f"# {stem}\n")
-            for x, y in zip(xs, ys):
-                fh.write(f"{x!r} {y!r}\n")
-        written.append(path)
-
-    if "points" in report:  # counterexample report
-        depths = [pt["depth"] for pt in report["points"]]
-        write_series("sharp_norm", depths, [pt["sharp_norm"] for pt in report["points"]])
-        write_series("multiplier_inf", depths, [pt["multiplier_inf"] for pt in report["points"]])
-        write_series("paraproduct_norm", depths, [pt["paraproduct_norm"] for pt in report["points"]])
-        write_series("commutator_norm", depths, [pt["commutator_norm"] for pt in report["points"]])
-    elif "results" in report:  # characteristics report
-        depths = report.get("depths", [])
-        for label in ("mu", "lam", "nu"):
-            res = report["results"].get(label)
-            if res:
-                write_series(f"{label}_ap", depths, res["ap"])
-    elif "ratio_paraproduct" in report and report.get("members"):  # comparability report
-        members = report["members"]
-        write_series("paraproduct_vs_functional",
-                     [m["b_functional"] for m in members],
-                     [m["paraproduct_norm"] for m in members])
-    if not written:
-        path = os.path.join(out_dir, "empty.dat")
-        with open(path, "w") as fh:
-            fh.write("# no plottable series in this report\n")
-        written.append(path)
-    script = os.path.join(out_dir, "plot.plt")
-    with open(script, "w") as fh:
-        fh.write("set logscale y\nset xlabel 'depth'\n")
-        names = [os.path.basename(p) for p in written if p.endswith(".dat")]
-        plots = ", ".join(f"'{n}' using 1:2 with linespoints title '{n[:-4]}'" for n in names)
-        fh.write(f"plot {plots}\n")
-    written.append(script)
-    return written
+        reports_json[name], certificate_files = rep.serialize(name)
+        files.update(certificate_files)
+    return write_report(cfg, "norms", {"values": values, "reports": reports_json}, files)

@@ -228,18 +228,20 @@ class TestEmpiricalNorm:
         b = GridFunction(tree, rng.normal(size=tree.shape))
         rep = empirical_operator_norm(paraproduct_handle(b), None, None, 2.0, 2.0, tree,
                                       restarts=4, iterations=10)
-        payload = rep.to_dict()
+        payload, files = rep.serialize("paraproduct_norm")
         assert json.loads(json.dumps(payload)) == payload
         assert payload["value"] == rep.value
-        assert payload["certificate-ref"] == "grid-function"
-        assert rep.certificate_csv().count("\n") == tree.n_cells
+        assert payload["certificate-ref"] == "certificate_paraproduct_norm.csv"
+        assert list(files) == ["certificate_paraproduct_norm.csv"]
+        assert files["certificate_paraproduct_norm.csv"].count("\n") == tree.n_cells
 
     def test_certificate_csv_bytes(self):
         """One repr per cell, in C order; integer certificates print as floats."""
         cert = np.array([[0.1, -0.0], [1e-310, 2.0**60], [np.inf, -1.0 / 3.0]])
-        rep = NormReport(1.0, "gradient-ascent", certificate=cert)
-        assert rep.certificate_csv() == "".join(repr(float(x)) + "\n" for x in cert.ravel())
-        assert NormReport(1.0, "x", certificate=np.arange(3)).certificate_csv() == "0.0\n1.0\n2.0\n"
+        _, files = NormReport(1.0, "gradient-ascent", certificate=cert).serialize("u")
+        assert files == {"certificate_u.csv": "".join(repr(float(x)) + "\n" for x in cert.ravel())}
+        _, files = NormReport(1.0, "x", certificate=np.arange(3)).serialize("u")
+        assert files == {"certificate_u.csv": "0.0\n1.0\n2.0\n"}
 
     @pytest.mark.parametrize("iterations", [0, 1, 6])
     @pytest.mark.parametrize("group", ["one", "all"])

@@ -16,6 +16,9 @@ Python uses them.
 Lebesgue measure is `Weight.lebesgue(tree)`: no parameter or dataclass
 field of the package takes `None` for it, but for those in
 `OPTIONAL_MEASURES`, each with its reason.
+
+A run writes its files in one place, `scenarios.write_report`: no other
+code of the package calls `open` in a mode that writes.
 """
 
 import ast
@@ -134,3 +137,24 @@ def _optional_measures() -> set[str]:
 
 def test_lebesgue_measure_is_a_weight():
     assert sorted(_optional_measures()) == sorted(OPTIONAL_MEASURES)
+
+
+def _file_writers() -> set[str]:
+    """`module.function` of every top-level function or class whose body calls
+    `open` in a mode that writes, or in a mode that is not a string literal."""
+    found = set()
+    for name, tree in _modules().items():
+        for top in tree.body:
+            for node in ast.walk(top):
+                if not (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                        and node.func.id == "open"):
+                    continue
+                modes = node.args[1:2] + [k.value for k in node.keywords if k.arg == "mode"]
+                mode = modes[0] if modes else ast.Constant("r")
+                if not isinstance(mode, ast.Constant) or set(str(mode.value)) & set("wax+"):
+                    found.add(f"{name[:-3]}.{getattr(top, 'name', '<module>')}")
+    return found
+
+
+def test_only_write_report_writes_files():
+    assert sorted(_file_writers()) == ["scenarios.write_report"]

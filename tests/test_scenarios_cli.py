@@ -10,7 +10,6 @@ from dyadlab.scenarios import (
     ConfigError,
     ScenarioConfig,
     ap_window_grid,
-    emit_plots,
     make_family,
     parse_config,
     run_characteristics,
@@ -230,35 +229,6 @@ class TestSweptRunners:
         assert [(r[1], r[2], r[4]) for r in piecewise] == [("A_4", "8", "0"), ("A_inf", "8", "0")]
 
 
-class TestEmitPlots:
-    def test_empty_report_writes_header_file(self, tmp_path):
-        files = emit_plots({}, str(tmp_path))
-        dat = [f for f in files if f.endswith(".dat")]
-        assert dat and open(dat[0]).read().startswith("#")
-
-    def test_counterexample_series(self, tmp_path):
-        report = {
-            "points": [
-                {"depth": 4, "sharp_norm": 1.0, "multiplier_inf": 2.0,
-                 "paraproduct_norm": 0.5, "commutator_norm": 0.7},
-                {"depth": 6, "sharp_norm": 1.1, "multiplier_inf": 3.0,
-                 "paraproduct_norm": 0.5, "commutator_norm": 0.7},
-            ]
-        }
-        files = emit_plots(report, str(tmp_path))
-        assert any(f.endswith("multiplier_inf.dat") for f in files)
-        assert any(f.endswith("plot.plt") for f in files)
-
-    def test_plot_emission_byte_stable(self, tmp_path):
-        report = {"points": [{"depth": 4, "sharp_norm": 1.0, "multiplier_inf": 2.0,
-                              "paraproduct_norm": 0.5, "commutator_norm": 0.7}]}
-        emit_plots(report, str(tmp_path / "x"))
-        emit_plots(report, str(tmp_path / "y"))
-        a = (tmp_path / "x" / "multiplier_inf.dat").read_bytes()
-        b = (tmp_path / "y" / "multiplier_inf.dat").read_bytes()
-        assert a == b
-
-
 class TestCli:
     def test_config_error_exit_3(self, tmp_path, capsys):
         bad = tmp_path / "bad.cfg"
@@ -266,6 +236,19 @@ class TestCli:
         code = main(["char", "--config", str(bad), "--out", str(tmp_path)])
         assert code == 3
         assert "config error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [
+        ["norms", "--plots"],  # a removed flag
+        ["norms", "--seed", "seven"],
+        ["char", "--depth", "5.5"],
+        ["sweep"],
+        [],
+    ], ids=["removed-flag", "non-integer-seed", "non-integer-depth", "unknown-command", "no-command"])
+    def test_usage_error_exit_3(self, tmp_path, capsys, argv):
+        """A malformed command line is a configuration error, never a violated inequality."""
+        assert main(argv + ["--out", str(tmp_path)]) == 3
+        assert "config error" in capsys.readouterr().err
+        assert not list(tmp_path.iterdir())
 
     def test_missing_config_file_exit_3(self, tmp_path):
         assert main(["char", "--config", str(tmp_path / "nope.cfg")]) == 3
@@ -343,3 +326,35 @@ class TestCli:
 
         monkeypatch.setattr(cli, "run_characteristics", boom)
         assert main(["char", "--out", str(tmp_path)]) == 2
+
+
+class TestFilesWritten:
+    """Each command writes exactly its report files, and nothing else."""
+
+    @pytest.mark.parametrize("argv,files", [
+        (["char", "--no-sweep"], {"characteristics.json", "characteristics.csv"}),
+        (["bloom"], {"bloom.json", "bloom.csv"}),
+        (["counterexample", "--depth", "6"], {"counterexample.json", "counterexample.csv"}),
+        (["dominate"], {"domination.json"}),
+    ], ids=["char", "bloom", "counterexample", "dominate"])
+    def test_report_files(self, tmp_path, argv, files):
+        cfgfile = tmp_path / "c.cfg"
+        cfgfile.write_text(CONFIG_TEXT)
+        out = tmp_path / "out"
+        assert main(argv + ["--config", str(cfgfile), "--out", str(out)]) == 0
+        assert {p.name for p in out.iterdir()} == files
+
+    def test_norms_files_and_certificate_refs(self, tmp_path):
+        """At q < p: the JSON, two grid-function certificates and one sparse family;
+        every file-name `certificate-ref` names one of them."""
+        cfgfile = tmp_path / "c.cfg"
+        cfgfile.write_text(CONFIG_TEXT)  # p = 4, q = 2
+        out = tmp_path / "out"
+        assert main(["norms", "--config", str(cfgfile), "--out", str(out), "--depth", "5"]) == 0
+        certificates = {"certificate_sharp_r_norm.csv", "certificate_paraproduct_norm.csv",
+                        "certificate_discretized_sup.sparse.txt"}
+        assert {p.name for p in out.iterdir()} == {"norms.json"} | certificates
+        reports = json.loads((out / "norms.json").read_text())["reports"]
+        refs = {name: rep["certificate-ref"] for name, rep in reports.items()}
+        assert {r for r in refs.values() if isinstance(r, str)} == certificates
+        assert isinstance(refs["multiplier_inf"], float)
