@@ -32,7 +32,6 @@ from .operators import (
 from .sparse import (
     SparseFamily,
     StoppingMassError,
-    domination_worst_case,
     family_from_text,
     family_to_text,
     paraproduct_sparse_dominate,

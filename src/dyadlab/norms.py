@@ -200,7 +200,7 @@ def discretized_sharp_sup(
 
     # the state is the principal cube's phi; a cube stops where its phi is over twice that
     principal, owner = principal_cubes(
-        tree.root(), lambda k: (phi[k],), lambda k, ref: (phi[k] > 2.0 * ref[0], ref))
+        tree, lambda k: (phi[k],), lambda k, ref: (phi[k] > 2.0 * ref[0], ref))
     witnesses = owned_cells(principal, owner)
     family = SparseFamily(
         tree=tree, cubes=principal, witnesses=witnesses, gamma=gamma, measure=nu

@@ -139,9 +139,9 @@ def _top_down(terms: Sequence[np.ndarray], dim: int | None = None) -> np.ndarray
     return acc
 
 
-def _haar_differences(avg: Sequence[np.ndarray], start: int = 0) -> list[np.ndarray]:
-    """avg[k + 1] - avg[k] on level k + 1, for k = start .. depth - 1."""
-    return [avg[k + 1] - refine_once(avg[k]) for k in range(start, len(avg) - 1)]
+def _haar_differences(avg: Sequence[np.ndarray]) -> list[np.ndarray]:
+    """avg[k + 1] - avg[k] on level k + 1, for k = 0 .. depth - 1."""
+    return [avg[k + 1] - refine_once(avg[k]) for k in range(len(avg) - 1)]
 
 
 def _haar_terms(

@@ -31,7 +31,7 @@ from .operators import (
 )
 from .sparse import (
     domination_bound,
-    domination_worst_case,
+    domination_envelope,
     partial_sums,
     paraproduct_sparse_dominate,
     pointwise_dominated,
@@ -83,6 +83,9 @@ class ScenarioConfig:
             raise ConfigError(f"dim must be at least 1, got {self.dim}")
         if self.depth < 0:
             raise ConfigError(f"depth must be nonnegative, got {self.depth}")
+        for key in ("family_size", "trials", "subcollections", "restarts", "iterations"):
+            if getattr(self, key) < 0:
+                raise ConfigError(f"{key} must be nonnegative, got {getattr(self, key)}")
         if not (1.0 < self.p < math.inf and 1.0 < self.q < math.inf):
             raise ConfigError("exponents must lie in (1, infinity)")
         limit = 14 if self.dim == 1 else 8
@@ -222,7 +225,11 @@ def make_family(name: str, tree: DyadicTree, count: int, rng: np.random.Generato
 
 
 def format_csv(header: Sequence[str], rows: Sequence[Sequence[object]]) -> str:
+    """Comma-separated rows under a header; an undefined value (None) is written `nan`."""
+
     def fmt(x):
+        if x is None:
+            return "nan"
         if isinstance(x, float):
             return repr(x)
         return str(x)
@@ -235,7 +242,8 @@ def format_csv(header: Sequence[str], rows: Sequence[Sequence[object]]) -> str:
 
 def write_report(cfg: ScenarioConfig, stem: str, payload: dict, files: dict[str, str]) -> dict:
     """Write `<stem>.json` (the payload under the run's header) and each text of
-    `files` under its name into `cfg.out_dir`: the one place a run writes files."""
+    `files` under its name into `cfg.out_dir`: the one place a run writes files.
+    The JSON is strict: an undefined value is None (`null`); NaN or infinity raises."""
     os.makedirs(cfg.out_dir, exist_ok=True)
     # the root size travels with every reported number: truncating coarse
     # scales shifts constants, so results are only comparable at equal H
@@ -248,7 +256,8 @@ def write_report(cfg: ScenarioConfig, stem: str, payload: dict, files: dict[str,
         "half_width": cfg.half_width,
         **payload,
     }
-    texts = {f"{stem}.json": json.dumps(payload, indent=1, sort_keys=True) + "\n", **files}
+    report = json.dumps(payload, indent=1, sort_keys=True, allow_nan=False)
+    texts = {f"{stem}.json": report + "\n", **files}
     for file, text in texts.items():
         with open(os.path.join(cfg.out_dir, file), "w") as fh:
             fh.write(text)
@@ -333,14 +342,14 @@ def run_domination(cfg: ScenarioConfig) -> dict:
     Emits pass/fail, the worst witness ratio seen, the worst domination
     slack over sampled sub-collections AND over the exact all-collections
     envelope, and the max stopping-mass ratio; any violation flips
-    `passed`.
+    `passed`.  Each trial's family gives one bound, which the envelope and
+    every sampled sub-collection are checked against.  A worst value is
+    None when nothing was checked.
     """
     rng = np.random.default_rng(cfg.seed)
     tree = cfg.tree()
     gamma = 2.0 ** -(tree.dim + 2)
-    worst_ratio = math.inf
-    worst_slack = -math.inf
-    worst_envelope = -math.inf
+    ratios, envelope_gaps, slacks = [], [], []
     mass_max = 0.0
     failures = 0
     for _ in range(cfg.trials):
@@ -348,31 +357,31 @@ def run_domination(cfg: ScenarioConfig) -> dict:
         f = make_family(cfg.f_family, tree, 1, rng)[0]
         family = paraproduct_sparse_dominate(b, f)
         ok, ratio = verify_sparse(family)
-        worst_ratio = min(worst_ratio, ratio)
+        ratios.append(ratio)
         mass_max = max(mass_max, family.stopping_mass_max)
         if not ok:
             failures += 1
             continue
-        ok_env, env_gap = domination_worst_case(family, b, f)
-        worst_envelope = max(worst_envelope, env_gap)
+        bound = domination_bound(family, b, f)
+        ok_env, env_gap = pointwise_dominated(domination_envelope(b, f), bound)
+        envelope_gaps.append(env_gap)
         if not ok_env:
             failures += 1
-        bound = domination_bound(family, b, f)  # one right-hand side for every sub-collection
-        subs = [random_subcollection(tree, tree.root(), rng) for _ in range(cfg.subcollections)]
+        subs = [random_subcollection(tree, rng) for _ in range(cfg.subcollections)]
         if not subs:
             continue
         for lhs in partial_sums(b, f, [np.stack(level) for level in zip(*subs)]):
             ok2, slack = pointwise_dominated(lhs, bound)
-            worst_slack = max(worst_slack, slack)
+            slacks.append(slack)
             if not ok2:
                 failures += 1
     payload = {
         "trials": cfg.trials,
         "subcollections": cfg.subcollections,
         "gamma": gamma,
-        "worst_witness_ratio": worst_ratio,
-        "worst_domination_slack": worst_slack,
-        "worst_envelope_slack": worst_envelope,
+        "worst_witness_ratio": min(ratios, default=None),
+        "worst_domination_slack": max(slacks, default=None),
+        "worst_envelope_slack": max(envelope_gaps, default=None),
         "max_stopping_mass_ratio": mass_max,
         "failures": failures,
         "passed": failures == 0,
@@ -419,7 +428,7 @@ def run_bloom_comparability(cfg: ScenarioConfig) -> dict:
             if phi > 0.0:
                 ratios_comm.append(comm / phi)
         else:
-            row.append(float("nan"))
+            row.append(None)  # the commutator is the Hilbert transform's, defined at d = 1
         if phi > 0.0:
             ratios_pp.append(pp / phi)
         rows.append(row)
@@ -483,7 +492,7 @@ def counterexample_point(cfg: ScenarioConfig) -> dict:
     mask = sharp_at > 0.0
     logx = np.log(xs[mask])
     logy = r * np.log(sharp_at[mask]) + (1.0 / 3.0) * np.log(xs[mask])
-    slope = float(np.polyfit(logx, logy, 1)[0]) if mask.sum() >= 2 else float("nan")
+    slope = float(np.polyfit(logx, logy, 1)[0]) if mask.sum() >= 2 else None
 
     return {
         "depth": cfg.depth,

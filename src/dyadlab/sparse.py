@@ -8,12 +8,13 @@ share its single cell with its parent's witness).  A cube's witness is one
 int64 array of packed claims `cell << 2 | kind`, in claim order, with kind
 `LO_HALF` = 1, `HI_HALF` = 2 or `FULL` = 3 (the halves it covers, as bits).
 
-Both stopping-time constructions are one top-down pass, `principal_cubes`:
-level by level a cube inherits its principal cube's state, and stops by a
-rule.  The paraproduct rule stops where <|f|> passes 4 times the principal's
-or a chain partial sum passes a_Q (its supremum over sub-collections is
-the larger of the summed positive and negative parts); the rule of
-`norms.discretized_sharp_sup` stops where tau/nu passes twice the principal's.
+Both stopping-time constructions are one top-down pass from the root,
+`principal_cubes`: level by level a cube inherits its principal cube's
+state, and stops by a rule.  The paraproduct rule stops where <|f|> passes
+4 times the principal's or a chain partial sum passes a_Q (its supremum
+over sub-collections is the larger of the summed positive and negative
+parts); the rule of `norms.discretized_sharp_sup` stops where tau/nu
+passes twice the principal's.
 """
 
 from __future__ import annotations
@@ -144,62 +145,50 @@ def verify_sparse(family: SparseFamily) -> tuple[bool, float]:
 # -- the stopping-time engine ----------------------------------------------------
 
 
-def _below(q0: Cube, levels: Sequence[np.ndarray]) -> list[np.ndarray]:
-    """Per-level arrays cut to the cubes inside q0, from q0's level down."""
-    return [arr[tuple(slice(i << j, (i + 1) << j) for i in q0.index)]
-            for j, arr in enumerate(levels[q0.level:])]
-
-
 def principal_cubes(
-    q0: Cube,
+    tree: DyadicTree,
     fresh: Callable[[int], tuple[np.ndarray, ...]],
     advance: Callable[[int, tuple[np.ndarray, ...]], tuple[np.ndarray, tuple[np.ndarray, ...]]],
 ) -> tuple[list[Cube], np.ndarray]:
-    """The principal cubes of a stopping rule below q0, by one top-down pass.
+    """The principal cubes of a stopping rule below the root, by one top-down pass.
 
-    Cubes j levels below q0 carry their principal's state, refined from
-    level j - 1; `advance(j, state)` returns the stop mask and the state
-    carried on, and a stopping cube becomes principal with state
-    `fresh(j)` (`fresh(0)` is q0's).  Returns the principal cubes in the
-    walk order of `_draw_order` (q0 first, later children first) and, per
-    finest cell, the position of its deepest principal cube (-1 outside q0).
+    Cubes on level j carry their principal's state, refined from level
+    j - 1; `advance(j, state)` returns the stop mask and the state carried
+    on, and a stopping cube becomes principal with state `fresh(j)`
+    (`fresh(0)` is the root's).  Returns the principal cubes in the walk
+    order of `_draw_order` (the root first, later children first) and, per
+    finest cell, the position of its deepest principal cube.
     """
-    tree, height = q0.tree, q0.tree.depth - q0.level
     state, found = fresh(0), [np.ones((1,) * tree.dim, dtype=bool)]
     owner = np.zeros((1,) * tree.dim, dtype=np.int64)  # principal ids, in the order found
-    for j in range(1, height + 1):
+    for j in range(1, tree.depth + 1):
         stop, state = advance(j, tuple(refine_once(s) for s in state))
         state = tuple(np.where(stop, new, old) for new, old in zip(fresh(j), state))
         owner = refine_once(owner)
         owner[stop] = owner.max() + 1 + np.arange(np.count_nonzero(stop))
         found.append(stop)
-    order = _draw_order(tree.dim, height + 1)
+    order = _draw_order(tree.dim, tree.depth + 1)
     walk = np.argsort(np.concatenate([pos[mask] for pos, mask in zip(order, found)]))
-    cubes = [Cube(tree, q0.level + j, tuple(int(i) for i in (np.array(q0.index) << j) + idx))
+    cubes = [Cube(tree, j, tuple(int(i) for i in idx))
              for j, mask in enumerate(found) for idx in np.argwhere(mask)]
-    cells = np.full(tree.shape, -1, dtype=np.int64)
-    cells[q0.cell_slices()] = np.argsort(walk)[owner]
-    return [cubes[i] for i in walk], cells
+    return [cubes[i] for i in walk], np.argsort(walk)[owner]
 
 
 def owned_cells(cubes: list[Cube], owner: np.ndarray) -> list[np.ndarray]:
     """Whole-cell witness claims from `principal_cubes`' owner array, cells ascending."""
     cells = np.argsort(owner, axis=None, kind="stable")
-    bounds = np.searchsorted(owner.ravel()[cells], np.arange(len(cubes)))
-    return np.split(cells << 2 | FULL, bounds)[1:]  # the first part lies outside q0
+    bounds = np.searchsorted(owner.ravel()[cells], np.arange(1, len(cubes)))
+    return np.split(cells << 2 | FULL, bounds)
 
 
 # -- the stopping-time constructor ----------------------------------------------
 
 
-def paraproduct_sparse_dominate(
-    b: GridFunction, f: GridFunction, q0: Cube | None = None
-) -> SparseFamily:
+def paraproduct_sparse_dominate(b: GridFunction, f: GridFunction) -> SparseFamily:
     """Build the sparse family that dominates every partial paraproduct sum.
 
-    Within the subtree of q0 the returned family S (with Lebesgue
-    sparseness 1/2^(d+2)) satisfies, for every sub-collection F of cubes
-    inside q0 and pointwise on the grid,
+    The returned family S (with Lebesgue sparseness 1/2^(d+2)) satisfies,
+    for every sub-collection F of tree cubes and pointwise on the grid,
 
         |sum_{Q in F} D_Q b <f>_Q|  <=  2^(d+5) sum_{S} <|b - <b>_S|>_S <|f|>_S 1_S.
 
@@ -214,16 +203,14 @@ def paraproduct_sparse_dominate(
     tree = b.tree
     if f.tree != tree:
         raise LatticeError("b and f live on different trees")
-    if q0 is None:
-        q0 = tree.root()
     d = tree.dim
     gamma = 2.0 ** -(d + 2)
 
-    bavg, fabs, fsig = (_below(q0, _averages_by_level(g)) for g in (b, f.abs(), f))
+    bavg, fabs, fsig = (_averages_by_level(g) for g in (b, f.abs(), f))
     if fabs[0].item() == 0.0 and float(np.abs(f.values).max()) != 0.0:
         raise LatticeError("zero |f|-average over the root of a nonzero f")
 
-    rows = [as_rows(b.values[q0.cell_slices()], j) for j in range(len(bavg))]
+    rows = [as_rows(b.values, j) for j in range(len(bavg))]
     # an iterate's state: <|f|>, a_q = 2^5 <|b - <b>|> <|f|>, whether b varies on it,
     # and the chain's summed positive and negative parts; these read the rows, not
     # `oscillation_levels`, whose rounded averages at a non-dyadic H make constant cubes vary
@@ -242,7 +229,7 @@ def paraproduct_sparse_dominate(
         stop = live & ((fabs[j] > 4.0 * fbar) | (np.maximum(pos, neg) > a_q))
         return stop, (fbar, a_q, live, pos, neg)
 
-    stilde, owner = principal_cubes(q0, fresh, advance)
+    stilde, owner = principal_cubes(tree, fresh, advance)
     witnesses = owned_cells(stilde, owner)
     size = np.array([q.cell_count() for q in stilde])
     ratios = (size - np.array([len(w) for w in witnesses])) / size
@@ -257,9 +244,7 @@ def paraproduct_sparse_dominate(
     members = set(stilde)
     family_cubes = list(stilde)
     half_cells = 2 ** (d + 1)
-    for i, q in enumerate(stilde):
-        if q == q0:
-            continue
+    for i, q in enumerate(stilde[1:], start=1):  # the root, first, has no parent
         parent = q.parent()
         if parent in members:
             continue
@@ -291,8 +276,11 @@ def paraproduct_sparse_dominate(
     )
 
 
-def domination_rhs(family: SparseFamily, b: GridFunction, f: GridFunction) -> np.ndarray:
-    """sum over family cubes of <|b - <b>_S|>_S <|f|>_S 1_S, on the cells."""
+def domination_bound(family: SparseFamily, b: GridFunction, f: GridFunction) -> np.ndarray:
+    """2^(d+5) sum over family cubes of <|b - <b>_S|>_S <|f|>_S 1_S, on the cells.
+
+    This is the bound of `paraproduct_sparse_dominate`.
+    """
     tree = family.tree
     oscs = oscillation_levels(b)
     fabs = _averages_by_level(f.abs())
@@ -300,12 +288,7 @@ def domination_rhs(family: SparseFamily, b: GridFunction, f: GridFunction) -> np
         ind * (oscs[k] / tree.volume(k)) * fabs[k]
         for k, ind in enumerate(family.indicator_stack())
     ]
-    return _top_down(terms)
-
-
-def domination_bound(family: SparseFamily, b: GridFunction, f: GridFunction) -> np.ndarray:
-    """2^(d+5) * domination_rhs, the bound of `paraproduct_sparse_dominate`."""
-    return 2.0 ** (family.tree.dim + 5) * domination_rhs(family, b, f)
+    return 2.0 ** (tree.dim + 5) * _top_down(terms)
 
 
 def pointwise_dominated(lhs: np.ndarray, bound: np.ndarray) -> tuple[bool, float]:
@@ -327,46 +310,30 @@ def partial_sums(b: GridFunction, f: GridFunction, stacks: Sequence[np.ndarray])
     return _paraproduct_rows(b.tree, bdiffs, f.values, stacks)
 
 
-def domination_envelope(b: GridFunction, f: GridFunction, q0: Cube) -> np.ndarray:
-    """sup over sub-collections F of cubes inside q0 of |sum_{Q in F} D_Q b <f>_Q|, on q0's cells.
+def domination_envelope(b: GridFunction, f: GridFunction) -> np.ndarray:
+    """sup over sub-collections F of tree cubes of |sum_{Q in F} D_Q b <f>_Q|, on the cells.
 
     At a fixed cell the partial sum over any chosen collection is maximized
     by taking all positive terms (or all negative ones), so the supremum is
     max(sum of positive parts, sum of negative parts): two top-down passes.
+    Checking it against `domination_bound` checks every sub-collection at once.
     """
-    diffs = _haar_differences(_averages_by_level(b), start=q0.level)
-    terms = _haar_terms(diffs, _averages_by_level(f)[q0.level:])
+    terms = _haar_terms(_haar_differences(_averages_by_level(b)), _averages_by_level(f))
     if not terms:
-        return np.zeros(b.values[q0.cell_slices()].shape)
+        return np.zeros(b.tree.shape)
     pos = _top_down([np.maximum(t, 0.0) for t in terms])
     neg = _top_down([np.maximum(-t, 0.0) for t in terms])
-    return np.maximum(pos, neg)[q0.cell_slices()]
-
-
-def domination_worst_case(
-    family: SparseFamily,
-    b: GridFunction,
-    f: GridFunction,
-    q0: Cube | None = None,
-) -> tuple[bool, float]:
-    """Exact check over EVERY sub-collection at once, through `domination_envelope`.
-
-    Returns (ok, worst gap) against `domination_bound` on q0; this subsumes any
-    randomized sub-collection battery.
-    """
-    q0 = family.tree.root() if q0 is None else q0
-    bound = domination_bound(family, b, f)[q0.cell_slices()]
-    return pointwise_dominated(domination_envelope(b, f, q0), bound)
+    return np.maximum(pos, neg)
 
 
 @lru_cache(maxsize=None)
 def _draw_order(dim: int, height: int) -> tuple[np.ndarray, ...]:
-    """Draw positions of the non-leaf cubes of a subtree `height` levels deep.
+    """Draw positions of the non-leaf cubes of a tree `height` levels deep.
 
-    The order is the pre-order of a depth-first walk that pushes
-    `Cube.children()` in order and pops the last one, so a child visits
-    after the subtrees of its later siblings.  Entry j holds the positions
-    of the cubes j levels below the subtree's root.
+    The order is the pre-order of a depth-first walk from the root that
+    pushes `Cube.children()` in order and pops the last one, so a child
+    visits after the subtrees of its later siblings.  Entry j holds the
+    positions of the cubes on level j.
     """
     fan = 2**dim
     # non-leaf cubes in a subtree rooted j levels down
@@ -379,25 +346,18 @@ def _draw_order(dim: int, height: int) -> tuple[np.ndarray, ...]:
     return tuple(order)
 
 
-def random_subcollection(
-    tree: DyadicTree, q0: Cube, rng: np.random.Generator, inclusion: float | None = None
-) -> list[np.ndarray]:
-    """A random set of non-leaf cubes inside q0 (for quantifier sweeps), as a 0/1 stack.
+def random_subcollection(tree: DyadicTree, rng: np.random.Generator) -> list[np.ndarray]:
+    """A random set of non-leaf cubes (for quantifier sweeps), as a 0/1 stack.
 
-    Each cube is kept when its uniform draw falls below the inclusion
-    probability.  The draws come from one `rng.random` call, in the
+    Each cube is kept when its uniform draw falls below a probability drawn
+    from [0.2, 0.8).  The draws come from one `rng.random` call, in the
     depth-first order of `_draw_order`, so the generator advances exactly
     as a cube-by-cube walk would.
     """
-    p = rng.uniform(0.2, 0.8) if inclusion is None else inclusion
-    order = _draw_order(tree.dim, tree.depth - q0.level)
+    p = rng.uniform(0.2, 0.8)
+    order = _draw_order(tree.dim, tree.depth)
     draws = rng.random(sum(pos.size for pos in order))
-    stack = [np.zeros((2**k,) * tree.dim) for k in range(tree.depth + 1)]
-    for j, pos in enumerate(order):
-        span = 2**j
-        inside = tuple(slice(i * span, (i + 1) * span) for i in q0.index)
-        stack[q0.level + j][inside] = draws[pos] < p
-    return stack
+    return [(draws[pos] < p).astype(float) for pos in order] + [np.zeros(tree.shape)]
 
 
 # -- serialization ----------------------------------------------------------------

@@ -67,7 +67,6 @@ from dyadlab.sparse import (
     SparseFamily,
     StoppingMassError,
     domination_bound,
-    domination_rhs,
     paraproduct_sparse_dominate,
     pointwise_dominated,
 )
@@ -776,12 +775,11 @@ def domination_hand_case():
     family = paraproduct_sparse_dominate(b, b)
     lhs = paraproduct(b, b, [tree.root()])
     assert abs(float(np.abs(lhs.values).max()) - 0.25) < 1e-12
-    rhs = domination_rhs(family, b, b)
-    root_rhs = 64.0 * rhs  # constant 2^(d+5) in d=1
-    ok, worst = pointwise_dominated(lhs.values, domination_bound(family, b, b))
+    bound = domination_bound(family, b, b)  # constant 2^(d+5) = 64 in d=1
+    ok, worst = pointwise_dominated(lhs.values, bound)
     assert ok
     # with the root in the family the right side is at least 64 * (1/2) * (1/2)
-    assert float(root_rhs.min()) >= 16.0 - 1e-12
+    assert float(bound.min()) >= 16.0 - 1e-12
     return "domination: hand case slack", max(worst, -1e308), worst, 1e-12
 
 

@@ -26,8 +26,9 @@ from dyadlab.operators import (
 )
 from dyadlab.scenarios import ap_window_grid, make_family, spiky_field
 from dyadlab.sparse import (
-    domination_rhs,
-    domination_worst_case,
+    domination_bound,
+    domination_envelope,
+    pointwise_dominated,
     paraproduct_sparse_dominate,
     random_subcollection,
     verify_sparse,
@@ -149,7 +150,6 @@ def test_criterion_2_sparse_domination(dim, depth, trials):
     rng = np.random.default_rng(2000 + dim)
     tree = DyadicTree(dim, depth, 1.0)
     gamma = 2.0 ** -(dim + 2)
-    constant = 2.0 ** (dim + 5)
     failures = 0
     worst_ratio = math.inf
     worst_slack = -math.inf
@@ -164,12 +164,12 @@ def test_criterion_2_sparse_domination(dim, depth, trials):
         if not (ok and ratio >= gamma * (1.0 - 1e-12)):
             failures += 1
             continue
-        ok_env, env_gap = domination_worst_case(fam, b, f)  # every collection at once
+        rhs = domination_bound(fam, b, f)  # 2^(d+5) times the sparse sum
+        ok_env, env_gap = pointwise_dominated(domination_envelope(b, f), rhs)  # every collection
         if not ok_env:
             failures += 1
-        rhs = constant * domination_rhs(fam, b, f)
         for _ in range(50):
-            sub = random_subcollection(tree, tree.root(), rng)
+            sub = random_subcollection(tree, rng)
             lhs = np.abs(paraproduct(b, f, sub).values)
             slack = float((lhs - rhs).max())
             worst_slack = max(worst_slack, slack)

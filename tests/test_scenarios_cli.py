@@ -2,6 +2,8 @@
 
 import json
 import math
+import pathlib
+from dataclasses import replace
 
 import pytest
 
@@ -64,6 +66,15 @@ def _check_report(out_a, out_b, stem, keys):
     for name in names:
         assert (out_a / name).read_bytes() == (out_b / name).read_bytes(), name
     return report
+
+
+def _strict_json(path):
+    """The JSON of a file, refusing the NaN and infinity tokens that strict JSON lacks."""
+
+    def refuse(token):
+        raise ValueError(f"non-finite token {token}")
+
+    return json.loads(path.read_text(), parse_constant=refuse)
 
 
 class TestConfigParsing:
@@ -271,6 +282,16 @@ class TestCli:
         assert main(["norms", "--depth", "-1", "--out", str(tmp_path)]) == 3
         assert "config error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("key", ["trials", "subcollections", "family_size", "restarts",
+                                     "iterations"])
+    def test_negative_count_exit_3(self, tmp_path, capsys, key):
+        cfgfile = tmp_path / "c.cfg"
+        cfgfile.write_text(f"[scenario]\ndepth = 5\n{key} = -1\n")
+        out = tmp_path / "out"
+        assert main(["dominate", "--config", str(cfgfile), "--out", str(out)]) == 3
+        assert f"{key} must be nonnegative" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_unparsable_weight_spec_exit_3(self, tmp_path, capsys):
         bad = tmp_path / "bad.cfg"
         bad.write_text("[scenario]\ndepth = 5\n\n[weights]\nmu = power(abc)\n")
@@ -358,3 +379,61 @@ class TestFilesWritten:
         refs = {name: rep["certificate-ref"] for name, rep in reports.items()}
         assert {r for r in refs.values() if isinstance(r, str)} == certificates
         assert isinstance(refs["multiplier_inf"], float)
+
+
+class TestStrictJson:
+    """Reports are strict JSON: an undefined value is null, never NaN or infinity."""
+
+    def test_bloom_commutator_is_null_at_d2(self, tmp_path):
+        """[b, H] is the Hilbert transform's commutator, defined at d = 1 only.
+
+        The JSON writes it null and the CSV nan."""
+        out = tmp_path / "out"
+        assert main(["bloom", "--dim", "2", "--depth", "3", "--out", str(out)]) == 0
+        members = _strict_json(out / "bloom.json")["members"]
+        assert [m["commutator_norm"] for m in members] == [None] * ScenarioConfig().family_size
+        rows = (out / "bloom.csv").read_text().splitlines()[1:]
+        assert [r.rsplit(",", 1)[1] for r in rows] == ["nan"] * len(members)
+
+    @pytest.mark.parametrize("trials,subcollections,unchecked", [
+        (0, 3, ["worst_witness_ratio", "worst_domination_slack", "worst_envelope_slack"]),
+        (2, 0, ["worst_domination_slack"]),
+    ], ids=["no-trials", "no-subcollections"])
+    def test_dominate_worst_is_null_when_nothing_checked(self, tmp_path, trials, subcollections,
+                                                         unchecked):
+        cfg = ScenarioConfig(depth=4, trials=trials, subcollections=subcollections,
+                             out_dir=str(tmp_path))
+        run_domination(cfg)
+        report = _strict_json(tmp_path / "domination.json")
+        assert report["passed"]
+        worst = ["worst_witness_ratio", "worst_domination_slack", "worst_envelope_slack"]
+        assert [k for k in worst if report[k] is None] == unchecked
+
+    def test_counterexample_tail_slope_is_null_without_two_positive_points(
+            self, tmp_path, monkeypatch):
+        import dyadlab.scenarios as scenarios
+
+        monkeypatch.setattr(scenarios, "sharp_window_values", lambda b, nu, xs, n_left: 0.0 * xs)
+        cfg = ScenarioConfig(depth=6, depth_min=4, restarts=4, iterations=5, out_dir=str(tmp_path))
+        run_counterexample(cfg)
+        points = _strict_json(tmp_path / "counterexample.json")["points"]
+        assert [pt["tail_slope"] for pt in points] == [None, None]
+        rows = (tmp_path / "counterexample.csv").read_text().splitlines()[1:]
+        assert [r.rsplit(",", 1)[1] for r in rows] == ["nan", "nan"]
+
+
+def test_dominate_builds_one_bound_per_trial(tmp_path, monkeypatch):
+    """The envelope and every sampled sub-collection of a trial share its one bound."""
+    import dyadlab.scenarios as scenarios
+    import dyadlab.sparse as sparse
+
+    calls = []
+    bound = sparse.domination_bound
+    for module in (scenarios, sparse):  # a call from either module counts
+        monkeypatch.setattr(module, "domination_bound",
+                            lambda *args: calls.append(1) or bound(*args))
+    workload = pathlib.Path(__file__).parents[1] / "perfbench" / "workloads" / "dominate-d1.cfg"
+    cfg = replace(parse_config(workload.read_text()), seed=1, out_dir=str(tmp_path))
+    report = run_domination(cfg)
+    assert report["passed"] and report["trials"] == 40
+    assert len(calls) == 40

@@ -16,8 +16,7 @@ from dyadlab.sparse import (
     LO_HALF,
     SparseFamily,
     domination_bound,
-    domination_rhs,
-    domination_worst_case,
+    domination_envelope,
     family_from_text,
     family_to_text,
     paraproduct_sparse_dominate,
@@ -35,7 +34,7 @@ from dyadlab.scenarios import (
 from dyadlab.weights import Weight, cube_stack, fujii_wilson_ainfty
 
 import oracles
-from oracles import carleson_from_sparse, cube_contains, flat_cells, shrunken_family_counterexample
+from oracles import carleson_from_sparse, flat_cells, shrunken_family_counterexample
 
 
 def packed(claims):
@@ -224,9 +223,9 @@ class TestConstructor:
         once = lebesgue_family(tree6, [q], [whole_cells(q)], gamma=1.0)
         twice = lebesgue_family(tree6, [q, q], full_witnesses(q.children()), gamma=0.5)
         assert verify_sparse(twice) == (True, 0.5)
-        single = domination_rhs(once, b, f)
+        single = domination_bound(once, b, f)
         assert np.count_nonzero(single) == q.cell_count()
-        np.testing.assert_array_equal(domination_rhs(twice, b, f), 2.0 * single)
+        np.testing.assert_array_equal(domination_bound(twice, b, f), 2.0 * single)
 
     def test_zero_f_trivial(self, tree6):
         b = GridFunction(tree6, np.arange(tree6.n_cells, dtype=float))
@@ -248,7 +247,7 @@ class TestConstructor:
             assert fam.stopping_mass_max <= 0.5 + 1e-12
             bound = domination_bound(fam, b, f)
             for _ in range(10):
-                sub = random_subcollection(tree, tree.root(), rng)
+                sub = random_subcollection(tree, rng)
                 ok2, slack = pointwise_dominated(paraproduct(b, f, sub).values, bound)
                 assert ok2, slack
 
@@ -260,7 +259,7 @@ class TestConstructor:
         fam = paraproduct_sparse_dominate(b, f)
         bound = domination_bound(fam, b, f)
         for _ in range(50):
-            sub = random_subcollection(tree6, tree6.root(), rng)
+            sub = random_subcollection(tree6, rng)
             ok, slack = pointwise_dominated(paraproduct(b, f, sub).values, bound)
             assert ok, slack
 
@@ -271,7 +270,7 @@ class TestConstructor:
             b = spiky_field(tree6, rng, sigma=float(rng.uniform(1.5, 3.8)))
             f = spiky_field(tree6, rng, sigma=float(rng.uniform(1.5, 3.8)))
             fam = paraproduct_sparse_dominate(b, f)
-            ok, gap = domination_worst_case(fam, b, f)
+            ok, gap = pointwise_dominated(domination_envelope(b, f), domination_bound(fam, b, f))
             assert ok, gap
 
     def test_envelope_upper_bounds_sampled_collections(self, tree6):
@@ -280,10 +279,10 @@ class TestConstructor:
         b = spiky_field(tree6, rng, sigma=3.0)
         f = spiky_field(tree6, rng, sigma=3.0)
         fam = paraproduct_sparse_dominate(b, f)
-        _, env_gap = domination_worst_case(fam, b, f)
         bound = domination_bound(fam, b, f)
+        _, env_gap = pointwise_dominated(domination_envelope(b, f), bound)
         for _ in range(20):
-            sub = random_subcollection(tree6, tree6.root(), rng)
+            sub = random_subcollection(tree6, rng)
             _, gap = pointwise_dominated(paraproduct(b, f, sub).values, bound)
             assert gap <= env_gap + 1e-12
 
@@ -299,27 +298,8 @@ class TestConstructor:
         fam = paraproduct_sparse_dominate(b, f)
         ok, ratio = verify_sparse(fam)
         assert ok and ratio >= fam.gamma * (1.0 - 1e-12)
-        ok_env, gap = domination_worst_case(fam, b, f)
+        ok_env, gap = pointwise_dominated(domination_envelope(b, f), domination_bound(fam, b, f))
         assert ok_env, gap
-
-    def test_exact_envelope_on_subtree(self, tree6):
-        rng = np.random.default_rng(33)
-        b = spiky_field(tree6, rng, sigma=3.0)
-        f = spiky_field(tree6, rng, sigma=3.0)
-        q0 = Cube(tree6, 1, (0,))
-        fam = paraproduct_sparse_dominate(b, f, q0)
-        ok, gap = domination_worst_case(fam, b, f, q0=q0)
-        assert ok, gap
-
-    def test_subtree_start(self, tree6):
-        rng = np.random.default_rng(5)
-        b = spiky_field(tree6, rng, sigma=3.0)
-        f = spiky_field(tree6, rng, sigma=3.0)
-        q0 = Cube(tree6, 1, (1,))
-        fam = paraproduct_sparse_dominate(b, f, q0)
-        assert all(cube_contains(q0, q) for q in fam.cubes)
-        ok, _ = verify_sparse(fam)
-        assert ok
 
 
 class TestPacking:
@@ -443,7 +423,7 @@ class TestBatchedPartialSums:
     def test_rows_equal_partial_sum(self, rng, dim, depth):
         tree = DyadicTree(dim, depth, 1.0)
         b, f = (spiky_field(tree, rng, sigma=2.0) for _ in range(2))
-        subs = [random_subcollection(tree, tree.root(), rng) for _ in range(9)]
+        subs = [random_subcollection(tree, rng) for _ in range(9)]
         rows = partial_sums(b, f, [np.stack(level) for level in zip(*subs)])
         assert rows.shape == (9,) + tree.shape
         for row, sub in zip(rows, subs):
@@ -452,7 +432,7 @@ class TestBatchedPartialSums:
     def test_stack_without_finest_level(self, rng):
         tree = DyadicTree(1, 5, 1.0)
         b, f = (spiky_field(tree, rng, sigma=2.0) for _ in range(2))
-        subs = [random_subcollection(tree, tree.root(), rng)[:-1] for _ in range(3)]
+        subs = [random_subcollection(tree, rng)[:-1] for _ in range(3)]
         rows = partial_sums(b, f, [np.stack(level) for level in zip(*subs)])
         for row, sub in zip(rows, subs):
             assert np.array_equal(row, paraproduct(b, f, sub).values)
@@ -481,7 +461,7 @@ class TestBatchedPartialSums:
             assert verify_sparse(family)[0]
             bound = domination_bound(family, b, f)
             for _ in range(cfg.subcollections):
-                sub = random_subcollection(tree, tree.root(), rng)
+                sub = random_subcollection(tree, rng)
                 worst = max(worst, pointwise_dominated(paraproduct(b, f, sub).values, bound)[1])
         assert report["worst_domination_slack"] == worst
         assert report["failures"] == 0

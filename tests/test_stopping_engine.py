@@ -10,7 +10,7 @@ ratio, report value and details, and the same sparse-family text.
 import numpy as np
 import pytest
 
-from dyadlab.lattice import Cube, DyadicTree, GridFunction
+from dyadlab.lattice import DyadicTree, GridFunction
 from dyadlab.norms import discretized_sharp_sup
 from dyadlab.operators import oscillation_levels
 from dyadlab.scenarios import random_haar_sum, spiky_field
@@ -31,12 +31,6 @@ def _field(kind: str, tree: DyadicTree, rng: np.random.Generator) -> GridFunctio
     if kind == "spiky":
         return spiky_field(tree, rng, sigma=3.0)
     return random_haar_sum(tree, rng)
-
-
-def _starts(tree: DyadicTree) -> list[Cube]:
-    """q0 as the root, as a non-root inner cube (when the tree has one) and as a leaf."""
-    inner = [Cube(tree, 1, (1,) * tree.dim)] if tree.depth > 1 else []
-    return [tree.root()] + inner + [Cube(tree, tree.depth, (min(tree.depth, 1),) * tree.dim)]
 
 
 def _assert_same_family(got, want):
@@ -60,11 +54,8 @@ def test_paraproduct_family_matches_recursive_walk(dim, depth, b_kind, f_kind):
         f = GridFunction.constant(tree, 0.0)
         if f_kind == "spiky":
             f = spiky_field(tree, rng, sigma=3.0)
-        for q0 in _starts(tree):
-            _assert_same_family(
-                paraproduct_sparse_dominate(b, f, q0),
-                oracles.reference_paraproduct_sparse_dominate(b, f, q0),
-            )
+        _assert_same_family(
+            paraproduct_sparse_dominate(b, f), oracles.reference_paraproduct_sparse_dominate(b, f))
 
 
 # a power weight vanishes on the one cell of depth 0; at the non-dyadic H = 3 the
@@ -115,9 +106,6 @@ def test_constant_b_skip_is_exact(dim, depth, half_width):
         b = _piecewise_constant(tree, rng)
         f = spiky_field(tree, rng, sigma=3.0)
         misread += int(np.count_nonzero(oscillation_levels(b)[2]))
-        for q0 in _starts(tree):
-            _assert_same_family(
-                paraproduct_sparse_dominate(b, f, q0),
-                oracles.reference_paraproduct_sparse_dominate(b, f, q0),
-            )
+        _assert_same_family(
+            paraproduct_sparse_dominate(b, f), oracles.reference_paraproduct_sparse_dominate(b, f))
     assert misread > 0
