@@ -42,6 +42,7 @@ from .norms import (
     bmo_alpha_norm,
     discretized_sharp_sup,
     empirical_operator_norm,
+    empirical_operator_norms,
     lp_norm,
     multiplier_norm,
     q_ge_p_testing,

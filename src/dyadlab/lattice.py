@@ -50,7 +50,7 @@ def refine_once(arr: np.ndarray, dim: int | None = None) -> np.ndarray:
     """Broadcast each entry onto its 2^d children."""
     out = arr
     for axis in _cube_axes(arr, dim):
-        out = np.repeat(out, 2, axis=axis)
+        out = out.repeat(2, axis=axis)
     return out
 
 

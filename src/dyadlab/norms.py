@@ -73,7 +73,7 @@ def _row_norms(rows: np.ndarray, masses, p: float) -> list[float]:
     from the scalar one in the last bit.
     """
     sums = (np.abs(rows) ** p * masses).reshape(len(rows), -1).sum(axis=1)
-    return [float(s ** (1.0 / p)) for s in sums]
+    return [s ** (1.0 / p) for s in sums.tolist()]
 
 
 def lp_norm(f: GridFunction, weight: Weight, p: float) -> float:
@@ -229,7 +229,7 @@ def discretized_sharp_sup(
 
 # -- empirical operator norm -------------------------------------------------------
 
-# cells held per lockstep group: a group runs max(1, _GROUP_CELLS // n_cells) starts
+# cells held by the estimator's row pool: it runs max(1, _GROUP_CELLS // n_cells) rows at once
 _GROUP_CELLS = 4096
 
 
@@ -238,89 +238,9 @@ def _column(values: Sequence[float], rows: np.ndarray) -> np.ndarray:
     return np.array(values).reshape((-1,) + (1,) * (rows.ndim - 1))
 
 
-def _applied(U: OperatorHandle, rows: np.ndarray, mum, lamm, p: float, q: float):
-    """U applied to the rows, with ||U row||_{L^q(lam)} and ||row||_{L^p(mu)} per row."""
-    u = U.apply(rows)
-    return u, _row_norms(u, lamm, q), _row_norms(rows, mum, p)
-
-
-def _log_gradients(U: OperatorHandle, v: np.ndarray, u: np.ndarray, ratios: list[float],
-                   mum, lamm, p: float, q: float):
-    """Gradients of log ||Uv||_{L^q(lam)} - log ||v||_{L^p(mu)} for the rows of v.
-
-    Every row has unit L^p(mu) norm, so `ratios` are the rows' ||Uv||_{L^q(lam)};
-    `u` is Uv.  A gradient is one adjoint apply and no forward one.  A row of
-    ratio 0 gets the zero gradient.
-    """
-    live = [i for i in range(len(v)) if ratios[i] != 0.0]
-    g = np.zeros(v.shape)
-    if live:
-        u, w = u[live], v[live]
-        ga = U.adjoint(lamm * np.abs(u) ** (q - 1.0) * np.sign(u)) / _column(
-            [ratios[i] ** q for i in live], u)
-        g[live] = ga - mum * np.abs(w) ** (p - 1.0) * np.sign(w)
-    return g
-
-
 def _ratios(nums: list[float], dens: list[float]) -> list[float]:
-    """num / den per row of `_applied`'s norms, 0 for a row of zero norm."""
+    """num / den per row, 0 for a row of zero norm."""
     return [num / den if den != 0.0 else 0.0 for num, den in zip(nums, dens)]
-
-
-def _ascend(U: OperatorHandle, v: np.ndarray, mum, lamm, p: float, q: float,
-            iterations: int) -> tuple[list[float], np.ndarray, int]:
-    """Backtracking ascent of every row of v (each of unit L^p(mu) norm), in lockstep.
-
-    Returns the rows' final ratios, the final rows and the number of trials.
-    Each row keeps its image Uv beside it: the first from the group's first
-    apply, then U(w) / ||w|| of its last accepted trial w.  So a trial is the
-    only forward apply, and a gradient is one adjoint apply.
-    """
-    n = len(v)
-    uv, nums, dens = _applied(U, v, mum, lamm, p, q)
-    r_cur = _ratios(nums, dens)
-    step = [1.0] * n
-    left = [iterations] * n  # gradients each row may still take
-    g = np.zeros(v.shape)
-    gn = [0.0] * n
-    wanting = list(range(n)) if iterations > 0 else []  # rows whose next move is a gradient
-    searching: list[int] = []  # rows with a direction and a step to try
-    evals = 0
-    while wanting or searching:
-        if wanting:
-            grads = _log_gradients(U, v[wanting], uv[wanting], [r_cur[i] for i in wanting],
-                                   mum, lamm, p, q)
-            g[wanting] = grads
-            norms = np.sqrt((grads * grads).reshape(len(wanting), -1).sum(axis=1))
-            for i, norm in zip(wanting, norms):
-                left[i] -= 1
-                gn[i] = float(norm)
-                if gn[i] >= 1e-15:
-                    searching.append(i)
-            wanting = []
-        # a row whose step has run out has failed its line search
-        searching = [i for i in searching if step[i] > 1e-12]
-        if not searching:
-            continue
-        w = v[searching] + _column([step[i] for i in searching], v) * g[searching] / _column(
-            [gn[i] for i in searching], v)
-        uw, nums, dens = _applied(U, w, mum, lamm, p, q)
-        r_new = _ratios(nums, dens)
-        evals += len(searching)
-        still = []
-        for j, i in enumerate(searching):
-            if r_new[j] > r_cur[i] * (1.0 + 1e-13):
-                v[i] = w[j] / dens[j]
-                uv[i] = uw[j] / dens[j]
-                r_cur[i] = r_new[j]
-                step[i] *= 1.8
-                if left[i] > 0:
-                    wanting.append(i)
-            else:
-                step[i] *= 0.5
-                still.append(i)
-        searching = still
-    return r_cur, v, evals
 
 
 def _structured_starts(tree: DyadicTree) -> Iterator[np.ndarray]:
@@ -374,50 +294,179 @@ def empirical_operator_norm(
     `iterations` gradients, and stops on a vanishing gradient or a failed
     line search.
 
-    The starts run in lockstep, in consecutive groups of
-    max(1, 4096 // n_cells) rows: each round `U.adjoint` takes the
-    gradients of the rows that need one as one stack, then `U.apply` one
-    line-search trial of every row still searching as another.  Each row
-    keeps its image Uv from its last accepted trial (from the group's first
-    apply before that), so a trial is the only forward apply and a gradient
-    is one adjoint apply.  A group's starts are
-    built when it runs, and its results fold into the best so far before
-    the next group, so memory does not grow with `restarts`.  Per-row
-    norms and their powers are raised as scalars, so every row follows
-    the bits of a start run on its own.  The trace of best-so-far values,
-    in start order, is monotone by construction; `ratio_evals` counts the
-    trials.
+    This is `empirical_operator_norms` for one member, whose operator is U
+    on every row: the starts share the row pool, at most
+    max(1, 4096 // n_cells) of them at once, and each start follows the
+    bits of a start run on its own.  The trace of best-so-far values, in
+    start order, is monotone by construction; `ratio_evals` counts the
+    line-search trials.
     """
-    mum = mu.cell_mass if mu is not None else np.full(tree.shape, tree.cell_volume)
-    lamm = lam.cell_mass if lam is not None else np.full(tree.shape, tree.cell_volume)
+    mu, lam = (w if w is not None else Weight.lebesgue(tree) for w in (mu, lam))
+    return empirical_operator_norms(lambda which: U, mu, lam, p, q, tree, restarts, iterations,
+                                    [seed], [extra_starts])[0]
 
-    starts = _starts(tree, [np.asarray(s, dtype=float) for s in extra_starts], restarts, seed)
-    group = max(1, _GROUP_CELLS // tree.n_cells)
-    n_starts = evals = 0
-    best_val, best_vec = 0.0, np.ones(tree.shape)  # the first start, if none runs
-    trace: list[float] = []
-    while chunk := list(itertools.islice(starts, group)):
-        n_starts += len(chunk)
-        v = np.stack(chunk)
-        nv = _row_norms(v, mum, p)
-        live = [i for i, n in enumerate(nv) if n != 0.0]
-        if not live:
-            continue
-        ratios, rows, trials = _ascend(
-            U, v[live] / _column([nv[i] for i in live], v), mum, lamm, p, q, iterations)
-        evals += trials
-        for ratio, row in zip(ratios, rows):
-            if ratio > best_val:
-                best_val, best_vec = ratio, row.copy()
-            trace.append(best_val)
 
-    return NormReport(
-        value=best_val,
-        method="gradient-ascent",
-        certificate=best_vec,
-        trace=trace,
-        details={"restarts": float(n_starts), "ratio_evals": float(evals)},
+def empirical_operator_norms(
+    handle_for: Callable[[np.ndarray], OperatorHandle],
+    mu: Weight,
+    lam: Weight,
+    p: float,
+    q: float,
+    tree: DyadicTree,
+    restarts: int = 64,
+    iterations: int = 60,
+    seeds: Sequence[int] = (DEFAULT_SEED,),
+    extra_starts: Sequence[Iterable[np.ndarray]] = (),
+) -> list[NormReport]:
+    """`empirical_operator_norm` for a family of operators, one report per member.
+
+    Member k has seed `seeds[k]` and the extra starts `extra_starts[k]`
+    (none for any member when `extra_starts` is empty); `handle_for(which)`
+    is the handle whose row i is member `which[i]`'s operator.
+
+    All members' starts stream, in member then start order, through one
+    pool of at most max(1, _GROUP_CELLS // n_cells) rows, whose buffers are
+    allocated once.  Each round makes one `adjoint` call for the rows that
+    need a gradient and one `apply` call for the rows still searching (one
+    line-search trial each) and the starts that took the slots of finished
+    rows.  Each row keeps its image Uv from its last accepted trial (from
+    its first apply before that), so a trial is the only forward apply and
+    a gradient is one adjoint apply.  Per-row norms and their powers are
+    raised as scalars, so every row follows the bits of a start run on its
+    own.  A finished row folds into its member: the earliest start of the
+    largest ratio is the certificate (a zero ratio never replaces the
+    all-ones default), so every report has the bits of its member run alone.
+    """
+    mum, lamm = mu.cell_mass, lam.cell_mass
+    extras = list(extra_starts) or [()] * len(seeds)
+    queue = (
+        (k, j, start)
+        for k, seed in enumerate(seeds)
+        for j, start in enumerate(
+            _starts(tree, [np.asarray(s, dtype=float) for s in extras[k]], restarts, seed))
     )
+    n_starts, evals = [0] * len(seeds), [0] * len(seeds)
+    ratios: list[dict[int, float]] = [{} for _ in seeds]  # per member: start -> final ratio
+    best = [(0.0, -1, np.ones(tree.shape)) for _ in seeds]  # per member: (ratio, start, row)
+
+    size = max(1, _GROUP_CELLS // tree.n_cells)
+    v, uv, g = (np.empty((size,) + tree.shape) for _ in range(3))
+    member, start_of = [0] * size, [0] * size
+    r_cur, step, gn, left = [0.0] * size, [1.0] * size, [0.0] * size, [0] * size
+    free = list(range(size - 1, -1, -1))
+
+    def handle(rows: list[int]) -> OperatorHandle:
+        return handle_for(np.array([member[i] for i in rows]))
+
+    # The two applies of a round.  Every array they make is freed when they
+    # return, so no row temporary is held through the next apply.
+    def gradients(rows: list[int]) -> np.ndarray:
+        """Writes into g the gradients of log ||Uv||_{L^q(lam)} - log ||v||_{L^p(mu)} of
+        the rows (unit L^p(mu) norm, nonzero ratio) and returns their Euclidean norms."""
+        dual = uv[rows]
+        np.multiply(lamm * np.abs(dual) ** (q - 1.0), np.sign(dual), out=dual)
+        ga = handle(rows).adjoint(dual) / _column([r_cur[i] ** q for i in rows], dual)
+        w = v[rows]
+        grads = ga - mum * np.abs(w) ** (p - 1.0) * np.sign(w)
+        g[rows] = grads
+        return np.sqrt((grads * grads).reshape(len(rows), -1).sum(axis=1))
+
+    def forward(searching: list[int], fresh: list[int]) -> tuple[list[float], list[bool]]:
+        """One apply of each searching row's trial and of each fresh row; returns the ratios
+        and, per searching row, whether it improved.  An improved row moves to its trial,
+        normalized, with the trial's image; a fresh row takes its image."""
+        n = len(searching)
+        x = np.concatenate([
+            v[searching] + _column([step[i] for i in searching], v) * g[searching] / _column(
+                [gn[i] for i in searching], v),
+            v[fresh],
+        ])
+        ux = handle(searching + fresh).apply(x)
+        dens = _row_norms(x, mum, p)
+        r_new = _ratios(_row_norms(ux, lamm, q), dens)
+        up = [r_new[j] > r_cur[i] * (1.0 + 1e-13) for j, i in enumerate(searching)]
+        if moved := [j for j, ok in enumerate(up) if ok]:
+            rows, scale = [searching[j] for j in moved], _column([dens[j] for j in moved], x)
+            v[rows], uv[rows] = x[moved] / scale, ux[moved] / scale
+        uv[fresh] = ux[n:]
+        return r_new, up
+
+    def finish(i: int) -> None:
+        k, j, r = member[i], start_of[i], r_cur[i]
+        ratios[k][j] = r
+        if r > best[k][0] or (r == best[k][0] and j < best[k][1]):
+            best[k] = (r, j, v[i].copy())
+        free.append(i)
+
+    wanting: list[int] = []  # rows whose next move is a gradient
+    searching: list[int] = []  # rows with a direction and a step to try
+    while True:
+        for i in wanting:
+            if r_cur[i] == 0.0:
+                finish(i)  # the zero gradient
+        if live := [i for i in wanting if r_cur[i] != 0.0]:
+            for i, norm in zip(live, gradients(live)):
+                left[i] -= 1
+                gn[i] = float(norm)
+                if gn[i] >= 1e-15:
+                    searching.append(i)
+                else:
+                    finish(i)
+        wanting = []
+        # a row whose step has run out has failed its line search
+        for i in searching:
+            if step[i] <= 1e-12:
+                finish(i)
+        searching = [i for i in searching if step[i] > 1e-12]
+        fresh = []
+        while free and (item := next(queue, None)) is not None:
+            k, j, start = item
+            n_starts[k] += 1
+            norm = _row_norms(start[None], mum, p)[0]
+            if norm != 0.0:
+                i = free.pop()
+                member[i], start_of[i], step[i], left[i] = k, j, 1.0, iterations
+                v[i] = start / norm
+                fresh.append(i)
+        if not searching and not fresh:
+            break
+        r_new, up = forward(searching, fresh)
+        still = []
+        for j, i in enumerate(searching):
+            evals[member[i]] += 1
+            if up[j]:
+                r_cur[i] = r_new[j]
+                step[i] *= 1.8
+                if left[i] > 0:
+                    wanting.append(i)
+                else:
+                    finish(i)
+            else:
+                step[i] *= 0.5
+                still.append(i)
+        for j, i in enumerate(fresh, len(searching)):
+            r_cur[i] = r_new[j]
+            if iterations > 0:
+                wanting.append(i)
+            else:
+                finish(i)
+        searching = still
+
+    reports = []
+    for k in range(len(seeds)):
+        top, trace = 0.0, []
+        for j in sorted(ratios[k]):
+            if ratios[k][j] > top:
+                top = ratios[k][j]
+            trace.append(top)
+        reports.append(NormReport(
+            value=top,
+            method="gradient-ascent",
+            certificate=best[k][2],
+            trace=trace,
+            details={"restarts": float(n_starts[k]), "ratio_evals": float(evals[k])},
+        ))
+    return reports
 
 
 # -- testing functionals -------------------------------------------------------------

@@ -34,9 +34,13 @@ from .lattice import (
 from .weights import Weight, batch_cell_masses, batch_masses, cube_stack
 
 
-def _level_averages(tree: DyadicTree, rows: np.ndarray) -> list[np.ndarray]:
-    """Per-level averages over every cube, for cell arrays shaped (..., *tree.shape)."""
-    return [s * tree.cell_volume / tree.volume(k) for k, s in enumerate(level_sums(tree, rows))]
+def _level_averages(
+    tree: DyadicTree, rows: np.ndarray, levels: int | None = None
+) -> list[np.ndarray]:
+    """Per-level averages over every cube of levels 0 .. levels - 1 (all levels by default),
+    for cell arrays shaped (..., *tree.shape)."""
+    sums = level_sums(tree, rows)[:levels]
+    return [s * tree.cell_volume / tree.volume(k) for k, s in enumerate(sums)]
 
 
 def _averages_by_level(f: GridFunction) -> list[np.ndarray]:
@@ -167,8 +171,10 @@ def _paraproduct_rows(
     """The paraproduct of b's Haar differences `bdiffs` on rows shaped (..., *tree.shape).
 
     A per-level stack `cubes` with leading row axes gives one partial sum per row.
+    The finest level carries no Haar term, so its averages are not taken
+    (a depth-0 tree keeps its root level, which gives the zero sum its shape).
     """
-    favg = _level_averages(tree, rows)
+    favg = _level_averages(tree, rows, max(1, tree.depth))
     if cubes is not None:
         favg = [c * a for c, a in zip(cube_stack(tree, cubes), favg)]
     return _haar_sum(tree, bdiffs, favg)
@@ -270,24 +276,27 @@ def _hilbert_apply(tree: DyadicTree, rows: np.ndarray) -> np.ndarray:
     The products are circular convolutions with the circulant embedding of the lags.
     """
     n = tree.n_cells
-    return np.fft.irfft(np.fft.rfft(rows, 2 * n) * _hilbert_spectrum(tree), 2 * n)[..., :n]
+    spectra = np.fft.rfft(rows, 2 * n)
+    spectra *= _hilbert_spectrum(tree)
+    return np.fft.irfft(spectra, 2 * n)[..., :n]
 
 
 def hilbert_transform(f: GridFunction) -> GridFunction:
     return GridFunction(f.tree, _hilbert_apply(f.tree, f.values))
 
 
-def _commutator_rows(b: GridFunction, rows: np.ndarray) -> np.ndarray:
-    """b * Hf - H(b f) for every row f of `rows`; all Hf and H(bf) share one FFT pair."""
-    hf, hbf = _hilbert_apply(b.tree, np.stack([rows, b.values * rows]))
-    return b.values * hf - hbf
+def _commutator_rows(tree: DyadicTree, b: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """b * Hf - H(b f) for every row f of `rows`, b's cell values broadcast against them;
+    all Hf and H(bf) share one FFT pair."""
+    hf, hbf = _hilbert_apply(tree, np.stack([rows, b * rows]))
+    return b * hf - hbf
 
 
 def commutator(b: GridFunction, f: GridFunction) -> GridFunction:
     """b * Hf - H(b f) with the discrete Hilbert transform; Hf and H(bf) share one FFT pair."""
     if b.tree != f.tree:
         raise LatticeError("b and f live on different trees")
-    return GridFunction(b.tree, _commutator_rows(b, f.values))
+    return GridFunction(b.tree, _commutator_rows(b.tree, b.values, f.values))
 
 
 def commutator_test_pairs(b: GridFunction, cube: Cube):
@@ -327,7 +336,8 @@ def commutator_test_pairs(b: GridFunction, cube: Cube):
     pairs = [(GridFunction(tree, f), GridFunction(tree, g)) for f, g in zip(f_rows, g_rows)]
 
     osc = float(oscillation_levels(b)[cube.level][cube.index])
-    forms = np.abs((g_rows * _commutator_rows(b, f_rows)).sum(axis=-1)) * tree.cell_volume
+    comm = _commutator_rows(tree, b.values, f_rows)
+    forms = np.abs((g_rows * comm).sum(axis=-1)) * tree.cell_volume
     total = float(forms.sum())
     measured = osc / total if total > 0.0 else math.inf
     corner = (-tree.half_width + t_start * tree.cell_side,)
@@ -352,19 +362,50 @@ class OperatorHandle:
     adjoint: Callable[[np.ndarray], np.ndarray]
 
 
-def paraproduct_handle(b: GridFunction) -> OperatorHandle:
-    """The paraproduct with symbol b; b's level averages and Haar differences are taken once."""
-    tree = b.tree
-    bavg = _averages_by_level(b)
-    bdiffs = _haar_differences(bavg)
-    return OperatorHandle(
-        "paraproduct",
-        lambda v: _paraproduct_rows(tree, bdiffs, v),
-        lambda v: _paraproduct_adjoint_rows(tree, bavg, v),
-    )
+def _symbols(b: GridFunction | Sequence[GridFunction]) -> list[GridFunction]:
+    return [b] if isinstance(b, GridFunction) else list(b)
 
 
-def commutator_handle(b: GridFunction) -> OperatorHandle:
-    return OperatorHandle(
-        "hilbert-commutator", lambda v: _commutator_rows(b, v), lambda v: -_commutator_rows(b, v)
-    )
+def paraproduct_handle(
+    b: GridFunction | Sequence[GridFunction],
+) -> OperatorHandle | Callable[[np.ndarray], OperatorHandle]:
+    """The paraproduct with symbol b; b's level averages and Haar differences are taken once.
+
+    Given a list of symbols, returns `which -> OperatorHandle`: the handle
+    whose row i is the paraproduct of symbol `which[i]` (an index array, or
+    one index for every row), gathering each level of the symbols' stacks
+    per row.
+    """
+    bs = _symbols(b)
+    levels = [_averages_by_level(x) for x in bs]
+    bavg = [np.stack(level) for level in zip(*levels)]
+    bdiffs = [np.stack(level) for level in zip(*map(_haar_differences, levels))]
+
+    def handle_for(which) -> OperatorHandle:
+        tree = bs[0].tree
+        return OperatorHandle(
+            "paraproduct",
+            lambda v: _paraproduct_rows(tree, [d[which] for d in bdiffs], v),
+            lambda v: _paraproduct_adjoint_rows(tree, [a[which] for a in bavg], v),
+        )
+
+    return handle_for(0) if isinstance(b, GridFunction) else handle_for
+
+
+def commutator_handle(
+    b: GridFunction | Sequence[GridFunction],
+) -> OperatorHandle | Callable[[np.ndarray], OperatorHandle]:
+    """The Hilbert commutator with symbol b, or `which -> OperatorHandle` for a list of
+    symbols, as `paraproduct_handle`."""
+    bs = _symbols(b)
+    bvals = np.array([x.values for x in bs])
+
+    def handle_for(which) -> OperatorHandle:
+        tree = bs[0].tree
+        return OperatorHandle(
+            "hilbert-commutator",
+            lambda v: _commutator_rows(tree, bvals[which], v),
+            lambda v: -_commutator_rows(tree, bvals[which], v),
+        )
+
+    return handle_for(0) if isinstance(b, GridFunction) else handle_for

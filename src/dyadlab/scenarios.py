@@ -20,6 +20,7 @@ from .norms import (
     bmo_alpha_norm,
     discretized_sharp_sup,
     empirical_operator_norm,
+    empirical_operator_norms,
     multiplier_norm,
     multiplier_objective,
     sharp_maximal_r_norm,
@@ -407,31 +408,23 @@ def run_bloom_comparability(cfg: ScenarioConfig) -> dict:
     lam = _weight(cfg.lam, tree)
     triple = BloomTriple(mu, lam, cfgE)
     bs = make_family(cfg.b_family, tree, cfg.family_size, rng)
-    rows = []
-    ratios_pp, ratios_comm = [], []
-    for i, b in enumerate(bs):
-        if cfgE.q < cfgE.p:
-            phi = sharp_maximal_r_norm(b, triple.nu, cfgE.r).value
-        else:
-            phi = bmo_alpha_norm(b, triple.nu, cfgE.alpha)
-        pp = empirical_operator_norm(
-            paraproduct_handle(b), mu, lam, cfgE.p, cfgE.q, tree,
-            restarts=cfg.restarts, iterations=cfg.iterations, seed=cfg.seed + i,
-        ).value
-        row = [i, phi, pp]
-        if tree.dim == 1:
-            comm = empirical_operator_norm(
-                commutator_handle(b), mu, lam, cfgE.p, cfgE.q, tree,
-                restarts=cfg.restarts, iterations=cfg.iterations, seed=cfg.seed + i,
-            ).value
-            row.append(comm)
-            if phi > 0.0:
-                ratios_comm.append(comm / phi)
-        else:
-            row.append(None)  # the commutator is the Hilbert transform's, defined at d = 1
-        if phi > 0.0:
-            ratios_pp.append(pp / phi)
-        rows.append(row)
+    if cfgE.q < cfgE.p:
+        phis = [sharp_maximal_r_norm(b, triple.nu, cfgE.r).value for b in bs]
+    else:
+        phis = [bmo_alpha_norm(b, triple.nu, cfgE.alpha) for b in bs]
+    seeds = [cfg.seed + i for i in range(len(bs))]
+
+    def estimates(handle_for) -> list[float]:
+        return [rep.value for rep in empirical_operator_norms(
+            handle_for, mu, lam, cfgE.p, cfgE.q, tree,
+            restarts=cfg.restarts, iterations=cfg.iterations, seeds=seeds)]
+
+    pps = estimates(paraproduct_handle(bs))
+    # the commutator is the Hilbert transform's, defined at d = 1
+    comms = estimates(commutator_handle(bs)) if tree.dim == 1 else [None] * len(bs)
+    rows = [[i, phi, pp, comm] for i, (phi, pp, comm) in enumerate(zip(phis, pps, comms))]
+    ratios_pp = [pp / phi for _, phi, pp, _ in rows if phi > 0.0]
+    ratios_comm = [comm / phi for _, phi, _, comm in rows if phi > 0.0 and comm is not None]
     chars = {
         "mu_ap": ap_characteristic(mu, cfgE.p),
         "lam_aq": ap_characteristic(lam, cfgE.q),

@@ -1,17 +1,20 @@
 """The lockstep operator-norm estimator against the sequential ascent, bit for bit.
 
-`norms.empirical_operator_norm` runs its starts in lockstep groups;
-`oracles.reference_empirical_operator_norm` runs the same ascent one start
-at a time.  Value, certificate, trace and details must be equal, not close.
+`norms.empirical_operator_norms` streams the starts of a family of
+operators through one row pool, and `norms.empirical_operator_norm` is its
+one-member call; `oracles.reference_empirical_operator_norm` runs the same
+ascent one start of one operator at a time.  Value, certificate, trace and
+details must be equal, not close.
 """
 
 import numpy as np
 import pytest
 
-from dyadlab import norms
+from dyadlab import norms, scenarios
 from dyadlab.lattice import DyadicTree, GridFunction
-from dyadlab.norms import empirical_operator_norm
+from dyadlab.norms import empirical_operator_norm, empirical_operator_norms, lp_norm
 from dyadlab.operators import OperatorHandle, commutator_handle, paraproduct_handle
+from dyadlab.scenarios import ScenarioConfig, make_family, run_bloom_comparability
 from dyadlab.weights import Weight
 
 from oracles import (
@@ -86,7 +89,7 @@ def test_zero_and_extra_starts(rng, iterations):
 @pytest.mark.parametrize("cells_per_group", [1, 3, 7, 10_000])
 @pytest.mark.parametrize("dim", ["d1", "d2"])
 def test_uneven_groups(rng, monkeypatch, dim, cells_per_group):
-    """Groups of 1, 3 and 7 starts split the 16 to 30 starts unevenly; one group holds all."""
+    """Pools of 1, 3 and 7 rows refill as the 16 to 30 starts finish; one pool holds all."""
     tree = TREES[dim]
     monkeypatch.setattr(norms, "_GROUP_CELLS", cells_per_group * tree.n_cells)
     U = _handle("paraproduct", tree, rng)
@@ -130,3 +133,102 @@ def test_handle_sees_every_call_as_a_stack(rng):
                                              iterations=6)
     _assert_same(got, want)
     assert lockstep_calls < len(shapes)
+
+
+# -- one pool for a family of operators -------------------------------------------------
+
+FAMILY_HANDLES = {"paraproduct": paraproduct_handle, "commutator": commutator_handle}
+
+
+def _recording(handle_for, calls: list):
+    """handle_for, recording the members of the rows of every stack it is handed."""
+    def record(which):
+        inner = handle_for(which)
+
+        def counted(op):
+            def call(v):
+                assert len(v) == len(which)
+                calls.append(list(which))
+                return op(v)
+            return call
+
+        return OperatorHandle(inner.name, counted(inner.apply), counted(inner.adjoint))
+    return record
+
+
+@pytest.mark.parametrize("iterations", [0, 1, 7])
+@pytest.mark.parametrize("rows", [3, None], ids=["3-rows", "cap"])
+@pytest.mark.parametrize("name,dim", [
+    ("paraproduct", "d1"), ("commutator", "d1"), ("paraproduct", "d2"),
+])
+def test_family_matches_each_member_alone(rng, monkeypatch, name, dim, rows, iterations):
+    """Every member's report equals its own sequential ascent: per-member seeds and
+    extras (zero-norm ones among them), a constant b whose operator is zero, and random
+    starts past the structured ones.  With 3 rows a member's starts span refills and
+    members share stacks; at the default cap every start of a member fits at once."""
+    tree = TREES[dim]
+    if rows is not None:
+        monkeypatch.setattr(norms, "_GROUP_CELLS", rows * tree.n_cells)
+    bs = [GridFunction(tree, rng.normal(size=tree.shape)) for _ in range(3)]
+    bs.insert(1, GridFunction.constant(tree, 2.0))
+    seeds = [3, 8, 5, 21]
+    extras = [[], [np.zeros(tree.shape)], [rng.normal(size=tree.shape), np.zeros(tree.shape)], []]
+    restarts = len(list(norms._structured_starts(tree))) + 5
+    mu, lam = Weight.power_weight(tree, 1.0), Weight.power_weight(tree, -0.5)
+    make = FAMILY_HANDLES[name]
+    calls: list = []
+    got = empirical_operator_norms(_recording(make(bs), calls), mu, lam, 4.0, 2.0, tree,
+                                   restarts=restarts, iterations=iterations, seeds=seeds,
+                                   extra_starts=extras)
+    assert len(got) == len(bs)
+    for k, b in enumerate(bs):
+        want = reference_empirical_operator_norm(make(b), mu, lam, 4.0, 2.0, tree,
+                                                 restarts=restarts, iterations=iterations,
+                                                 seed=seeds[k], extra_starts=extras[k])
+        _assert_same(got[k], want)
+        assert got[k].details["restarts"] == restarts
+    assert got[1].value == 0.0
+    assert any(len(set(which)) > 1 for which in calls)
+    if rows is not None:
+        assert max(len(which) for which in calls) == rows
+
+
+@pytest.mark.parametrize("dim,depth", [(1, 5), (2, 3)])
+def test_bloom_pools_match_each_member_alone(tmp_path, monkeypatch, dim, depth):
+    """bloom runs one pool per operator family (the commutator's at d = 1 only).  Every
+    member's norms equal its own `empirical_operator_norm` calls exactly, and every
+    certificate re-evaluates to its value within 1e-12."""
+    cfg = ScenarioConfig(dim=dim, depth=depth, family_size=4, b_family="mixed", mu="power(1.0)",
+                         restarts=12, iterations=6, seed=7, out_dir=str(tmp_path))
+    family, pools = [], []
+
+    def spy_family(*args):
+        family.extend(make_family(*args))
+        return family
+
+    def spy_pool(handle_for, *args, **kwargs):
+        reports = empirical_operator_norms(handle_for, *args, **kwargs)
+        pools.append((handle_for, reports))
+        return reports
+
+    monkeypatch.setattr(scenarios, "make_family", spy_family)
+    monkeypatch.setattr(scenarios, "empirical_operator_norms", spy_pool)
+    members = run_bloom_comparability(cfg)["members"]
+
+    tree = cfg.tree()
+    mu, lam = Weight.power_weight(tree, 1.0), Weight.lebesgue(tree)
+    kinds = [("paraproduct_norm", paraproduct_handle), ("commutator_norm", commutator_handle)]
+    assert len(pools) == (2 if dim == 1 else 1)
+    for (key, make), (handle_for, reports) in zip(kinds, pools):
+        for i, (b, member, rep) in enumerate(zip(family, members, reports, strict=True)):
+            alone = empirical_operator_norm(make(b), mu, lam, cfg.p, cfg.q, tree,
+                                            restarts=cfg.restarts, iterations=cfg.iterations,
+                                            seed=cfg.seed + i)
+            assert member[key] == rep.value == alone.value
+            v = rep.certificate
+            u = handle_for(np.array([i])).apply(v[None])[0]
+            value = lp_norm(GridFunction(tree, u), lam, cfg.q) / lp_norm(GridFunction(tree, v),
+                                                                       mu, cfg.p)
+            assert abs(value - rep.value) <= 1e-12 * max(abs(rep.value), 1e-300)
+    if dim == 2:
+        assert [m["commutator_norm"] for m in members] == [None] * len(members)

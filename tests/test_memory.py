@@ -8,11 +8,12 @@ every step here must stay a small multiple of the cell count instead.
 import tracemalloc
 
 import numpy as np
+import pytest
 
 from dyadlab import norms, weights
 from dyadlab.lattice import DyadicTree, GridFunction
-from dyadlab.norms import discretized_sharp_sup, empirical_operator_norm
-from dyadlab.operators import paraproduct_handle
+from dyadlab.norms import discretized_sharp_sup, empirical_operator_norm, empirical_operator_norms
+from dyadlab.operators import OperatorHandle, paraproduct_handle
 from dyadlab.scenarios import make_family
 from dyadlab.sparse import verify_sparse
 from dyadlab.weights import Weight
@@ -41,7 +42,7 @@ def test_d2_power_weight_from_an_empty_plan_cache():
 
 
 def test_estimator_peak_does_not_grow_with_restarts(rng):
-    """With one start per lockstep group, tripling the starts adds no held rows."""
+    """With a one-row pool, tripling the starts adds no held rows."""
     tree = DyadicTree(2, 6, 4.0)
     assert norms._GROUP_CELLS // tree.n_cells == 1
     U = paraproduct_handle(GridFunction(tree, rng.normal(size=tree.shape)))
@@ -54,6 +55,34 @@ def test_estimator_peak_does_not_grow_with_restarts(rng):
         peaks.append(peak)
     row = tree.n_cells * 8
     assert peaks[1] < peaks[0] + 4 * row
+
+
+@pytest.mark.parametrize("depth,rows", [(8, 16), (12, 1)])
+def test_estimator_pool_stays_within_its_cap(rng, depth, rows):
+    """No stack the estimator hands to a handle exceeds max(1, _GROUP_CELLS // n_cells)
+    rows, however many members share the pool, and the pool fills up to that cap."""
+    tree = DyadicTree(1, depth, 4.0)
+    assert max(1, norms._GROUP_CELLS // tree.n_cells) == rows
+    inner = paraproduct_handle([GridFunction(tree, rng.normal(size=tree.shape)) for _ in range(3)])
+    stacks = []
+
+    def handle_for(which):
+        handle = inner(which)
+
+        def counted(op):
+            def call(v):
+                assert v.shape == (len(which),) + tree.shape
+                stacks.append(len(v))
+                return op(v)
+            return call
+
+        return OperatorHandle(handle.name, counted(handle.apply), counted(handle.adjoint))
+
+    reports = empirical_operator_norms(handle_for, Weight.power_weight(tree, 1.0),
+                                       Weight.lebesgue(tree), 4.0, 2.0, tree,
+                                       restarts=10, iterations=3, seeds=[1, 2, 3])
+    assert [r.details["restarts"] for r in reports] == [10.0] * 3
+    assert max(stacks) == rows
 
 
 def test_verify_sparse_on_a_one_cube_sharp_sup_family():

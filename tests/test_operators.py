@@ -499,6 +499,20 @@ class TestHandleRowStacks:
                 assert single.shape == tree.shape, name
                 assert np.array_equal(got, single), name
 
+    @pytest.mark.parametrize("tree", TREES, ids=lambda t: f"d{t.dim}-N{t.depth}")
+    @pytest.mark.parametrize("side", ["apply", "adjoint"])
+    def test_family_rows_are_their_members(self, rng, tree, side):
+        """A list of symbols gives `which -> handle`: row i is member which[i]'s operator,
+        with the bits of that member's own handle on that row."""
+        bs = [GridFunction(tree, rng.normal(size=tree.shape)) for _ in range(3)]
+        which = np.array([2, 0, 0, 1, 2])
+        rows = rng.normal(size=(len(which),) + tree.shape)
+        factories = [paraproduct_handle] + ([commutator_handle] if tree.dim == 1 else [])
+        for factory in factories:
+            stacked = getattr(factory(bs)(which), side)(rows)
+            for k, row, got in zip(which, rows, stacked):
+                assert np.array_equal(got, getattr(factory(bs[k]), side)(row)), factory
+
     @pytest.mark.parametrize("tree", TREES[1::2], ids=lambda t: f"d{t.dim}")
     def test_two_leading_axes(self, rng, tree):
         b = GridFunction(tree, rng.normal(size=tree.shape))
