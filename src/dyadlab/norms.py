@@ -175,7 +175,7 @@ def multiplier_norm(b: GridFunction, nu: Weight, r: float) -> NormReport:
 
 
 def discretized_sharp_sup(
-    b: GridFunction, nu: Weight, r: float, gamma: float = 0.25
+    b: GridFunction, nu: Weight, r: float, sharp: NormReport, gamma: float = 0.25
 ) -> NormReport:
     """Principal-cubes lower functional for the sharp maximal norm.
 
@@ -186,9 +186,10 @@ def discretized_sharp_sup(
 
         (sum over family of (osc_S / nu(S))^r nu(S))^(1/r).
 
-    A verified family certifies value <= gamma^(-1/r) ||M#_nu b||_{L^r(nu)};
-    this is asserted.  A family that fails verification is reported in the
-    details, never repaired silently.
+    `sharp` is `sharp_maximal_r_norm(b, nu, r)`.  A verified family
+    certifies value <= gamma^(-1/r) sharp.value; this is asserted.  A
+    family that fails verification is reported in the details, never
+    repaired silently.
     """
     tree = b.tree
     nus = nu.level_masses()
@@ -207,22 +208,18 @@ def discretized_sharp_sup(
     )
     ok, worst = verify_sparse(family)
 
-    # b varies on p exactly when its median oscillation is positive; at a non-dyadic H
-    # the level-array oscillation of a constant cube can round to a positive value
     oscs = oscillation_levels(b)
     total = 0.0
     for p in principal:
-        if phi[p.level][p.index] > 0.0:
-            osc, mass = float(oscs[p.level][p.index]), float(nus[p.level][p.index])
-            total += (osc / mass) ** r * mass
-    value = total ** (1.0 / r) if total > 0.0 else 0.0
+        osc, mass = float(oscs[p.level][p.index]), float(nus[p.level][p.index])
+        total += (osc / mass) ** r * mass
+    value = total ** (1.0 / r)
 
-    sharp_norm = sharp_maximal_r_norm(b, nu, r).value
-    details = {"sparse_ok": float(ok), "worst_witness_ratio": worst, "sharp_norm": sharp_norm}
-    if ok and value > gamma ** (-1.0 / r) * sharp_norm * (1.0 + 1e-9):
+    details = {"sparse_ok": float(ok), "worst_witness_ratio": worst, "sharp_norm": sharp.value}
+    if ok and value > gamma ** (-1.0 / r) * sharp.value * (1.0 + 1e-9):
         raise AssertionError(
             "discretized supremum exceeded its certified bound: "
-            f"{value} > {gamma ** (-1.0 / r) * sharp_norm}"
+            f"{value} > {gamma ** (-1.0 / r) * sharp.value}"
         )
     return NormReport(value, "sparse-sup", certificate=family, details=details)
 
@@ -302,7 +299,7 @@ def empirical_operator_norm(
     line-search trials.
     """
     mu, lam = (w if w is not None else Weight.lebesgue(tree) for w in (mu, lam))
-    return empirical_operator_norms(lambda which: U, mu, lam, p, q, tree, restarts, iterations,
+    return empirical_operator_norms(lambda which: U, mu, lam, p, q, restarts, iterations,
                                     [seed], [extra_starts])[0]
 
 
@@ -312,7 +309,6 @@ def empirical_operator_norms(
     lam: Weight,
     p: float,
     q: float,
-    tree: DyadicTree,
     restarts: int = 64,
     iterations: int = 60,
     seeds: Sequence[int] = (DEFAULT_SEED,),
@@ -322,7 +318,8 @@ def empirical_operator_norms(
 
     Member k has seed `seeds[k]` and the extra starts `extra_starts[k]`
     (none for any member when `extra_starts` is empty); `handle_for(which)`
-    is the handle whose row i is member `which[i]`'s operator.
+    is the handle whose row i is member `which[i]`'s operator, on the tree
+    of `mu`.
 
     All members' starts stream, in member then start order, through one
     pool of at most max(1, _GROUP_CELLS // n_cells) rows, whose buffers are
@@ -337,7 +334,7 @@ def empirical_operator_norms(
     largest ratio is the certificate (a zero ratio never replaces the
     all-ones default), so every report has the bits of its member run alone.
     """
-    mum, lamm = mu.cell_mass, lam.cell_mass
+    tree, mum, lamm = mu.tree, mu.cell_mass, lam.cell_mass
     extras = list(extra_starts) or [()] * len(seeds)
     queue = (
         (k, j, start)

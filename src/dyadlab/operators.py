@@ -38,9 +38,9 @@ def _level_averages(
     tree: DyadicTree, rows: np.ndarray, levels: int | None = None
 ) -> list[np.ndarray]:
     """Per-level averages over every cube of levels 0 .. levels - 1 (all levels by default),
-    for cell arrays shaped (..., *tree.shape)."""
+    for cell arrays shaped (..., *tree.shape): each cube's sum over its cell count."""
     sums = level_sums(tree, rows)[:levels]
-    return [s * tree.cell_volume / tree.volume(k) for k, s in enumerate(sums)]
+    return [s / 2 ** (tree.dim * (tree.depth - k)) for k, s in enumerate(sums)]
 
 
 def _averages_by_level(f: GridFunction) -> list[np.ndarray]:

@@ -416,7 +416,7 @@ def run_bloom_comparability(cfg: ScenarioConfig) -> dict:
 
     def estimates(handle_for) -> list[float]:
         return [rep.value for rep in empirical_operator_norms(
-            handle_for, mu, lam, cfgE.p, cfgE.q, tree,
+            handle_for, mu, lam, cfgE.p, cfgE.q,
             restarts=cfg.restarts, iterations=cfg.iterations, seeds=seeds)]
 
     pps = estimates(paraproduct_handle(bs))
@@ -554,9 +554,9 @@ def run_norms(cfg: ScenarioConfig) -> dict:
     }
     full_reports = {}
     if cfgE.q < cfgE.p:
-        full_reports["sharp_r_norm"] = sharp_maximal_r_norm(b, triple.nu, cfgE.r)
+        sharp = full_reports["sharp_r_norm"] = sharp_maximal_r_norm(b, triple.nu, cfgE.r)
         full_reports["multiplier_inf"] = multiplier_norm(b, triple.nu, cfgE.r)
-        full_reports["discretized_sup"] = discretized_sharp_sup(b, triple.nu, cfgE.r)
+        full_reports["discretized_sup"] = discretized_sharp_sup(b, triple.nu, cfgE.r, sharp)
     full_reports["paraproduct_norm"] = empirical_operator_norm(
         paraproduct_handle(b), mu, lam, cfgE.p, cfgE.q, tree,
         restarts=cfg.restarts, iterations=cfg.iterations, seed=cfg.seed,

@@ -27,7 +27,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .lattice import Cube, DyadicTree, GridFunction, LatticeError, as_rows, refine_once
+from .lattice import Cube, DyadicTree, GridFunction, LatticeError, refine_once
 from .operators import (
     _averages_by_level,
     _haar_differences,
@@ -210,13 +210,11 @@ def paraproduct_sparse_dominate(b: GridFunction, f: GridFunction) -> SparseFamil
     if fabs[0].item() == 0.0 and float(np.abs(f.values).max()) != 0.0:
         raise LatticeError("zero |f|-average over the root of a nonzero f")
 
-    rows = [as_rows(b.values, j) for j in range(len(bavg))]
     # an iterate's state: <|f|>, a_q = 2^5 <|b - <b>|> <|f|>, whether b varies on it,
-    # and the chain's summed positive and negative parts; these read the rows, not
-    # `oscillation_levels`, whose rounded averages at a non-dyadic H make constant cubes vary
-    thresholds = [32.0 * np.abs(r - a[..., None]).mean(axis=-1) * fa
-                  for r, a, fa in zip(rows, bavg, fabs)]
-    varies = [r.min(axis=-1) < r.max(axis=-1) for r in rows]
+    # and the chain's summed positive and negative parts
+    oscs = oscillation_levels(b)
+    thresholds = [32.0 * (osc / tree.volume(j)) * fa for j, (osc, fa) in enumerate(zip(oscs, fabs))]
+    varies = [osc > 0.0 for osc in oscs]
     terms = [None] + _haar_terms(_haar_differences(bavg), fsig)
 
     def fresh(j):

@@ -826,7 +826,7 @@ def discretized_sup_depth_one():
     tree = DyadicTree(1, 1, 0.5)
     b = from_callable(tree, lambda x: (x < 0.0) * 1.0)
     nu = Weight.lebesgue(tree)
-    rep = discretized_sharp_sup(b, nu, 2.0, gamma=0.25)
+    rep = discretized_sharp_sup(b, nu, 2.0, sharp_maximal_r_norm(b, nu, 2.0), gamma=0.25)
     # families on the 3-cube tree: leaves have zero oscillation, so the
     # best feasible family is {root} with value (osc/nu)^2 * nu = (1/2)^2
     want = 0.5
@@ -1124,9 +1124,9 @@ def whole_line_sharp_sup_slope_unit_bump():
 def scalar_lebesgue_masses():
     """Scalar Lebesgue level masses give the bits of the per-cube `np.full` arrays.
 
-    `_averages_by_level`, `carleson_norm` with no measure and `fujii_wilson_ainfty`
-    against `Weight.lebesgue`, against their formulas evaluated on full arrays of
-    `tree.volume(k)`.
+    `_averages_by_level` against level sums over cell counts, and `carleson_norm`
+    with no measure and `fujii_wilson_ainfty` against `Weight.lebesgue`, against
+    their formulas evaluated on full arrays of `tree.volume(k)`.
     """
     same = True
     for dim, depth, half_width in ((1, 6, 1.0), (1, 7, 3.0), (2, 4, 0.7), (2, 5, 5.0)):
@@ -1135,7 +1135,7 @@ def scalar_lebesgue_masses():
         rng = np.random.default_rng(depth)
         f = GridFunction(tree, rng.standard_t(3, size=tree.shape))
         sums = level_sums(tree, f.values)
-        want = [sums[k] * tree.cell_volume / full[k] for k in range(depth + 1)]
+        want = [sums[k] / 2 ** (dim * (depth - k)) for k in range(depth + 1)]
         same &= all(np.array_equal(a, w) for a, w in zip(_averages_by_level(f), want))
 
         coeffs = [rng.random((2**k,) * dim) for k in range(depth + 1)]

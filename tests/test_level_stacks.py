@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 
 from dyadlab.lattice import Cube, DyadicTree, GridFunction, level_sums
-from dyadlab.norms import discretized_sharp_sup
+from dyadlab.norms import discretized_sharp_sup, sharp_maximal_r_norm
 from dyadlab.operators import (
     _averages_by_level,
     oscillation_levels,
@@ -229,7 +229,8 @@ def _norms_family(dim: int, depth: int, mu: str) -> SparseFamily:
     tree = cfg.tree()
     triple = BloomTriple(parse_weight(cfg.mu, tree), parse_weight(cfg.lam, tree), cfg.exponents())
     b = make_family(cfg.b_family, tree, 1, np.random.default_rng(cfg.seed))[0]
-    return discretized_sharp_sup(b, triple.nu, cfg.exponents().r).certificate
+    r = cfg.exponents().r
+    return discretized_sharp_sup(b, triple.nu, r, sharp_maximal_r_norm(b, triple.nu, r)).certificate
 
 
 @pytest.mark.parametrize("dim,depth,mu", [(1, 8, "lebesgue"), (1, 8, "power(1.0)"),

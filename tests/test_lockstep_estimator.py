@@ -177,7 +177,7 @@ def test_family_matches_each_member_alone(rng, monkeypatch, name, dim, rows, ite
     mu, lam = Weight.power_weight(tree, 1.0), Weight.power_weight(tree, -0.5)
     make = FAMILY_HANDLES[name]
     calls: list = []
-    got = empirical_operator_norms(_recording(make(bs), calls), mu, lam, 4.0, 2.0, tree,
+    got = empirical_operator_norms(_recording(make(bs), calls), mu, lam, 4.0, 2.0,
                                    restarts=restarts, iterations=iterations, seeds=seeds,
                                    extra_starts=extras)
     assert len(got) == len(bs)

@@ -12,7 +12,12 @@ import pytest
 
 from dyadlab import norms, weights
 from dyadlab.lattice import DyadicTree, GridFunction
-from dyadlab.norms import discretized_sharp_sup, empirical_operator_norm, empirical_operator_norms
+from dyadlab.norms import (
+    discretized_sharp_sup,
+    empirical_operator_norm,
+    empirical_operator_norms,
+    sharp_maximal_r_norm,
+)
 from dyadlab.operators import OperatorHandle, paraproduct_handle
 from dyadlab.scenarios import make_family
 from dyadlab.sparse import verify_sparse
@@ -79,7 +84,7 @@ def test_estimator_pool_stays_within_its_cap(rng, depth, rows):
         return OperatorHandle(handle.name, counted(handle.apply), counted(handle.adjoint))
 
     reports = empirical_operator_norms(handle_for, Weight.power_weight(tree, 1.0),
-                                       Weight.lebesgue(tree), 4.0, 2.0, tree,
+                                       Weight.lebesgue(tree), 4.0, 2.0,
                                        restarts=10, iterations=3, seeds=[1, 2, 3])
     assert [r.details["restarts"] for r in reports] == [10.0] * 3
     assert max(stacks) == rows
@@ -88,8 +93,8 @@ def test_estimator_pool_stays_within_its_cap(rng, depth, rows):
 def test_verify_sparse_on_a_one_cube_sharp_sup_family():
     """The 65,536-claim family of `discretized_sharp_sup` checks in under 6 MiB."""
     tree = DyadicTree(2, 8, 4.0)
-    family = discretized_sharp_sup(GridFunction.constant(tree, 1.0),
-                                   Weight.power_weight(tree, 0.5), 4.0).certificate
+    b, nu = GridFunction.constant(tree, 1.0), Weight.power_weight(tree, 0.5)
+    family = discretized_sharp_sup(b, nu, 4.0, sharp_maximal_r_norm(b, nu, 4.0)).certificate
     assert family.cubes == [tree.root()] and len(family.witnesses[0]) == tree.n_cells
     (ok, worst), _, peak = _traced(verify_sparse, family)
     assert ok and worst >= family.gamma
@@ -106,8 +111,9 @@ def test_sharp_sup_of_the_norms_d2_member():
     tree = DyadicTree(2, 8, 4.0)
     b = make_family("random-haar", tree, 1, np.random.default_rng(1))[0]
     nu = Weight.power_weight(tree, 1.0 / 3.0)
-    discretized_sharp_sup(b, nu, 4.0)
-    report, held, peak = _traced(discretized_sharp_sup, b, nu, 4.0)
+    sharp = sharp_maximal_r_norm(b, nu, 4.0)
+    discretized_sharp_sup(b, nu, 4.0, sharp)
+    report, held, peak = _traced(discretized_sharp_sup, b, nu, 4.0, sharp)
     assert report.details["sparse_ok"] == 1.0
     assert sum(len(w) for w in report.certificate.witnesses) == tree.n_cells
     assert peak < 6 * MIB

@@ -154,7 +154,8 @@ class TestMultiplierNorm:
 class TestDiscretizedSup:
     def test_constant_b_empty(self):
         tree = DyadicTree(1, 4, 1.0)
-        rep = discretized_sharp_sup(GridFunction.constant(tree, 3.0), Weight.lebesgue(tree), 2.0)
+        b, nu = GridFunction.constant(tree, 3.0), Weight.lebesgue(tree)
+        rep = discretized_sharp_sup(b, nu, 2.0, sharp_maximal_r_norm(b, nu, 2.0))
         assert rep.value == 0.0
 
     def test_depth_one_brute_force(self):
@@ -169,7 +170,7 @@ class TestDiscretizedSup:
         ratios = []
         for _ in range(20):
             b = GridFunction(tree, rng.normal(size=tree.shape))
-            rep = discretized_sharp_sup(b, nu, r, gamma=gamma)
+            rep = discretized_sharp_sup(b, nu, r, sharp_maximal_r_norm(b, nu, r), gamma=gamma)
             if not rep.details["sparse_ok"]:
                 continue
             ratios.append(rep.value / rep.details["sharp_norm"])
@@ -177,11 +178,23 @@ class TestDiscretizedSup:
         assert min(ratios) > 0.25  # battery lower edge, frozen
         assert max(ratios) <= gamma ** (-1.0 / r) * (1.0 + 1e-9)
 
+    def test_too_small_sharp_report_is_refused(self, rng):
+        """A verified family's value above gamma^(-1/r) times the handed sharp norm raises."""
+        tree = DyadicTree(1, 5, 1.0)
+        nu = Weight.power_weight(tree, 0.25)
+        b = GridFunction(tree, rng.normal(size=tree.shape))
+        sharp = sharp_maximal_r_norm(b, nu, 2.0)
+        rep = discretized_sharp_sup(b, nu, 2.0, sharp)
+        assert rep.details["sparse_ok"] == 1.0 and rep.value > 0.0
+        small = NormReport(sharp.value * 1e-3, sharp.method, sharp.certificate)
+        with pytest.raises(AssertionError, match="exceeded its certified bound"):
+            discretized_sharp_sup(b, nu, 2.0, small)
+
     def test_certificate_is_verified_family(self, rng):
         tree = DyadicTree(1, 5, 1.0)
         nu = Weight.lebesgue(tree)
         b = GridFunction(tree, rng.normal(size=tree.shape))
-        rep = discretized_sharp_sup(b, nu, 2.0)
+        rep = discretized_sharp_sup(b, nu, 2.0, sharp_maximal_r_norm(b, nu, 2.0))
         assert isinstance(rep.certificate, SparseFamily)
 
 
@@ -295,7 +308,7 @@ class TestSequentialTesting:
         r = 4.0
         b = random_haar_sum(tree, rng)
         u = paraproduct_handle(b)
-        rep = discretized_sharp_sup(b, nu, r, gamma=0.25)
+        rep = discretized_sharp_sup(b, nu, r, sharp_maximal_r_norm(b, nu, r), gamma=0.25)
         family = rep.certificate
         pairs = []
         total = 0.0
@@ -481,7 +494,7 @@ class TestTwoSidedEstimateShadows:
         )
         slacks = []
         for i, b in enumerate(make_family("random-haar", tree, 8, rng)):
-            ds = discretized_sharp_sup(b, t.nu, cfg.r, gamma=0.25)
+            ds = discretized_sharp_sup(b, t.nu, cfg.r, sharp_maximal_r_norm(b, t.nu, cfg.r), gamma=0.25)
             if not ds.details["sparse_ok"] or ds.value == 0.0:
                 continue
             pp = empirical_operator_norm(

@@ -437,3 +437,22 @@ def test_dominate_builds_one_bound_per_trial(tmp_path, monkeypatch):
     report = run_domination(cfg)
     assert report["passed"] and report["trials"] == 40
     assert len(calls) == 40
+
+
+def test_norms_computes_the_sharp_maximal_function_once(tmp_path, monkeypatch):
+    """The discretized supremum certifies against the run's own sharp-norm report."""
+    import dyadlab.norms as norms
+    import dyadlab.operators as operators
+    from dyadlab.scenarios import run_norms
+
+    calls = []
+    sharp = operators.sharp_maximal
+    for module in (norms, operators):  # a call from either module counts
+        monkeypatch.setattr(module, "sharp_maximal",
+                            lambda *args, **kwargs: calls.append(1) or sharp(*args, **kwargs))
+    cfg = ScenarioConfig(depth=5, p=4.0, q=2.0, restarts=2, iterations=3, out_dir=str(tmp_path))
+    report = run_norms(cfg)
+    assert report["values"]["discretized_sup"] > 0.0
+    assert report["reports"]["discretized_sup"]["details"]["sharp_norm"] == (
+        report["values"]["sharp_r_norm"])
+    assert len(calls) == 1

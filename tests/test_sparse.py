@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dyadlab.lattice import Cube, DyadicTree, GridFunction, LatticeError
-from dyadlab.norms import discretized_sharp_sup
+from dyadlab.norms import discretized_sharp_sup, sharp_maximal_r_norm
 from dyadlab.operators import paraproduct
 from dyadlab.sparse import (
     FULL,
@@ -136,7 +136,7 @@ class TestVerifySparseMatchesReference:
         tree = DyadicTree(dim, depth, 4.0)
         nu = Weight.power_weight(tree, 0.5)
         for b in (GridFunction.constant(tree, 1.0), spiky_field(tree, rng, sigma=3.0)):
-            fam = discretized_sharp_sup(b, nu, 4.0).certificate
+            fam = discretized_sharp_sup(b, nu, 4.0, sharp_maximal_r_norm(b, nu, 4.0)).certificate
             self._assert_same(fam)
             self._assert_same(fam, measure=None, gamma=0.5)
 

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from dyadlab.lattice import DyadicTree, GridFunction
-from dyadlab.norms import discretized_sharp_sup
+from dyadlab.norms import discretized_sharp_sup, sharp_maximal_r_norm
 from dyadlab.operators import oscillation_levels
 from dyadlab.scenarios import random_haar_sum, spiky_field
 from dyadlab.sparse import family_to_text, paraproduct_sparse_dominate, verify_sparse
@@ -76,7 +76,7 @@ def test_sharp_sup_matches_recursive_walk(dim, depth, b_kind, measure, half_widt
     rng = np.random.default_rng(10 * dim + depth)
     for _ in range(2):
         b = _field(b_kind, tree, rng)
-        got = discretized_sharp_sup(b, nu, 4.0)
+        got = discretized_sharp_sup(b, nu, 4.0, sharp_maximal_r_norm(b, nu, 4.0))
         want = oracles.reference_discretized_sharp_sup(b, nu, 4.0)
         assert (got.method, got.details) == (want.method, want.details)
         assert got.value == pytest.approx(want.value, rel=1e-12, abs=0.0)
@@ -93,11 +93,11 @@ def _piecewise_constant(tree: DyadicTree, rng: np.random.Generator, level: int =
 @pytest.mark.parametrize("dim,depth", [(1, 10), (2, 6)])
 @pytest.mark.parametrize("half_width", [3.0, 5.0])
 def test_constant_b_skip_is_exact(dim, depth, half_width):
-    """b constant on a cube is decided from its values, not from a rounded oscillation.
+    """b constant on a cube has a zero oscillation, at an H that is not a power of two.
 
-    At these H the rounded average of a constant block can differ from its
-    value, so `oscillation_levels` reads some constant level-2 cubes as
-    varying; the constructor must still stop nothing inside them.
+    Cube means are level sums over cell counts, so a constant block's mean
+    is its value and `oscillation_levels` is exactly 0 on every level-2
+    cube; the constructor stops nothing inside them.
     """
     tree = DyadicTree(dim, depth, half_width)
     rng = np.random.default_rng(dim + depth)
@@ -108,4 +108,4 @@ def test_constant_b_skip_is_exact(dim, depth, half_width):
         misread += int(np.count_nonzero(oscillation_levels(b)[2]))
         _assert_same_family(
             paraproduct_sparse_dominate(b, f), oracles.reference_paraproduct_sparse_dominate(b, f))
-    assert misread > 0
+    assert misread == 0
