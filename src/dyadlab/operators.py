@@ -189,7 +189,7 @@ def _paraproduct_adjoint_rows(
     gsum = level_sums(tree, rows)
     terms = [
         (coarsen_once(bavg[k + 1] * gsum[k + 1], tree.dim) - bavg[k] * gsum[k])
-        * (tree.cell_volume / tree.volume(k))
+        / 2 ** (tree.dim * (tree.depth - k))
         for k in range(tree.depth)
     ]
     return refine_once(_top_down(terms, tree.dim), tree.dim)

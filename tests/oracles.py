@@ -1552,10 +1552,9 @@ def reference_paraproduct_sparse_dominate(
 ) -> SparseFamily:
     """The cube-by-cube constructor: pop an iterate, scan its subtree for stopping cubes.
 
-    An iterate on which b is constant is decided exactly, by min == max.
-    Testing `osc_avg == 0.0` instead reads b as varying on a constant
-    block whose rounded average differs from its value (H = 3 or 5), and
-    then stops cubes by the growth of |f| alone.
+    An iterate on which b is constant is decided by min == max over its
+    cells, a test that reads no level array, so it checks the constructor's
+    zero-oscillation test independently.
     """
     tree = b.tree
     if q0 is None:

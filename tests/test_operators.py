@@ -168,6 +168,15 @@ class TestParaproduct:
         rhs = float((f.values * paraproduct_adjoint(b, g).values).sum())
         assert lhs == pytest.approx(rhs, abs=1e-12)
 
+    @pytest.mark.parametrize("dim,half_width", [(1, 0.7), (1, 3.0), (2, 5.0)])
+    def test_same_bits_at_every_window(self, rng, dim, half_width):
+        """Cube means are sums over cell counts, so both directions read only cell values."""
+        values = [rng.normal(size=(2**4,) * dim) for _ in range(2)]
+        for op in (paraproduct, paraproduct_adjoint):
+            got, want = (op(*(GridFunction(DyadicTree(dim, 4, h), v) for v in values)).values
+                         for h in (half_width, 1.0))
+            assert np.array_equal(got, want)
+
 
 class TestSparseOperators:
     """The positive sparse operators live in `oracles` as cube loops; these pin their definitions."""

@@ -2,7 +2,6 @@
 
 import importlib.util
 import math
-import os
 import pathlib
 import shutil
 
@@ -56,12 +55,3 @@ def test_compare_prints_the_drift_of_each_moved_file(tmp_path, monkeypatch, caps
     assert name == next(iter(edit)) and arrow == "->"
     assert float(drift) == pytest.approx(want_drift, rel=1e-2)
     assert (new_sha == "missing") == (edit[name] is None)
-
-
-def test_compare_of_two_empty_trees_fails(tmp_path, monkeypatch, capsys):
-    """No report file on either side is an error, not a clean comparison."""
-    monkeypatch.setattr(report_digests, "write_tree",
-                        lambda root, tree: os.makedirs(tree) or [])
-    code = report_digests.main(["--root", str(tmp_path / "a"), "--compare", str(tmp_path / "b")])
-    assert code == 1
-    assert capsys.readouterr().out.splitlines() == ["FAILED no report files"]

@@ -58,9 +58,8 @@ def test_paraproduct_family_matches_recursive_walk(dim, depth, b_kind, f_kind):
             paraproduct_sparse_dominate(b, f), oracles.reference_paraproduct_sparse_dominate(b, f))
 
 
-# a power weight vanishes on the one cell of depth 0; at the non-dyadic H = 3 the
-# level-array oscillation of a constant cube can be roundoff-positive, and the value
-# must not pick it up
+# a power weight vanishes on the one cell of depth 0; the non-dyadic H = 3 checks
+# that a constant cube's level-array oscillation is exactly 0 there too
 SHARP_CASES = [case + (m, h) for case in CASES for m in ("lebesgue", "power(1.0)")
                for h in (2.0, 3.0) if case[1] or m == "lebesgue"]
 SHARP_IDS = ["-".join(map(str, c[:4])) + ("" if c[4] == 2.0 else f"-H{c[4]:g}")

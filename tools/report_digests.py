@@ -28,9 +28,7 @@ side writes).  It exits 1 when a drift exceeds 1e-12, the relative change
 a float reordering may make to a report.
 
 A run that exits non-zero prints `FAILED <run> exit <code>` in place of its
-files, and the script then exits 1.  So does a comparison in which neither
-tree holds a report file (a wrong `--root`, say), after printing
-`FAILED no report files`.
+files, and the script then exits 1.
 """
 
 from __future__ import annotations
@@ -149,8 +147,6 @@ def main(argv: list[str] | None = None) -> int:
             drifts = compare_trees(old, new)
             lines = [line for _, line in drifts]
             bad = any(d > MAX_DRIFT for d, _ in drifts)
-            if not (digests(old) or digests(new)):
-                failed.append("FAILED no report files")
     for line in sorted(lines + failed, key=lambda s: s.split()[1]):
         print(line)
     return 1 if failed or bad else 0
