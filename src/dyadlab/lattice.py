@@ -93,6 +93,11 @@ def level_sums(tree: "DyadicTree", cells: np.ndarray) -> list[np.ndarray]:
     return sums[::-1]
 
 
+def max_depth(dim: int) -> int:
+    """The guard rail on the depth of a config's or a certificate's tree: 14 at d = 1, else 8."""
+    return 14 if dim == 1 else 8
+
+
 class DyadicTree:
     """A complete dyadic tree over the root cube [-H, H)^d.
 

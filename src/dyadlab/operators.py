@@ -31,7 +31,7 @@ from .lattice import (
     scope_batches,
     window_batches,
 )
-from .weights import Weight, batch_cell_masses, batch_masses, cube_stack
+from .weights import Weight, batch_cell_masses, batch_masses
 
 
 def _level_averages(
@@ -125,7 +125,7 @@ def sharp_window_values(
 
 # -- paraproduct family --------------------------------------------------------
 #
-# A cube collection enters as a per-level stack (`weights.cube_stack`), and a
+# A cube collection enters as a per-level stack (`sparse.partial_sums`), and a
 # level sum sum_Q c_Q D_Q a is one top-down pass: the level-k term lives on
 # the children of the level-k cubes, and the running sum is refined once per
 # level, so each cell adds its terms coarse to fine.  Every array here may
@@ -155,18 +155,8 @@ def _haar_terms(
     return [d * refine_once(c, dim) for d, c in zip(diffs, coeffs)]
 
 
-def _haar_sum(
-    tree: DyadicTree, diffs: Sequence[np.ndarray], coeffs: Sequence[np.ndarray]
-) -> np.ndarray:
-    """sum_Q coeffs_Q (avg_children - avg_Q) on the cells, by one top-down pass."""
-    terms = _haar_terms(diffs, coeffs, tree.dim)
-    if not terms:
-        return np.zeros(coeffs[0].shape[:coeffs[0].ndim - tree.dim] + tree.shape)
-    return _top_down(terms, tree.dim)
-
-
 def _paraproduct_rows(
-    tree: DyadicTree, bdiffs: Sequence[np.ndarray], rows: np.ndarray, cubes: Iterable | None = None
+    tree: DyadicTree, bdiffs: Sequence[np.ndarray], rows: np.ndarray, cubes: Sequence | None = None
 ) -> np.ndarray:
     """The paraproduct of b's Haar differences `bdiffs` on rows shaped (..., *tree.shape).
 
@@ -176,8 +166,11 @@ def _paraproduct_rows(
     """
     favg = _level_averages(tree, rows, max(1, tree.depth))
     if cubes is not None:
-        favg = [c * a for c, a in zip(cube_stack(tree, cubes), favg)]
-    return _haar_sum(tree, bdiffs, favg)
+        favg = [c * a for c, a in zip(cubes, favg)]
+    terms = _haar_terms(bdiffs, favg, tree.dim)
+    if not terms:
+        return np.zeros(favg[0].shape[:favg[0].ndim - tree.dim] + tree.shape)
+    return _top_down(terms, tree.dim)
 
 
 def _paraproduct_adjoint_rows(
@@ -195,19 +188,17 @@ def _paraproduct_adjoint_rows(
     return refine_once(_top_down(terms, tree.dim), tree.dim)
 
 
-def paraproduct(b: GridFunction, f: GridFunction, cubes: Iterable | None = None) -> GridFunction:
-    """Sum over cubes of (difference of b-averages) times the f-average.
+def paraproduct(b: GridFunction, f: GridFunction) -> GridFunction:
+    """Sum over every non-leaf tree cube of (difference of b-averages) times the f-average.
 
-    With cubes=None the sum runs over every non-leaf tree cube; passing an
-    explicit collection (`Cube`s, or a per-level stack of multiplicities)
-    gives the partial operator used by the domination experiments; leaf
-    cubes contribute nothing.  Linear in both arguments; exact finite sums.
+    Partial sums over a cube collection are `sparse.partial_sums`.  Linear
+    in both arguments; exact finite sums.
     """
     tree = b.tree
     if f.tree != tree:
         raise LatticeError("b and f live on different trees")
     bdiffs = _haar_differences(_averages_by_level(b))
-    return GridFunction(tree, _paraproduct_rows(tree, bdiffs, f.values, cubes))
+    return GridFunction(tree, _paraproduct_rows(tree, bdiffs, f.values))
 
 
 def paraproduct_adjoint(b: GridFunction, g: GridFunction) -> GridFunction:

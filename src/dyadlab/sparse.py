@@ -27,7 +27,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .lattice import Cube, DyadicTree, GridFunction, LatticeError, refine_once
+from .lattice import Cube, DyadicTree, GridFunction, LatticeError, max_depth, refine_once
 from .operators import (
     _averages_by_level,
     _haar_differences,
@@ -289,23 +289,31 @@ def domination_bound(family: SparseFamily, b: GridFunction, f: GridFunction) -> 
     return 2.0 ** (tree.dim + 5) * _top_down(terms)
 
 
-def pointwise_dominated(lhs: np.ndarray, bound: np.ndarray) -> tuple[bool, float]:
-    """|lhs| <= bound on every cell, to 1e-12 of max(max |lhs|, 1); returns (ok, max gap)."""
-    worst = float((np.abs(lhs) - bound).max())
-    scale = max(float(np.abs(lhs).max()), 1.0)
+def pointwise_dominated(lhs: np.ndarray, bound: np.ndarray) -> tuple:
+    """|lhs| <= bound on every cell, to 1e-12 of max(max |lhs|, 1); returns (ok, max gap),
+    one pair per row when `lhs` leads with row axes that `bound` lacks."""
+    cells = tuple(range(lhs.ndim - bound.ndim, lhs.ndim))
+    worst = (np.abs(lhs) - bound).max(axis=cells)
+    scale = np.maximum(np.abs(lhs).max(axis=cells), 1.0)
     return worst <= 1e-12 * scale, worst
 
 
-def partial_sums(b: GridFunction, f: GridFunction, stacks: Sequence[np.ndarray]) -> np.ndarray:
-    """`paraproduct(b, f, cubes)` for many collections at once, by one top-down pass.
+def partial_sums(b: GridFunction, f: GridFunction, stack: Sequence[np.ndarray]) -> np.ndarray:
+    """sum_Q c_Q D_Q b <f>_Q on the cells, by one top-down pass.
 
-    `stacks` is a per-level stack whose levels carry a leading row axis,
-    one row per collection; row i of the result is collection i's sum.
+    c is a per-level stack of levels 0 .. depth: counts from `weights.cube_stack`,
+    or any coefficients.  Its levels may share leading row axes, one row per
+    collection, and row i of the result is collection i's sum.
     """
-    if f.tree != b.tree:
+    tree = b.tree
+    if f.tree != tree:
         raise LatticeError("b and f live on different trees")
+    shapes = [np.shape(level) for level in stack]
+    rows = shapes[0][:-tree.dim] if shapes else ()
+    if shapes != [rows + (2**k,) * tree.dim for k in range(tree.depth + 1)]:
+        raise LatticeError("per-level stack does not match the tree")
     bdiffs = _haar_differences(_averages_by_level(b))
-    return _paraproduct_rows(b.tree, bdiffs, f.values, stacks)
+    return _paraproduct_rows(tree, bdiffs, f.values, stack)
 
 
 def domination_envelope(b: GridFunction, f: GridFunction) -> np.ndarray:
@@ -344,18 +352,21 @@ def _draw_order(dim: int, height: int) -> tuple[np.ndarray, ...]:
     return tuple(order)
 
 
-def random_subcollection(tree: DyadicTree, rng: np.random.Generator) -> list[np.ndarray]:
-    """A random set of non-leaf cubes (for quantifier sweeps), as a 0/1 stack.
+def random_subcollection(tree: DyadicTree, rng: np.random.Generator, count: int) -> list[np.ndarray]:
+    """`count` random sets of non-leaf cubes (for quantifier sweeps), as one 0/1 stack
+    whose levels 0 .. depth lead with a row axis; the finest, all zero, keeps the row
+    count at depth 0.
 
-    Each cube is kept when its uniform draw falls below a probability drawn
-    from [0.2, 0.8).  The draws come from one `rng.random` call, in the
-    depth-first order of `_draw_order`, so the generator advances exactly
-    as a cube-by-cube walk would.
+    A set keeps each cube whose uniform draw falls below the set's probability,
+    `rng.uniform(0.2, 0.8)`'s arithmetic on its first draw.  The draws come from
+    one `rng.random` call, per set in the depth-first order of `_draw_order`,
+    so the generator advances exactly as `count` cube-by-cube walks would.
     """
-    p = rng.uniform(0.2, 0.8)
     order = _draw_order(tree.dim, tree.depth)
-    draws = rng.random(sum(pos.size for pos in order))
-    return [(draws[pos] < p).astype(float) for pos in order] + [np.zeros(tree.shape)]
+    draws = rng.random((count, 1 + sum(pos.size for pos in order)))
+    p = (0.2 + (0.8 - 0.2) * draws[:, 0]).reshape((count,) + (1,) * tree.dim)
+    levels = [(draws[:, 1 + pos] < p).astype(float) for pos in order]
+    return levels + [np.zeros((count,) + tree.shape)]
 
 
 # -- serialization ----------------------------------------------------------------
@@ -407,7 +418,7 @@ def family_to_text(family: SparseFamily) -> str:
 _TOKEN = re.compile(r"([0-9]+)(?:-([0-9]+)|([LH]))?")
 
 
-def _claims_from_tokens(tokens: list[str]) -> np.ndarray:
+def _claims_from_tokens(tokens: list[str], n_cells: int) -> np.ndarray:
     """Packed claims of a line's witness tokens, in token order and with repeats kept."""
     parts = [np.zeros(0, dtype=np.int64)]
     for tok in tokens:
@@ -418,6 +429,8 @@ def _claims_from_tokens(tokens: list[str]) -> np.ndarray:
         first, last = int(first), int(last or first)
         if last < first:
             raise ValueError(f"reversed run {tok!r}")
+        if last >= n_cells:
+            raise ValueError(f"token {tok!r} names a cell beyond the tree's {n_cells}")
         kind = {"L": LO_HALF, "H": HI_HALF, None: FULL}[half]
         parts.append(np.arange(first, last + 1, dtype=np.int64) << 2 | kind)
     return np.concatenate(parts)
@@ -432,13 +445,19 @@ def family_from_text(text: str) -> SparseFamily:
     missing = [key for key in ("dim", "depth", "half_width", "gamma") if key not in fields]
     if missing:
         raise ValueError(f"sparse-family header lacks {', '.join(missing)}")
-    tree = DyadicTree(int(fields["dim"]), int(fields["depth"]), float(fields["half_width"]))
+    dim, depth, gamma = int(fields["dim"]), int(fields["depth"]), float(fields["gamma"])
+    if depth > max_depth(dim):
+        raise ValueError(f"depth {depth} exceeds the guard rail {max_depth(dim)} for d={dim}")
+    if not 0.0 < gamma <= 1.0:
+        raise ValueError(f"sparseness constant gamma={gamma!r} outside (0, 1]")
+    tree = DyadicTree(dim, depth, float(fields["half_width"]))
+    if not (tree.half_width > 0.0 and tree.cell_volume >= 2.0**-1022 and tree.volume(0) < math.inf):
+        raise ValueError(f"half_width={tree.half_width!r} puts a volume outside the normal floats")
     measure = _measure_from_tag(fields.get("measure"), tree)
     cubes, witnesses = [], []
     for line in lines[1:]:
         head, _, wit = line.partition("|")
         level, *index = (int(x) for x in head.split())
         cubes.append(Cube(tree, level, tuple(index)))
-        witnesses.append(_claims_from_tokens(wit.split()))
-    return SparseFamily(tree=tree, cubes=cubes, witnesses=witnesses,
-                        gamma=float(fields["gamma"]), measure=measure)
+        witnesses.append(_claims_from_tokens(wit.split(), tree.n_cells))
+    return SparseFamily(tree=tree, cubes=cubes, witnesses=witnesses, gamma=gamma, measure=measure)

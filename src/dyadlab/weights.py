@@ -436,30 +436,13 @@ def fujii_wilson_ainfty(w: Weight, mu: Weight) -> float:
     return best
 
 
-def coeff_stack(tree: DyadicTree) -> list[np.ndarray]:
-    """An all-zero per-cube coefficient stack, one array per level."""
-    return [np.zeros((2**k,) * tree.dim) for k in range(tree.depth + 1)]
+def cube_stack(tree: DyadicTree, cubes: Iterable[Cube]) -> list[np.ndarray]:
+    """A cube collection as per-level counts, one array per level 0 .. depth.
 
-
-def cube_stack(tree: DyadicTree, cubes: Iterable) -> list[np.ndarray]:
-    """A cube collection as per-level counts in `coeff_stack` shape.
-
-    A cube listed twice counts twice.  A per-level stack (arrays, not
-    cubes) passes through as floats; a stack without the finest level
-    gets a zero one.  Its levels may share leading row axes, one row per
-    collection, for the batched partial operators.
+    A cube listed twice counts twice.
     """
-    items = list(cubes)
-    if items and isinstance(items[0], np.ndarray):
-        stack = [np.asarray(level, dtype=float) for level in items]
-        rows = stack[0].shape[:stack[0].ndim - tree.dim]
-        if len(stack) == tree.depth:
-            stack.append(np.zeros(rows + tree.shape))
-        if [a.shape for a in stack] != [rows + (2**k,) * tree.dim for k in range(tree.depth + 1)]:
-            raise LatticeError("per-level stack does not match the tree")
-        return stack
-    stack = coeff_stack(tree)
-    for cube in items:
+    stack = [np.zeros((2**k,) * tree.dim) for k in range(tree.depth + 1)]
+    for cube in cubes:
         stack[cube.level][cube.index] += 1.0
     return stack
 

@@ -68,6 +68,7 @@ from dyadlab.sparse import (
     StoppingMassError,
     domination_bound,
     paraproduct_sparse_dominate,
+    partial_sums,
     pointwise_dominated,
 )
 from dyadlab.scenarios import spiky_field
@@ -76,7 +77,7 @@ from dyadlab.weights import (
     ExponentConfig,
     Weight,
     ap_characteristic,
-    coeff_stack,
+    cube_stack,
     fujii_wilson_ainfty,
     lower_joint_characteristic,
     power_interval_mass,
@@ -192,7 +193,7 @@ def oscillation(b: GridFunction, cube: Cube) -> float:
 
 def dict_stack(tree: DyadicTree, entries: dict[Cube, float]) -> list[np.ndarray]:
     """A per-level coefficient stack holding one value per listed cube, zero elsewhere."""
-    stack = coeff_stack(tree)
+    stack = cube_stack(tree, [])
     for cube, value in entries.items():
         stack[cube.level][cube.index] = value
     return stack
@@ -420,8 +421,7 @@ def shrunken_family_counterexample(seed: int = 11, depth: int = 5) -> dict:
         family = paraproduct_sparse_dominate(b, f)
         if len(family.cubes) < 2:
             continue
-        full = [q for q in tree.cubes() if not q.is_leaf()]
-        lhs = paraproduct(b, f, full)
+        lhs = partial_sums(b, f, cube_stack(tree, [q for q in tree.cubes() if not q.is_leaf()]))
         for drop in range(len(family.cubes)):
             shrunk = type(family)(
                 tree=family.tree,
@@ -430,7 +430,7 @@ def shrunken_family_counterexample(seed: int = 11, depth: int = 5) -> dict:
                 gamma=family.gamma,
                 measure=family.measure,
             )
-            ok, slack = pointwise_dominated(lhs.values, domination_bound(shrunk, b, f))
+            ok, slack = pointwise_dominated(lhs, domination_bound(shrunk, b, f))
             if not ok and slack > 1e-6:
                 return {"found": True, "trial": trial, "dropped": drop, "violation": slack}
     return {"found": False}
@@ -773,10 +773,10 @@ def domination_hand_case():
     tree = DyadicTree(1, 4, 0.5)
     b = from_callable(tree, lambda x: (x < 0.0) * 1.0)
     family = paraproduct_sparse_dominate(b, b)
-    lhs = paraproduct(b, b, [tree.root()])
-    assert abs(float(np.abs(lhs.values).max()) - 0.25) < 1e-12
+    lhs = partial_sums(b, b, cube_stack(tree, [tree.root()]))
+    assert abs(float(np.abs(lhs).max()) - 0.25) < 1e-12
     bound = domination_bound(family, b, b)  # constant 2^(d+5) = 64 in d=1
-    ok, worst = pointwise_dominated(lhs.values, bound)
+    ok, worst = pointwise_dominated(lhs, bound)
     assert ok
     # with the root in the family the right side is at least 64 * (1/2) * (1/2)
     assert float(bound.min()) >= 16.0 - 1e-12

@@ -7,9 +7,9 @@ to 1), envelope, oscillation levels and the Fujii-Wilson constant must
 match those references bit for bit.  Operators taking a cube collection
 are checked against per-cube loops built on `haar_difference` and slice
 means, to relative 1e-12; the sparse operators, which exist only as such
-loops, are checked against the level stacks they integrate to.  The stack
+loops, are checked against the level stacks they integrate to.  The sets
 drawn by `random_subcollection` must select the cubes of the cube-by-cube
-walk and leave the generator where that walk leaves it.
+walks and leave the generator where those walks leave it.
 """
 
 import numpy as np
@@ -32,6 +32,7 @@ from dyadlab.sparse import (
     family_from_text,
     family_to_text,
     paraproduct_sparse_dominate,
+    partial_sums,
     random_subcollection,
     verify_sparse,
 )
@@ -76,8 +77,8 @@ def test_paraproduct_and_adjoint_bit_identical(dim, depth):
 def test_martingale_stack_bit_identical(dim, depth):
     (f,) = _fields(dim, depth, 1)
     rng = np.random.default_rng(depth)
-    coeffs = [rng.choice([-1.0, 0.0, 0.5, 1.0], size=(2**k,) * dim) for k in range(depth)]
-    got = paraproduct(f, GridFunction.constant(f.tree, 1.0), coeffs).values
+    coeffs = [rng.choice([-1.0, 0.0, 0.5, 1.0], size=(2**k,) * dim) for k in range(depth + 1)]
+    got = partial_sums(f, GridFunction.constant(f.tree, 1.0), coeffs)
     assert np.array_equal(got, oracles.reference_martingale_stack(f, coeffs))
 
 
@@ -133,10 +134,9 @@ def test_partial_paraproduct_against_cube_loop(dim, depth):
     b, f = _fields(dim, depth, 2, seed=1)
     for cubes in _collections(b.tree).values():
         want = oracles.reference_partial_paraproduct(b, f, cubes)
-        _assert_close(paraproduct(b, f, cubes).values, want)
-        _assert_close(paraproduct(b, f, cube_stack(b.tree, cubes)).values, want)
-    leaves = _collections(b.tree)["leaves"]
-    assert np.array_equal(paraproduct(b, f, leaves).values, np.zeros(b.tree.shape))
+        _assert_close(partial_sums(b, f, cube_stack(b.tree, cubes)), want)
+    leaves = cube_stack(b.tree, _collections(b.tree)["leaves"])
+    assert np.array_equal(partial_sums(b, f, leaves), np.zeros(b.tree.shape))
 
 
 @pytest.mark.parametrize("dim,depth", COLLECTION_SHAPES)
@@ -181,7 +181,7 @@ def test_martingale_dict_against_cube_loop(dim, depth):
     for cubes in _collections(f.tree).values():
         coeffs = {q: float(rng.normal()) for q in cubes}
         want = oracles.reference_martingale_dict(f, coeffs)
-        _assert_close(paraproduct(f, one, oracles.dict_stack(f.tree, coeffs)).values, want)
+        _assert_close(partial_sums(f, one, oracles.dict_stack(f.tree, coeffs)), want)
 
 
 @pytest.mark.parametrize("dim,depth", COLLECTION_SHAPES)
@@ -197,26 +197,31 @@ def test_domination_rhs_against_cube_loop(dim, depth):
 
 
 def test_stack_of_wrong_shape_is_refused():
-    tree = DyadicTree(1, 3, 1.0)
-    with pytest.raises(ValueError):
-        cube_stack(tree, [np.zeros(1), np.zeros(3)])
+    (f,) = _fields(1, 3, 1)
+    no_finest_level = [np.zeros(2**k) for k in range(3)]
+    for stack in ([np.zeros(1), np.zeros(3)], no_finest_level):
+        with pytest.raises(ValueError):
+            partial_sums(f, f, stack)
 
 
 # -- the random sub-collection keeps the generator's stream ------------------------------
 
 
-@pytest.mark.parametrize("dim,depth", [(1, 6), (1, 1), (2, 4), (2, 1)])
+@pytest.mark.parametrize("dim,depth", [(1, 6), (1, 1), (1, 0), (2, 4), (2, 1), (2, 0)])
 @pytest.mark.parametrize("seed", [0, 1, 7, 2024])
 def test_random_subcollection_matches_cube_walk(dim, depth, seed):
+    """One draw of `count` sets selects the cubes of `count` walks, at depth 0 too."""
     tree = DyadicTree(dim, depth, 1.0)
     rng, ref = np.random.default_rng(seed), np.random.default_rng(seed)
-    for _ in range(3):
-        stack = random_subcollection(tree, rng)
-        cubes = oracles.reference_random_subcollection(tree, tree.root(), ref)
-        want = cube_stack(tree, cubes)
-        assert len(stack) == tree.depth + 1
-        for got_level, want_level in zip(stack, want):
-            assert np.array_equal(got_level, want_level)
+    for count in (0, 1, 3):
+        stack = random_subcollection(tree, rng, count)
+        want = [cube_stack(tree, oracles.reference_random_subcollection(tree, tree.root(), ref))
+                for _ in range(count)]
+        assert [level.shape for level in stack] == [
+            (count,) + (2**k,) * dim for k in range(depth + 1)]
+        for row, collection in enumerate(want):
+            for got_level, want_level in zip(stack, collection):
+                assert np.array_equal(got_level[row], want_level)
         assert rng.random() == ref.random()
 
 

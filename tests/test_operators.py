@@ -23,7 +23,8 @@ from dyadlab.operators import (
     sharp_maximal,
     sharp_window_values,
 )
-from dyadlab.weights import Weight
+from dyadlab.sparse import partial_sums
+from dyadlab.weights import Weight, cube_stack
 
 import oracles
 from oracles import (
@@ -151,8 +152,9 @@ class TestParaproduct:
         f = GridFunction(tree, rng.normal(size=tree.shape))
         cubes = [q for q in tree.cubes() if not q.is_leaf()]
         half = len(cubes) // 2
-        both = paraproduct(b, f, cubes[:half]).values + paraproduct(b, f, cubes[half:]).values
-        np.testing.assert_allclose(both, paraproduct(b, f, cubes).values, atol=1e-13)
+        parts = [cube_stack(tree, part) for part in (cubes[:half], cubes[half:], cubes)]
+        first, second, whole = (partial_sums(b, f, part) for part in parts)
+        np.testing.assert_allclose(first + second, whole, atol=1e-13)
 
     def test_linear_in_both_arguments(self, rng):
         tree = DyadicTree(1, 4, 1.0)
@@ -215,27 +217,27 @@ def _martingale(f: GridFunction, coeffs) -> GridFunction:
     """sum_Q v_Q D_Q f: the partial paraproduct with symbol f and coefficients v, applied to 1."""
     if isinstance(coeffs, dict):
         coeffs = dict_stack(f.tree, coeffs)
-    return paraproduct(f, GridFunction.constant(f.tree, 1.0), coeffs)
+    return GridFunction(f.tree, partial_sums(f, GridFunction.constant(f.tree, 1.0), coeffs))
 
 
 class TestMartingaleTransform:
     def test_all_ones_telescopes(self, rng):
         tree = DyadicTree(1, 6, 1.0)
         f = GridFunction(tree, rng.normal(size=tree.shape))
-        out = _martingale(f, [np.ones((2**k,)) for k in range(tree.depth)])
+        out = _martingale(f, [np.ones((2**k,)) for k in range(tree.depth + 1)])
         np.testing.assert_allclose(out.values, f.values - f.values.mean(), atol=1e-12)
 
     def test_zero_coefficients(self, rng):
         tree = DyadicTree(1, 4, 1.0)
         f = GridFunction(tree, rng.normal(size=tree.shape))
         np.testing.assert_allclose(
-            _martingale(f, [np.zeros((2**k,)) for k in range(tree.depth)]).values, 0.0
+            _martingale(f, [np.zeros((2**k,)) for k in range(tree.depth + 1)]).values, 0.0
         )
 
     def test_dict_and_stack_agree(self, rng):
         tree = DyadicTree(1, 4, 1.0)
         f = GridFunction(tree, rng.normal(size=tree.shape))
-        stack = [rng.choice([-1.0, 0.0, 1.0], size=(2**k,)) for k in range(tree.depth)]
+        stack = [rng.choice([-1.0, 0.0, 1.0], size=(2**k,)) for k in range(tree.depth + 1)]
         as_dict = {
             Cube(tree, k, (i,)): stack[k][i]
             for k in range(tree.depth)

@@ -13,6 +13,11 @@ module-level name or a local, never the method), so methods sharing a
 name vouch for each other; dunder methods and names are skipped, since
 Python uses them.
 
+A defaulted parameter of a module-level function is one that some `src`
+call passes, by position or by keyword (a call with `*args` or `**kwargs`
+passes them all), unless it is in `TEST_PARAMETERS` with its reason;
+the functions in `KEPT` are exempt, as is `cli.py`.
+
 Lebesgue measure is `Weight.lebesgue(tree)`: no parameter or dataclass
 field of the package takes `None` for it, but for those in
 `OPTIONAL_MEASURES`, each with its reason.
@@ -47,6 +52,14 @@ ITEM_6 = "None as Lebesgue measure, still read by the benchmark's self-test and 
 OPTIONAL_MEASURES = {
     "empirical_operator_norm.mu": ITEM_6,
     "empirical_operator_norm.lam": ITEM_6,
+}
+
+SCOPES = "items 15 and 16 read both scopes"
+TEST_PARAMETERS = {
+    "ap_characteristic.scope": SCOPES,
+    "bmo_alpha_norm.scope": SCOPES,
+    "kernel_lags.spec": "item 8's Riesz kernels",
+    "discretized_sharp_sup.gamma": "tests vary the sparseness constant",
 }
 
 
@@ -158,3 +171,37 @@ def _file_writers() -> set[str]:
 
 def test_only_write_report_writes_files():
     assert sorted(_file_writers()) == ["scenarios.write_report"]
+
+
+def _test_only_parameters() -> set[str]:
+    """`function.name` of every defaulted parameter of a module-level function
+    outside `KEPT` and `cli.py` that no call in `src` passes."""
+    modules = _modules()
+    defaulted = {}
+    for name, tree in modules.items():
+        for node in tree.body:
+            if name == "cli.py" or not isinstance(node, ast.FunctionDef) or node.name in KEPT:
+                continue
+            args = node.args
+            positional = [a.arg for a in args.posonlyargs + args.args]
+            named = positional[len(positional) - len(args.defaults):] if args.defaults else []
+            named += [a.arg for a, d in zip(args.kwonlyargs, args.kw_defaults) if d is not None]
+            for arg in named:
+                defaulted[f"{node.name}.{arg}"] = (node.name, arg, positional)
+    passed = set()
+    for tree in modules.values():
+        for call in ast.walk(tree):
+            if not isinstance(call, ast.Call):
+                continue
+            callee = getattr(call.func, "id", getattr(call.func, "attr", None))
+            keywords = {k.arg for k in call.keywords}
+            every = None in keywords or any(isinstance(a, ast.Starred) for a in call.args)
+            for key, (function, arg, positional) in defaulted.items():
+                if function == callee and (every or arg in keywords or (
+                        arg in positional and positional.index(arg) < len(call.args))):
+                    passed.add(key)
+    return set(defaulted) - passed
+
+
+def test_no_test_only_parameters():
+    assert sorted(_test_only_parameters()) == sorted(TEST_PARAMETERS)

@@ -104,6 +104,19 @@ class TestConfigParsing:
         with pytest.raises(ConfigError):
             ScenarioConfig(p=1.0)
 
+    @pytest.mark.parametrize("dim,depth,exponent,ok", [
+        (1, 8, 1022, True), (1, 8, 1023, False), (2, 8, 510, True), (2, 8, 511, False),
+        (1, 8, -1015, True), (1, 8, -1016, False), (2, 8, -504, True), (2, 8, -505, False),
+    ])
+    def test_half_width_keeps_volumes_normal_floats(self, dim, depth, exponent, ok):
+        """2^(d(K+1)) and 2^(d(K+1-depth)), the root and cell volumes, are normal floats."""
+        if ok:
+            tree = ScenarioConfig(dim=dim, depth=depth, half_width_exponent=exponent).tree()
+            assert 0.0 < tree.cell_volume and tree.volume(0) < math.inf
+        else:
+            with pytest.raises(ConfigError, match="half_width_exponent"):
+                ScenarioConfig(dim=dim, depth=depth, half_width_exponent=exponent)
+
 
 class TestFamilies:
     @pytest.mark.parametrize("name", ["half-splits", "random-haar", "indicators", "power-bumps", "spiky", "mixed"])
@@ -292,6 +305,14 @@ class TestCli:
         assert f"{key} must be nonnegative" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("exponent,code", [(2000, 3), (-2000, 3), (60, 0)])
+    def test_half_width_exponent_exit_code(self, tmp_path, capsys, exponent, code):
+        cfgfile = tmp_path / "c.cfg"
+        cfgfile.write_text(f"[scenario]\ndepth = 5\ntrials = 3\nhalf_width_exponent = {exponent}\n")
+        assert main(["dominate", "--config", str(cfgfile), "--out", str(tmp_path / "out")]) == code
+        err = capsys.readouterr().err
+        assert ("config error:" in err) == (code == 3)
+
     def test_unparsable_weight_spec_exit_3(self, tmp_path, capsys):
         bad = tmp_path / "bad.cfg"
         bad.write_text("[scenario]\ndepth = 5\n\n[weights]\nmu = power(abc)\n")
@@ -437,6 +458,29 @@ def test_dominate_builds_one_bound_per_trial(tmp_path, monkeypatch):
     report = run_domination(cfg)
     assert report["passed"] and report["trials"] == 40
     assert len(calls) == 40
+
+
+def test_dominate_draws_and_checks_once_per_trial(tmp_path, monkeypatch):
+    """A trial's sub-collections are one draw and one row-stacked check, beside the
+    envelope's, and no level is stacked along the way."""
+    import numpy as np
+
+    import dyadlab.scenarios as scenarios
+    import dyadlab.sparse as sparse
+
+    calls = []
+    for module, name in ((scenarios, "random_subcollection"), (sparse, "random_subcollection"),
+                         (scenarios, "pointwise_dominated"), (sparse, "pointwise_dominated"),
+                         (np, "stack")):  # a call from either module counts
+        fn = getattr(module, name)
+        monkeypatch.setattr(module, name,
+                            lambda *args, name=name, fn=fn, **kw: calls.append(name) or fn(*args, **kw))
+    workload = pathlib.Path(__file__).parents[1] / "perfbench" / "workloads" / "dominate-d1.cfg"
+    cfg = replace(parse_config(workload.read_text()), seed=1, out_dir=str(tmp_path))
+    report = run_domination(cfg)
+    assert report["passed"] and report["trials"] == 40
+    assert [calls.count(name) for name in ("random_subcollection", "pointwise_dominated", "stack")] \
+        == [40, 80, 0]
 
 
 def test_norms_computes_the_sharp_maximal_function_once(tmp_path, monkeypatch):

@@ -7,9 +7,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from dyadlab import sparse
 from dyadlab.lattice import Cube, DyadicTree, GridFunction, LatticeError
 from dyadlab.norms import discretized_sharp_sup, sharp_maximal_r_norm
-from dyadlab.operators import paraproduct
 from dyadlab.sparse import (
     FULL,
     HI_HALF,
@@ -31,7 +31,7 @@ from dyadlab.scenarios import (
     run_domination,
     spiky_field,
 )
-from dyadlab.weights import Weight, cube_stack, fujii_wilson_ainfty
+from dyadlab.weights import Weight, fujii_wilson_ainfty
 
 import oracles
 from oracles import carleson_from_sparse, flat_cells, shrunken_family_counterexample
@@ -246,10 +246,9 @@ class TestConstructor:
             assert ok and worst >= gamma * (1.0 - 1e-12)
             assert fam.stopping_mass_max <= 0.5 + 1e-12
             bound = domination_bound(fam, b, f)
-            for _ in range(10):
-                sub = random_subcollection(tree, rng)
-                ok2, slack = pointwise_dominated(paraproduct(b, f, sub).values, bound)
-                assert ok2, slack
+            subs = random_subcollection(tree, rng, 10)
+            oks, slacks = pointwise_dominated(partial_sums(b, f, subs), bound)
+            assert oks.all(), slacks
 
     def test_domination_uniform_over_subcollections(self, tree6):
         """One family serves every sub-collection without reconstruction."""
@@ -258,10 +257,9 @@ class TestConstructor:
         f = spiky_field(tree6, rng, sigma=3.0)
         fam = paraproduct_sparse_dominate(b, f)
         bound = domination_bound(fam, b, f)
-        for _ in range(50):
-            sub = random_subcollection(tree6, rng)
-            ok, slack = pointwise_dominated(paraproduct(b, f, sub).values, bound)
-            assert ok, slack
+        subs = random_subcollection(tree6, rng, 50)
+        oks, slacks = pointwise_dominated(partial_sums(b, f, subs), bound)
+        assert oks.all(), slacks
 
     def test_exact_envelope_dominates_every_collection(self, tree6):
         """The closed-form sup over ALL sub-collections stays below the bound."""
@@ -281,10 +279,8 @@ class TestConstructor:
         fam = paraproduct_sparse_dominate(b, f)
         bound = domination_bound(fam, b, f)
         _, env_gap = pointwise_dominated(domination_envelope(b, f), bound)
-        for _ in range(20):
-            sub = random_subcollection(tree6, rng)
-            _, gap = pointwise_dominated(paraproduct(b, f, sub).values, bound)
-            assert gap <= env_gap + 1e-12
+        _, gaps = pointwise_dominated(partial_sums(b, f, random_subcollection(tree6, rng, 20)), bound)
+        assert (gaps <= env_gap + 1e-12).all()
 
     @given(st.integers(0, 2**16 - 1), st.sampled_from([0.5, 1.5, 3.0, 6.0]))
     @settings(max_examples=80, deadline=None)
@@ -401,6 +397,40 @@ class TestSerialization:
         with pytest.raises(ValueError, match="malformed"):
             family_from_text(self.HEADER + f"0 0 | 0 {token}\n")
 
+    @pytest.mark.parametrize("gamma", ["nan", "-1.0", "0.0", "1.5"])
+    def test_gamma_outside_unit_interval_rejected(self, gamma):
+        """A witness of 1/8 of its cube's mass must not pass under gamma = nan or -1."""
+        with pytest.raises(ValueError, match="gamma"):
+            family_from_text(self.HEADER.replace("gamma=0.5", f"gamma={gamma}") + "0 0 | 0\n")
+
+    @pytest.mark.parametrize("half_width", ["inf", "1e308", "nan", "-1.0", "1e-320"])
+    def test_half_width_outside_the_floats_rejected(self, half_width):
+        """An infinite root must not pass a witness of 1/8 of it, as inf/inf would."""
+        text = self.HEADER.replace("half_width=1.0", f"half_width={half_width}")
+        with pytest.raises(ValueError, match="half_width"):
+            family_from_text(text + "0 0 | 0\n")
+
+    def test_depth_beyond_guard_rail_rejected(self, monkeypatch):
+        def no_tree(*args):
+            raise AssertionError("a tree was built for a depth beyond the guard rail")
+
+        monkeypatch.setattr(sparse, "DyadicTree", no_tree)
+        header = self.HEADER.replace("depth=3", "depth=40").replace("lebesgue", "power(1.0)")
+        with pytest.raises(ValueError, match="guard rail"):
+            family_from_text(header + "0 0 | 0\n")
+
+    @pytest.mark.parametrize("token", ["0-8", "0-4000000000", "4000000000", "8H"])
+    def test_cell_beyond_tree_rejected(self, monkeypatch, token):
+        arange = np.arange
+
+        def small_arange(start, stop=None, *args, **kwargs):
+            assert stop is None or stop - start <= 8, "a run beyond the tree reached np.arange"
+            return arange(start, stop, *args, **kwargs)
+
+        monkeypatch.setattr(np, "arange", small_arange)
+        with pytest.raises(ValueError, match="beyond the tree"):
+            family_from_text(self.HEADER + f"0 0 | 0 {token}\n")
+
     @pytest.mark.parametrize("tokens,claims,ok", [
         ("3 3", [(3, FULL), (3, FULL)], False),
         ("3L 3L", [(3, LO_HALF), (3, LO_HALF)], False),
@@ -417,32 +447,41 @@ class TestSerialization:
 
 
 class TestBatchedPartialSums:
-    """`partial_sums` runs many sub-collections in one pass, with `paraproduct`'s bits per row."""
+    """`partial_sums` and `pointwise_dominated` run many sub-collections in one pass,
+    with each row's bits the same as its collection's alone."""
 
     @pytest.mark.parametrize("dim,depth", [(1, 0), (1, 6), (2, 1), (2, 4)])
     def test_rows_equal_partial_sum(self, rng, dim, depth):
         tree = DyadicTree(dim, depth, 1.0)
         b, f = (spiky_field(tree, rng, sigma=2.0) for _ in range(2))
-        subs = [random_subcollection(tree, rng) for _ in range(9)]
-        rows = partial_sums(b, f, [np.stack(level) for level in zip(*subs)])
+        subs = random_subcollection(tree, rng, 9)
+        rows = partial_sums(b, f, subs)
         assert rows.shape == (9,) + tree.shape
-        for row, sub in zip(rows, subs):
-            assert np.array_equal(row, paraproduct(b, f, sub).values)
-
-    def test_stack_without_finest_level(self, rng):
-        tree = DyadicTree(1, 5, 1.0)
-        b, f = (spiky_field(tree, rng, sigma=2.0) for _ in range(2))
-        subs = [random_subcollection(tree, rng)[:-1] for _ in range(3)]
-        rows = partial_sums(b, f, [np.stack(level) for level in zip(*subs)])
-        for row, sub in zip(rows, subs):
-            assert np.array_equal(row, paraproduct(b, f, sub).values)
+        for i, row in enumerate(rows):
+            assert np.array_equal(row, partial_sums(b, f, [level[i] for level in subs]))
 
     def test_rows_must_agree_across_levels(self):
         tree = DyadicTree(1, 3, 1.0)
+        b = GridFunction.constant(tree, 1.0)
         stack = [np.zeros((4,) + (2**k,)) for k in range(tree.depth + 1)]
         stack[2] = np.zeros((3, 4))
         with pytest.raises(LatticeError):
-            cube_stack(tree, stack)
+            partial_sums(b, b, stack)
+
+    @pytest.mark.parametrize("dim,depth", [(1, 0), (1, 6), (2, 4)])
+    def test_row_checks_equal_one_collection_checks(self, rng, dim, depth):
+        tree = DyadicTree(dim, depth, 1.0)
+        b, f = (spiky_field(tree, rng, sigma=2.0) for _ in range(2))
+        bound = domination_bound(paraproduct_sparse_dominate(b, f), b, f)
+        rows = partial_sums(b, f, random_subcollection(tree, rng, 7))
+        rows[3] *= 1e3  # one row above the bound
+        oks, gaps = pointwise_dominated(rows, bound)
+        assert oks.shape == gaps.shape == (7,)
+        for ok, gap, row in zip(oks, gaps, rows):
+            one = pointwise_dominated(row, bound)
+            assert ok == one[0] and np.array_equal(gap, one[1])
+        none_ok, none_gap = pointwise_dominated(rows[:0], bound)
+        assert none_ok.shape == none_gap.shape == (0,)
 
     @pytest.mark.parametrize("dim,depth", [(1, 5), (2, 3)])
     def test_battery_matches_per_collection_loop(self, tmp_path, dim, depth):
@@ -461,7 +500,7 @@ class TestBatchedPartialSums:
             assert verify_sparse(family)[0]
             bound = domination_bound(family, b, f)
             for _ in range(cfg.subcollections):
-                sub = random_subcollection(tree, rng)
-                worst = max(worst, pointwise_dominated(paraproduct(b, f, sub).values, bound)[1])
+                (lhs,) = partial_sums(b, f, random_subcollection(tree, rng, 1))
+                worst = max(worst, pointwise_dominated(lhs, bound)[1])
         assert report["worst_domination_slack"] == worst
         assert report["failures"] == 0
