@@ -94,8 +94,9 @@ def level_sums(tree: "DyadicTree", cells: np.ndarray) -> list[np.ndarray]:
 
 
 def max_depth(dim: int) -> int:
-    """The guard rail on the depth of a config's or a certificate's tree: 14 at d = 1, else 8."""
-    return 14 if dim == 1 else 8
+    """The guard rail on the depth of a config's or a certificate's tree: 14 at d = 1 and
+    16 // d above, so that no tree has more than 2^16 cells (d < 1 the tree refuses)."""
+    return 14 if dim <= 1 else 16 // dim
 
 
 class DyadicTree:

@@ -17,7 +17,7 @@ import numpy as np
 
 from .lattice import Cube, DyadicTree, GridFunction, LatticeError, as_rows, scope_batches
 from .operators import OperatorHandle, oscillation_levels, sharp_maximal
-from .sparse import SparseFamily, family_to_text, owned_cells, principal_cubes, verify_sparse
+from .sparse import SparseFamily, family_to_text, principal_cubes, verify_sparse
 from .weights import BloomTriple, Weight, batch_masses
 
 GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
@@ -200,9 +200,8 @@ def discretized_sharp_sup(
         phi.append(tau / nus[k])
 
     # the state is the principal cube's phi; a cube stops where its phi is over twice that
-    principal, owner = principal_cubes(
+    principal, witnesses = principal_cubes(
         tree, lambda k: (phi[k],), lambda k, ref: (phi[k] > 2.0 * ref[0], ref))
-    witnesses = owned_cells(principal, owner)
     family = SparseFamily(
         tree=tree, cubes=principal, witnesses=witnesses, gamma=gamma, measure=nu
     )
@@ -233,11 +232,6 @@ _GROUP_CELLS = 4096
 def _column(values: Sequence[float], rows: np.ndarray) -> np.ndarray:
     """One scalar per row, shaped to broadcast against the stack `rows`."""
     return np.array(values).reshape((-1,) + (1,) * (rows.ndim - 1))
-
-
-def _ratios(nums: list[float], dens: list[float]) -> list[float]:
-    """num / den per row, 0 for a row of zero norm."""
-    return [num / den if den != 0.0 else 0.0 for num, den in zip(nums, dens)]
 
 
 def _structured_starts(tree: DyadicTree) -> Iterator[np.ndarray]:
@@ -324,15 +318,16 @@ def empirical_operator_norms(
     All members' starts stream, in member then start order, through one
     pool of at most max(1, _GROUP_CELLS // n_cells) rows, whose buffers are
     allocated once.  Each round makes one `adjoint` call for the rows that
-    need a gradient and one `apply` call for the rows still searching (one
-    line-search trial each) and the starts that took the slots of finished
-    rows.  Each row keeps its image Uv from its last accepted trial (from
-    its first apply before that), so a trial is the only forward apply and
-    a gradient is one adjoint apply.  Per-row norms and their powers are
-    raised as scalars, so every row follows the bits of a start run on its
-    own.  A finished row folds into its member: the earliest start of the
-    largest ratio is the certificate (a zero ratio never replaces the
-    all-ones default), so every report has the bits of its member run alone.
+    want a gradient, gives the free slots the next starts, and makes one
+    `apply` call for the rows still searching (one line-search trial each)
+    and those fresh starts; each call moves its rows on.  Each row keeps
+    its image Uv from its last accepted trial (from its first apply before
+    that), so a trial is the only forward apply and a gradient is one
+    adjoint apply.  Per-row norms and their powers are raised as scalars,
+    so every row follows the bits of a start run on its own.  A finished
+    row folds into its member: the earliest start of the largest ratio is
+    the certificate (a zero ratio never replaces the all-ones default), so
+    every report has the bits of its member run alone.
     """
     tree, mum, lamm = mu.tree, mu.cell_mass, lam.cell_mass
     extras = list(extra_starts) or [()] * len(seeds)
@@ -351,42 +346,11 @@ def empirical_operator_norms(
     member, start_of = [0] * size, [0] * size
     r_cur, step, gn, left = [0.0] * size, [1.0] * size, [0.0] * size, [0] * size
     free = list(range(size - 1, -1, -1))
+    wanting: list[int] = []  # rows whose next move is a gradient
+    searching: list[int] = []  # rows with a direction and a step to try
 
     def handle(rows: list[int]) -> OperatorHandle:
         return handle_for(np.array([member[i] for i in rows]))
-
-    # The two applies of a round.  Every array they make is freed when they
-    # return, so no row temporary is held through the next apply.
-    def gradients(rows: list[int]) -> np.ndarray:
-        """Writes into g the gradients of log ||Uv||_{L^q(lam)} - log ||v||_{L^p(mu)} of
-        the rows (unit L^p(mu) norm, nonzero ratio) and returns their Euclidean norms."""
-        dual = uv[rows]
-        np.multiply(lamm * np.abs(dual) ** (q - 1.0), np.sign(dual), out=dual)
-        ga = handle(rows).adjoint(dual) / _column([r_cur[i] ** q for i in rows], dual)
-        w = v[rows]
-        grads = ga - mum * np.abs(w) ** (p - 1.0) * np.sign(w)
-        g[rows] = grads
-        return np.sqrt((grads * grads).reshape(len(rows), -1).sum(axis=1))
-
-    def forward(searching: list[int], fresh: list[int]) -> tuple[list[float], list[bool]]:
-        """One apply of each searching row's trial and of each fresh row; returns the ratios
-        and, per searching row, whether it improved.  An improved row moves to its trial,
-        normalized, with the trial's image; a fresh row takes its image."""
-        n = len(searching)
-        x = np.concatenate([
-            v[searching] + _column([step[i] for i in searching], v) * g[searching] / _column(
-                [gn[i] for i in searching], v),
-            v[fresh],
-        ])
-        ux = handle(searching + fresh).apply(x)
-        dens = _row_norms(x, mum, p)
-        r_new = _ratios(_row_norms(ux, lamm, q), dens)
-        up = [r_new[j] > r_cur[i] * (1.0 + 1e-13) for j, i in enumerate(searching)]
-        if moved := [j for j, ok in enumerate(up) if ok]:
-            rows, scale = [searching[j] for j in moved], _column([dens[j] for j in moved], x)
-            v[rows], uv[rows] = x[moved] / scale, ux[moved] / scale
-        uv[fresh] = ux[n:]
-        return r_new, up
 
     def finish(i: int) -> None:
         k, j, r = member[i], start_of[i], r_cur[i]
@@ -395,26 +359,71 @@ def empirical_operator_norms(
             best[k] = (r, j, v[i].copy())
         free.append(i)
 
-    wanting: list[int] = []  # rows whose next move is a gradient
-    searching: list[int] = []  # rows with a direction and a step to try
-    while True:
-        for i in wanting:
-            if r_cur[i] == 0.0:
-                finish(i)  # the zero gradient
-        if live := [i for i in wanting if r_cur[i] != 0.0]:
-            for i, norm in zip(live, gradients(live)):
-                left[i] -= 1
-                gn[i] = float(norm)
-                if gn[i] >= 1e-15:
+    # The two applies of a round; each moves its rows on.  Every array they
+    # make is freed when they return, so no row temporary is held through the
+    # next apply.
+    def gradients(rows: list[int]) -> None:
+        """Writes into g the gradients of log ||Uv||_{L^q(lam)} - log ||v||_{L^p(mu)} of the
+        rows (unit L^p(mu) norm, nonzero ratio), into gn their Euclidean norms, and counts
+        them off `left`; a row then searches along its gradient, or finishes on a zero one."""
+        dual = uv[rows]
+        np.multiply(lamm * np.abs(dual) ** (q - 1.0), np.sign(dual), out=dual)
+        ga = handle(rows).adjoint(dual) / _column([r_cur[i] ** q for i in rows], dual)
+        w = v[rows]
+        grads = ga - mum * np.abs(w) ** (p - 1.0) * np.sign(w)
+        g[rows] = grads
+        for i, norm in zip(rows, np.sqrt((grads * grads).reshape(len(rows), -1).sum(axis=1))):
+            left[i] -= 1
+            gn[i] = float(norm)
+            if gn[i] >= 1e-15:
+                searching.append(i)
+            else:
+                finish(i)
+
+    def forward(fresh: list[int]) -> None:
+        """One apply of each searching row's trial and of each fresh row, then each row's
+        next move.  An improved row moves to its trial, normalized, with the trial's image,
+        grows its step, and wants a gradient while it has any left; a row that did not
+        improve halves its step, and its line search fails once the step has run out.  A
+        fresh row takes its image, and finishes at once if it may take no gradient or its
+        ratio is 0."""
+        trials = searching.copy()
+        searching.clear()
+        x = np.concatenate([
+            v[trials] + _column([step[i] for i in trials], v) * g[trials] / _column(
+                [gn[i] for i in trials], v),
+            v[fresh],
+        ])
+        ux = handle(trials + fresh).apply(x)
+        dens = _row_norms(x, mum, p)
+        r_new = [num / den if den != 0.0 else 0.0 for num, den in zip(_row_norms(ux, lamm, q), dens)]
+        for j, i in enumerate(trials):
+            evals[member[i]] += 1
+            if r_new[j] > r_cur[i] * (1.0 + 1e-13):
+                r_cur[i], step[i] = r_new[j], step[i] * 1.8
+                v[i], uv[i] = x[j] / dens[j], ux[j] / dens[j]
+                if left[i] > 0:
+                    wanting.append(i)
+                else:
+                    finish(i)
+            else:
+                step[i] *= 0.5
+                if step[i] > 1e-12:
                     searching.append(i)
                 else:
                     finish(i)
-        wanting = []
-        # a row whose step has run out has failed its line search
-        for i in searching:
-            if step[i] <= 1e-12:
+        uv[fresh] = ux[len(trials):]
+        for j, i in enumerate(fresh, len(trials)):
+            r_cur[i] = r_new[j]
+            if iterations > 0 and r_cur[i] != 0.0:
+                wanting.append(i)
+            else:
                 finish(i)
-        searching = [i for i in searching if step[i] > 1e-12]
+
+    while True:
+        if wanting:
+            gradients(wanting)
+            wanting.clear()
         fresh = []
         while free and (item := next(queue, None)) is not None:
             k, j, start = item
@@ -427,27 +436,7 @@ def empirical_operator_norms(
                 fresh.append(i)
         if not searching and not fresh:
             break
-        r_new, up = forward(searching, fresh)
-        still = []
-        for j, i in enumerate(searching):
-            evals[member[i]] += 1
-            if up[j]:
-                r_cur[i] = r_new[j]
-                step[i] *= 1.8
-                if left[i] > 0:
-                    wanting.append(i)
-                else:
-                    finish(i)
-            else:
-                step[i] *= 0.5
-                still.append(i)
-        for j, i in enumerate(fresh, len(searching)):
-            r_cur[i] = r_new[j]
-            if iterations > 0:
-                wanting.append(i)
-            else:
-                finish(i)
-        searching = still
+        forward(fresh)
 
     reports = []
     for k in range(len(seeds)):

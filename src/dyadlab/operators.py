@@ -48,13 +48,17 @@ def _averages_by_level(f: GridFunction) -> list[np.ndarray]:
     return _level_averages(f.tree, f.values)
 
 
-def _running_max(levels: Iterable[np.ndarray], shape: tuple[int, ...]) -> np.ndarray:
-    """Per cell, the max of the per-level cube values over the cubes containing it."""
-    levels = iter(levels)
-    run = next(levels)
-    for level in levels:
-        run = np.maximum(refine_once(run), level)
-    return np.array(run, dtype=float).reshape(shape)
+def _top_down(terms: Iterable[np.ndarray], dim: int | None = None, op=np.add) -> np.ndarray:
+    """Fold of per-level arrays, each broadcast onto its subcubes, at the last one's level:
+    sums by default, per-cell maxima over the containing cubes with `op=np.maximum`.
+
+    Each term lies one level below the one before; acc = op(refine_once(acc), term).
+    """
+    terms = iter(terms)
+    acc = 0.0 + next(terms)
+    for term in terms:
+        acc = op(refine_once(acc, dim), term)
+    return acc
 
 
 def maximal(f: GridFunction, weight: Weight, scope: str = "dyadic") -> GridFunction:
@@ -63,7 +67,7 @@ def maximal(f: GridFunction, weight: Weight, scope: str = "dyadic") -> GridFunct
     batches = scope_batches(tree, scope)
     g = f.abs()
     sums = level_sums(tree, g.values * weight.cell_mass)
-    out = _running_max((s / m for s, m in zip(sums, weight.level_masses())), tree.shape)
+    out = _top_down((s / m for s, m in zip(sums, weight.level_masses())), op=np.maximum)
     for batch in batches:
         masses = batch_cell_masses(weight, batch)
         means = (g.values[batch.cells] * masses).sum(axis=1) / masses.sum(axis=1)
@@ -91,7 +95,7 @@ def sharp_maximal(b: GridFunction, nu: Weight, scope: str = "dyadic") -> GridFun
     tree = b.tree
     batches = scope_batches(tree, scope)
     oscs = zip(oscillation_levels(b), nu.level_masses())
-    out = _running_max((osc / mass for osc, mass in oscs), tree.shape)
+    out = _top_down((osc / mass for osc, mass in oscs), op=np.maximum)
     for batch in batches:
         batch.max_onto_full_cells(out, batch.oscillations(b.values) / batch_masses(nu, batch))
     return GridFunction(tree, out)
@@ -130,17 +134,6 @@ def sharp_window_values(
 # the children of the level-k cubes, and the running sum is refined once per
 # level, so each cell adds its terms coarse to fine.  Every array here may
 # carry leading row axes before its cube axes; `dim` names the cube axes.
-
-
-def _top_down(terms: Sequence[np.ndarray], dim: int | None = None) -> np.ndarray:
-    """Sum of per-level arrays, each broadcast onto its subcubes, at the last one's level.
-
-    terms[j + 1] lies one level below terms[j]; acc = refine_once(acc) + term.
-    """
-    acc = 0.0 + terms[0]
-    for term in terms[1:]:
-        acc = refine_once(acc, dim) + term
-    return acc
 
 
 def _haar_differences(avg: Sequence[np.ndarray]) -> list[np.ndarray]:

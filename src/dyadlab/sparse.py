@@ -149,15 +149,16 @@ def principal_cubes(
     tree: DyadicTree,
     fresh: Callable[[int], tuple[np.ndarray, ...]],
     advance: Callable[[int, tuple[np.ndarray, ...]], tuple[np.ndarray, tuple[np.ndarray, ...]]],
-) -> tuple[list[Cube], np.ndarray]:
+) -> tuple[list[Cube], list[np.ndarray]]:
     """The principal cubes of a stopping rule below the root, by one top-down pass.
 
     Cubes on level j carry their principal's state, refined from level
     j - 1; `advance(j, state)` returns the stop mask and the state carried
     on, and a stopping cube becomes principal with state `fresh(j)`
     (`fresh(0)` is the root's).  Returns the principal cubes in the walk
-    order of `_draw_order` (the root first, later children first) and, per
-    finest cell, the position of its deepest principal cube.
+    order of `_draw_order` (the root first, later children first) and their
+    witnesses: each finest cell is claimed whole by its deepest principal
+    cube, cells ascending.
     """
     state, found = fresh(0), [np.ones((1,) * tree.dim, dtype=bool)]
     owner = np.zeros((1,) * tree.dim, dtype=np.int64)  # principal ids, in the order found
@@ -171,14 +172,10 @@ def principal_cubes(
     walk = np.argsort(np.concatenate([pos[mask] for pos, mask in zip(order, found)]))
     cubes = [Cube(tree, j, tuple(int(i) for i in idx))
              for j, mask in enumerate(found) for idx in np.argwhere(mask)]
-    return [cubes[i] for i in walk], np.argsort(walk)[owner]
-
-
-def owned_cells(cubes: list[Cube], owner: np.ndarray) -> list[np.ndarray]:
-    """Whole-cell witness claims from `principal_cubes`' owner array, cells ascending."""
-    cells = np.argsort(owner, axis=None, kind="stable")
-    bounds = np.searchsorted(owner.ravel()[cells], np.arange(1, len(cubes)))
-    return np.split(cells << 2 | FULL, bounds)
+    owner = np.argsort(walk)[owner].ravel()  # per cell, its deepest principal's walk position
+    cells = np.argsort(owner, kind="stable")
+    bounds = np.searchsorted(owner[cells], np.arange(1, len(cubes)))
+    return [cubes[i] for i in walk], np.split(cells << 2 | FULL, bounds)
 
 
 # -- the stopping-time constructor ----------------------------------------------
@@ -227,8 +224,7 @@ def paraproduct_sparse_dominate(b: GridFunction, f: GridFunction) -> SparseFamil
         stop = live & ((fabs[j] > 4.0 * fbar) | (np.maximum(pos, neg) > a_q))
         return stop, (fbar, a_q, live, pos, neg)
 
-    stilde, owner = principal_cubes(tree, fresh, advance)
-    witnesses = owned_cells(stilde, owner)
+    stilde, witnesses = principal_cubes(tree, fresh, advance)
     size = np.array([q.cell_count() for q in stilde])
     ratios = (size - np.array([len(w) for w in witnesses])) / size
     for q, ratio in zip(stilde, ratios):

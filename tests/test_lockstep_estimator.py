@@ -232,3 +232,38 @@ def test_bloom_pools_match_each_member_alone(tmp_path, monkeypatch, dim, depth):
             assert abs(value - rep.value) <= 1e-12 * max(abs(rep.value), 1e-300)
     if dim == 2:
         assert [m["commutator_norm"] for m in members] == [None] * len(members)
+
+
+def test_bloom_round_structure_is_pinned(tmp_path, monkeypatch):
+    """The pool's rounds on bloom.cfg with 6 members at seed 1 (the bloom-d1 benchmark
+    workload): 553 apply calls carrying 7,874 rows and 399 adjoint calls carrying 2,578,
+    over the paraproduct's and the commutator's pools.  They pin the round: one adjoint
+    call for the rows that want a gradient, the refill of the free slots, then one apply
+    call for the trials and the fresh rows.  Boyd's power method (ROADMAP item 1) replaces
+    the line search and will change these counts on purpose."""
+    cfg = ScenarioConfig(name="bloom-q-lt-p", dim=1, half_width_exponent=2, depth=8, p=4.0,
+                         q=2.0, b_family="mixed", family_size=6, restarts=10, iterations=45,
+                         mu="power(1.0)", lam="lebesgue", seed=1, out_dir=str(tmp_path))
+    counts = {"apply": [0, 0], "adjoint": [0, 0]}
+
+    def counting(handle_for):
+        def counted_for(which):
+            inner = handle_for(which)
+
+            def counted(kind, op):
+                def call(v):
+                    counts[kind][0] += 1
+                    counts[kind][1] += len(v)
+                    return op(v)
+                return call
+
+            return OperatorHandle(inner.name, counted("apply", inner.apply),
+                                  counted("adjoint", inner.adjoint))
+        return counted_for
+
+    def spy_pool(handle_for, *args, **kwargs):
+        return empirical_operator_norms(counting(handle_for), *args, **kwargs)
+
+    monkeypatch.setattr(scenarios, "empirical_operator_norms", spy_pool)
+    run_bloom_comparability(cfg)
+    assert counts == {"apply": [553, 7874], "adjoint": [399, 2578]}

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dyadlab import operators
-from dyadlab.lattice import Cube, DyadicTree, GridFunction, LatticeError
+from dyadlab.lattice import Cube, DyadicTree, GridFunction, LatticeError, level_sums
 from dyadlab.norms import multiplier_norm
 from dyadlab.operators import (
     KernelSpec1D,
@@ -17,6 +17,7 @@ from dyadlab.operators import (
     commutator_test_pairs,
     hilbert_transform,
     maximal,
+    oscillation_levels,
     paraproduct,
     paraproduct_adjoint,
     paraproduct_handle,
@@ -133,6 +134,36 @@ class TestSharpMaximal:
             if sh.values[cell] > 0.0 and wv > 0.0:
                 ratios.append(wv / sh.values[cell])
         assert ratios and 0.2 < min(ratios) and max(ratios) < 5.0
+
+
+class TestDyadicFoldD2:
+    """The dyadic maximal functions at d = 2 against a per-cell maximum over the cubes
+    that contain the cell, of the per-cube values read from the level arrays."""
+
+    @staticmethod
+    def _brute_max(tree: DyadicTree, levels: list[np.ndarray]) -> np.ndarray:
+        out = np.empty(tree.shape)
+        for cell in np.ndindex(*tree.shape):
+            out[cell] = max(float(levels[k][tuple(i >> (tree.depth - k) for i in cell)])
+                            for k in range(tree.depth + 1))
+        return out
+
+    @pytest.mark.parametrize("depth", [0, 1, 4])
+    def test_sharp_maximal(self, rng, depth):
+        tree = DyadicTree(2, depth, 2.0)
+        nu = Weight(tree, rng.uniform(0.5, 2.0, tree.shape))
+        b = GridFunction(tree, rng.normal(size=tree.shape))
+        levels = [osc / mass for osc, mass in zip(oscillation_levels(b), nu.level_masses())]
+        np.testing.assert_array_equal(sharp_maximal(b, nu).values, self._brute_max(tree, levels))
+
+    @pytest.mark.parametrize("depth", [0, 1, 4])
+    def test_maximal(self, rng, depth):
+        tree = DyadicTree(2, depth, 2.0)
+        w = Weight(tree, rng.uniform(0.5, 2.0, tree.shape))
+        f = GridFunction(tree, rng.normal(size=tree.shape))
+        sums = level_sums(tree, np.abs(f.values) * w.cell_mass)
+        levels = [s / m for s, m in zip(sums, w.level_masses())]
+        np.testing.assert_array_equal(maximal(f, w).values, self._brute_max(tree, levels))
 
 
 class TestParaproduct:

@@ -8,6 +8,7 @@ from dataclasses import replace
 import pytest
 
 from dyadlab.cli import main
+from dyadlab.lattice import max_depth
 from dyadlab.scenarios import (
     ConfigError,
     ScenarioConfig,
@@ -103,6 +104,14 @@ class TestConfigParsing:
             parse_config("[scenario]\ndim = 2\ndepth = 9\n")
         with pytest.raises(ConfigError):
             ScenarioConfig(p=1.0)
+
+    @pytest.mark.parametrize("dim,depth", [(1, 14), (2, 8), (3, 5), (5, 3)])
+    def test_guard_rail_bounds_the_cell_count(self, dim, depth):
+        """The deepest accepted tree has at most 2^16 cells; one level more is refused."""
+        assert depth == max_depth(dim)
+        assert ScenarioConfig(dim=dim, depth=depth).tree().n_cells <= 2**16
+        with pytest.raises(ConfigError, match="guard rail"):
+            ScenarioConfig(dim=dim, depth=depth + 1)
 
     @pytest.mark.parametrize("dim,depth,exponent,ok", [
         (1, 8, 1022, True), (1, 8, 1023, False), (2, 8, 510, True), (2, 8, 511, False),
@@ -290,6 +299,13 @@ class TestCli:
     def test_dim_below_one_exit_3(self, tmp_path, capsys):
         assert main(["char", "--dim", "0", "--out", str(tmp_path)]) == 3
         assert "config error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("dim,depth", [(5, 8), (3, 6)])
+    def test_too_many_cells_exit_3(self, tmp_path, capsys, dim, depth):
+        """2^40 and 2^18 cells: refused as a config, before any array is built."""
+        assert main(["norms", "--dim", str(dim), "--depth", str(depth), "--out", str(tmp_path)]) == 3
+        assert "config error:" in capsys.readouterr().err
+        assert not list(tmp_path.iterdir())
 
     def test_negative_depth_exit_3(self, tmp_path, capsys):
         assert main(["norms", "--depth", "-1", "--out", str(tmp_path)]) == 3

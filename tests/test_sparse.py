@@ -419,6 +419,17 @@ class TestSerialization:
         with pytest.raises(ValueError, match="guard rail"):
             family_from_text(header + "0 0 | 0\n")
 
+    @pytest.mark.parametrize("dim,depth", [(5, 8), (3, 6)])
+    def test_cell_count_beyond_guard_rail_rejected(self, monkeypatch, dim, depth):
+        """A header of 2^40 or 2^18 cells is refused before any tree or array exists."""
+        def no_tree(*args):
+            raise AssertionError("a tree was built beyond the guard rail")
+
+        monkeypatch.setattr(sparse, "DyadicTree", no_tree)
+        header = self.HEADER.replace("dim=1 depth=3", f"dim={dim} depth={depth}")
+        with pytest.raises(ValueError, match="guard rail"):
+            family_from_text(header + "0" + " 0" * dim + " | 0\n")
+
     @pytest.mark.parametrize("token", ["0-8", "0-4000000000", "4000000000", "8H"])
     def test_cell_beyond_tree_rejected(self, monkeypatch, token):
         arange = np.arange

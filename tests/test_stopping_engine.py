@@ -14,7 +14,13 @@ from dyadlab.lattice import DyadicTree, GridFunction
 from dyadlab.norms import discretized_sharp_sup, sharp_maximal_r_norm
 from dyadlab.operators import oscillation_levels
 from dyadlab.scenarios import random_haar_sum, spiky_field
-from dyadlab.sparse import family_to_text, paraproduct_sparse_dominate, verify_sparse
+from dyadlab.sparse import (
+    FULL,
+    family_to_text,
+    paraproduct_sparse_dominate,
+    principal_cubes,
+    verify_sparse,
+)
 from dyadlab.weights import Weight, parse_weight
 
 import oracles
@@ -108,3 +114,32 @@ def test_constant_b_skip_is_exact(dim, depth, half_width):
         _assert_same_family(
             paraproduct_sparse_dominate(b, f), oracles.reference_paraproduct_sparse_dominate(b, f))
     assert misread == 0
+
+
+@pytest.mark.parametrize("dim,depth", [(d, n) for d in (1, 2) for n in range(6)])
+@pytest.mark.parametrize("rate", [0.1, 0.5, 0.9])
+def test_witnesses_partition_the_cells(dim, depth, rate):
+    """Under random stop masks every finest cell is claimed exactly once, whole, by the
+    deepest principal cube that contains it, and each witness lists its cells ascending."""
+    tree = DyadicTree(dim, depth, 2.0)
+    rng = np.random.default_rng(1000 * dim + 10 * depth + int(10 * rate))
+    stops = [np.ones((1,) * dim, dtype=bool)] + [
+        rng.random((2**j,) * dim) < rate for j in range(1, depth + 1)]
+    cubes, witnesses = principal_cubes(
+        tree, lambda j: (np.zeros((2**j,) * dim),), lambda j, state: (stops[j], state))
+
+    assert sorted((c.level, c.index) for c in cubes) == sorted(
+        (j, tuple(int(i) for i in idx)) for j, mask in enumerate(stops) for idx in np.argwhere(mask))
+    assert len(witnesses) == len(cubes)
+    deepest = np.full(tree.n_cells, -1)
+    for pos in sorted(range(len(cubes)), key=lambda i: cubes[i].level):
+        deepest[oracles.flat_cells(cubes[pos])] = pos
+    claimed = np.zeros(tree.n_cells, dtype=int)
+    for pos, claims in enumerate(witnesses):
+        assert claims.dtype == np.int64
+        assert np.all(claims & 3 == FULL)
+        cells = claims >> 2
+        assert np.all(np.diff(cells) > 0)
+        assert np.all(deepest[cells] == pos)
+        claimed[cells] += 1
+    assert np.all(claimed == 1)
