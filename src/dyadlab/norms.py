@@ -44,7 +44,7 @@ class NormReport:
             cert = f"certificate_{name}.csv"
             flat = np.asarray(self.certificate, dtype=float).ravel()
             # in blocks: no list of one string per cell lives beside the other files
-            files[cert] = "".join("".join(f"{x!r}\n" for x in flat[i:i + 4096].tolist())
+            files[cert] = "".join("\n".join(map(repr, flat[i:i + 4096].tolist())) + "\n"
                                   for i in range(0, flat.size, 4096))
         elif isinstance(self.certificate, SparseFamily):
             cert = f"certificate_{name}.sparse.txt"
@@ -66,14 +66,51 @@ class NormReport:
         }, files
 
 
+def abs_power(a: np.ndarray, e: float, out: np.ndarray | None = None) -> np.ndarray:
+    """|a|^e elementwise, written into `out` (which may be `a`) when it is given.
+
+    The whole exponents 1-4 are products, |a|, a*a, |a|*(a*a) and
+    (a*a)*(a*a): within a few ulps of libm's pow, at a fifth of its time.
+    Any other e is `np.abs(a) ** e`, bit for bit.  A zero gives 0 for e > 0.
+    """
+    if e == 2.0 or e == 4.0:
+        out = np.multiply(a, a, out=out)
+        return np.multiply(out, out, out=out) if e == 4.0 else out
+    if e == 3.0:
+        square = a * a
+        return np.multiply(np.abs(a, out=out), square, out=out)
+    out = np.abs(a, out=out)
+    return out if e == 1.0 else np.power(out, e, out=out)
+
+
+def signed_power(a: np.ndarray, e: float, out: np.ndarray | None = None) -> np.ndarray:
+    """sgn(a)|a|^e elementwise, written into `out` (which may be `a`) when it is given.
+
+    The whole exponents 1-4 are a * |a|^(e-1) by `abs_power`, with no sign
+    taken; any other e is `np.abs(a) ** e * np.sign(a)`, bit for bit.
+    """
+    if e == 1.0:
+        if out is None:
+            return a.copy()
+        if out is not a:
+            np.copyto(out, a)
+        return out
+    if e in (2.0, 3.0, 4.0):
+        return np.multiply(a, abs_power(a, e - 1.0), out=out)
+    sign = np.sign(a)  # before `out`, which may be `a`, is written
+    return np.multiply(abs_power(a, e, out=out), sign, out=out)
+
+
 def _row_norms(rows: np.ndarray, masses, p: float) -> list[float]:
-    """(sum over cells of |row|^p mass)^(1/p) for every row of `rows`.
+    """(sum over cells of |row|^p mass)^(1/p) for every row of `rows`, with
+    |row|^p from `abs_power` (products at p = 1-4).
 
     Each row's sum is raised as a scalar: numpy's array power can differ
     from the scalar one in the last bit.
     """
-    sums = (np.abs(rows) ** p * masses).reshape(len(rows), -1).sum(axis=1)
-    return [s ** (1.0 / p) for s in sums.tolist()]
+    powers = abs_power(rows, p)
+    powers *= masses
+    return [s ** (1.0 / p) for s in powers.reshape(len(rows), -1).sum(axis=1).tolist()]
 
 
 def lp_norm(f: GridFunction, weight: Weight, p: float) -> float:
@@ -118,6 +155,9 @@ def multiplier_objective(b: GridFunction, nu: Weight, r: float) -> Callable[[flo
     masses = transformed.cell_mass
     vals = b.values
 
+    # |b - c|^r stays on libm's pow, not `abs_power`: products move h by an ulp, which
+    # flips golden-section near-ties and moves reports far past float reordering
+    # (7e-9 in counterexample.json, a relative 2 in a norms.json trace entry)
     def h(c: float) -> float:
         return float((np.abs(vals - c) ** r * masses).sum())
 
@@ -317,14 +357,21 @@ def empirical_operator_norms(
 
     All members' starts stream, in member then start order, through one
     pool of at most max(1, _GROUP_CELLS // n_cells) rows, whose buffers are
-    allocated once.  Each round makes one `adjoint` call for the rows that
+    allocated once: per slot v, Uv and the gradient g, and the round
+    buffers x and t.  A gradient is written into x and t in place (the
+    rows gathered by `np.take`, then `*=`, `/=` and `-=`) and stored in g;
+    a round's trial steps and fresh rows are written into x, which is the
+    stack the apply gets, and an accepted trial is divided into its slot
+    with `out=`.  Each round makes one `adjoint` call for the rows that
     want a gradient, gives the free slots the next starts, and makes one
     `apply` call for the rows still searching (one line-search trial each)
     and those fresh starts; each call moves its rows on.  Each row keeps
     its image Uv from its last accepted trial (from its first apply before
     that), so a trial is the only forward apply and a gradient is one
-    adjoint apply.  Per-row norms and their powers are raised as scalars,
-    so every row follows the bits of a start run on its own.  A finished
+    adjoint apply.  Elementwise powers come from `abs_power` and
+    `signed_power` (products at the whole exponents 1-4); per-row norms
+    and their powers are raised as scalars, so every row follows the bits
+    of a start run on its own.  A finished
     row folds into its member: the earliest start of the largest ratio is
     the certificate (a zero ratio never replaces the all-ones default), so
     every report has the bits of its member run alone.
@@ -342,7 +389,8 @@ def empirical_operator_norms(
     best = [(0.0, -1, np.ones(tree.shape)) for _ in seeds]  # per member: (ratio, start, row)
 
     size = max(1, _GROUP_CELLS // tree.n_cells)
-    v, uv, g = (np.empty((size,) + tree.shape) for _ in range(3))
+    # per slot: the row, its image and its gradient; x and t hold a round's rows
+    v, uv, g, x, t = (np.empty((size,) + tree.shape) for _ in range(5))
     member, start_of = [0] * size, [0] * size
     r_cur, step, gn, left = [0.0] * size, [1.0] * size, [0.0] * size, [0] * size
     free = list(range(size - 1, -1, -1))
@@ -359,20 +407,29 @@ def empirical_operator_norms(
             best[k] = (r, j, v[i].copy())
         free.append(i)
 
-    # The two applies of a round; each moves its rows on.  Every array they
-    # make is freed when they return, so no row temporary is held through the
-    # next apply.
+    def gather(rows: list[int], source: np.ndarray, into: np.ndarray) -> np.ndarray:
+        # mode="clip" takes straight into `into`; "raise" would buffer a copy
+        return np.take(source, rows, axis=0, out=into[:len(rows)], mode="clip")
+
+    # The two applies of a round; each moves its rows on.  They work in the
+    # pool's buffers, so a round allocates little beyond the handle's own
+    # arrays, and nothing it makes is held through the next apply.
     def gradients(rows: list[int]) -> None:
         """Writes into g the gradients of log ||Uv||_{L^q(lam)} - log ||v||_{L^p(mu)} of the
         rows (unit L^p(mu) norm, nonzero ratio), into gn their Euclidean norms, and counts
         them off `left`; a row then searches along its gradient, or finishes on a zero one."""
-        dual = uv[rows]
-        np.multiply(lamm * np.abs(dual) ** (q - 1.0), np.sign(dual), out=dual)
-        ga = handle(rows).adjoint(dual) / _column([r_cur[i] ** q for i in rows], dual)
-        w = v[rows]
-        grads = ga - mum * np.abs(w) ** (p - 1.0) * np.sign(w)
-        g[rows] = grads
-        for i, norm in zip(rows, np.sqrt((grads * grads).reshape(len(rows), -1).sum(axis=1))):
+        dual = gather(rows, uv, x)
+        signed_power(dual, q - 1.0, out=dual)
+        dual *= lamm
+        ga = handle(rows).adjoint(dual)  # may be `dual` itself, which is free to overwrite
+        ga /= _column([r_cur[i] ** q for i in rows], ga)
+        gb = gather(rows, v, t)
+        signed_power(gb, p - 1.0, out=gb)
+        gb *= mum
+        ga -= gb
+        g[rows] = ga
+        squares = np.multiply(ga, ga, out=gb)
+        for i, norm in zip(rows, np.sqrt(squares.reshape(len(rows), -1).sum(axis=1))):
             left[i] -= 1
             gn[i] = float(norm)
             if gn[i] >= 1e-15:
@@ -389,19 +446,22 @@ def empirical_operator_norms(
         ratio is 0."""
         trials = searching.copy()
         searching.clear()
-        x = np.concatenate([
-            v[trials] + _column([step[i] for i in trials], v) * g[trials] / _column(
-                [gn[i] for i in trials], v),
-            v[fresh],
-        ])
-        ux = handle(trials + fresh).apply(x)
-        dens = _row_norms(x, mum, p)
+        n = len(trials)
+        xs = x[:n + len(fresh)]
+        gather(fresh, v, xs[n:])
+        moves = gather(trials, g, xs)  # v + step * g / gn, in place
+        moves *= _column([step[i] for i in trials], moves)
+        moves /= _column([gn[i] for i in trials], moves)
+        moves += gather(trials, v, t)
+        ux = handle(trials + fresh).apply(xs)
+        dens = _row_norms(xs, mum, p)
         r_new = [num / den if den != 0.0 else 0.0 for num, den in zip(_row_norms(ux, lamm, q), dens)]
         for j, i in enumerate(trials):
             evals[member[i]] += 1
             if r_new[j] > r_cur[i] * (1.0 + 1e-13):
                 r_cur[i], step[i] = r_new[j], step[i] * 1.8
-                v[i], uv[i] = x[j] / dens[j], ux[j] / dens[j]
+                np.divide(xs[j], dens[j], out=v[i])
+                np.divide(ux[j], dens[j], out=uv[i])
                 if left[i] > 0:
                     wanting.append(i)
                 else:
@@ -412,8 +472,8 @@ def empirical_operator_norms(
                     searching.append(i)
                 else:
                     finish(i)
-        uv[fresh] = ux[len(trials):]
-        for j, i in enumerate(fresh, len(trials)):
+        uv[fresh] = ux[n:]
+        for j, i in enumerate(fresh, n):
             r_cur[i] = r_new[j]
             if iterations > 0 and r_cur[i] != 0.0:
                 wanting.append(i)
@@ -432,7 +492,7 @@ def empirical_operator_norms(
             if norm != 0.0:
                 i = free.pop()
                 member[i], start_of[i], step[i], left[i] = k, j, 1.0, iterations
-                v[i] = start / norm
+                np.divide(start, norm, out=v[i])
                 fresh.append(i)
         if not searching and not fresh:
             break

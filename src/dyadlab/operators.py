@@ -338,7 +338,8 @@ class OperatorHandle:
 
     `apply` and `adjoint` take one cell array (`tree.shape`) or a stack of
     rows (`(..., *tree.shape)`), and act on each row alone, with the same
-    bits as on that row by itself.
+    bits as on that row by itself.  They return a new array or their input:
+    the norm estimator writes into what they return.
     """
 
     name: str

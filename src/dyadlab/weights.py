@@ -40,10 +40,11 @@ from .lattice import (
 _GAUSS_NODES, _GAUSS_WEIGHTS = np.polynomial.legendre.leggauss(10)
 _SUBDIVISION_DEPTH = 30  # halvings toward the origin before a plain Gauss rule
 # Cells whose node norms one d >= 2 quadrature block holds, 3.1 MiB at d = 2.  Blocks of
-# 1,024 cells take the same time per exponent, but freeing the smaller buffer leaves glibc's
-# dynamic mmap and trim thresholds lower, and the norm estimator's row temporaries then
-# fault in fresh pages after every heap trim: 132k page faults against 11k in a norms-d2
-# run, and 6.8 % more wall time (medians of 10 runs on a 2-CPU x86-64 Linux host).
+# 1,024 cells take the same time per exponent.  Since the norm estimator writes its rows
+# into its pool's buffers, the block size no longer sets how often the estimator faults in
+# fresh pages: one norms-d2 `run_norms` (seed 1) takes 5.7k minor page faults with 4,096-cell
+# blocks and 6.8k with 1,024-cell blocks, where row temporaries took 5.9k and 97k
+# (`resource.getrusage`, 5 fresh processes each, 2-CPU x86-64 Linux host).
 _BLOCK_CELLS = 4096
 
 

@@ -34,6 +34,7 @@ from dyadlab.lattice import (
     shifted_intervals_1d,
 )
 from dyadlab.norms import (
+    abs_power,
     discretized_sharp_sup,
     empirical_operator_norm,
     lp_norm,
@@ -46,6 +47,7 @@ from dyadlab.norms import (
     NormReport,
     ProbePair,
     sharp_maximal_r_norm,
+    signed_power,
 )
 from dyadlab.operators import (
     HILBERT_KERNEL,
@@ -1704,11 +1706,13 @@ def reference_discretized_sharp_sup(b: GridFunction, nu: Weight, r: float,
 #
 # `empirical_operator_norm` runs its starts in lockstep; this is the same
 # ascent one start at a time, carrying (v, Uv, ratio) the same way, and the
-# lockstep estimator must match it bit for bit.
+# lockstep estimator must match it bit for bit.  Its powers come from the
+# estimator's kernels `abs_power` and `signed_power` (products at whole
+# exponents 1-4), so the match tests the pool, not the last bits of libm's pow.
 
 
 def _reference_weighted_norm(vals: np.ndarray, masses, p: float) -> float:
-    return float((np.abs(vals) ** p * masses).sum() ** (1.0 / p))
+    return float((abs_power(vals, p) * masses).sum() ** (1.0 / p))
 
 
 def reference_empirical_operator_norm(
@@ -1737,8 +1741,8 @@ def reference_empirical_operator_norm(
         # v has unit L^p(mu) norm and u = Uv, so r = ||Uv||_{L^q(lam)}
         if r == 0.0:
             return np.zeros_like(v)
-        ga = U.adjoint(lamm * np.abs(u) ** (q - 1.0) * np.sign(u)) / r**q
-        gb = mum * np.abs(v) ** (p - 1.0) * np.sign(v)
+        ga = U.adjoint(lamm * signed_power(u, q - 1.0)) / r**q
+        gb = mum * signed_power(v, p - 1.0)
         return ga - gb
 
     starts: list[np.ndarray] = []

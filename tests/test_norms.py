@@ -10,6 +10,7 @@ from dyadlab.lattice import Cube, DyadicTree, GridFunction, LatticeError
 from dyadlab.norms import (
     NormReport,
     ProbePair,
+    abs_power,
     bmo_alpha_norm,
     discretized_sharp_sup,
     empirical_operator_norm,
@@ -19,6 +20,7 @@ from dyadlab.norms import (
     q_ge_p_testing,
     sequential_testing_functional,
     sharp_maximal_r_norm,
+    signed_power,
     weight_necessity_bound,
 )
 from dyadlab.operators import OperatorHandle, paraproduct_handle
@@ -61,6 +63,72 @@ class TestLpNorm:
         tree = DyadicTree(1, 3, 1.0)
         with pytest.raises(ValueError):
             lp_norm(GridFunction.constant(tree, 1.0), Weight.lebesgue(tree), 0.0)
+
+
+def _rows_with_zeros(rng, tree, k=3):
+    """k normal rows on `tree`, with a 0.0 and a -0.0 in every row."""
+    rows = rng.normal(size=(k,) + tree.shape)
+    rows.reshape(k, -1)[:, 0] = 0.0
+    rows.reshape(k, -1)[:, -1] = -0.0
+    return rows
+
+
+def _bits(a):
+    return np.asarray(a).view(np.int64)
+
+
+KERNEL_TREES = [DyadicTree(1, 6, 4.0), DyadicTree(2, 4, 4.0)]
+
+
+class TestPowerKernels:
+    """`abs_power` and `signed_power` against numpy's |a|**e and |a|**e * sign(a)."""
+
+    @pytest.mark.parametrize("tree", KERNEL_TREES, ids=["d1", "d2"])
+    @pytest.mark.parametrize("e", [1.0, 2.0, 3.0, 4.0])
+    def test_whole_exponents_are_within_four_ulps(self, rng, tree, e):
+        a = _rows_with_zeros(rng, tree)
+        np.testing.assert_array_max_ulp(abs_power(a, e), np.abs(a) ** e, maxulp=4)
+        np.testing.assert_array_max_ulp(signed_power(a, e), np.abs(a) ** e * np.sign(a),
+                                        maxulp=4)
+
+    @pytest.mark.parametrize("tree", KERNEL_TREES, ids=["d1", "d2"])
+    @pytest.mark.parametrize("e", [0.5, 1.5, 2.5, 5.0])
+    def test_other_exponents_keep_numpys_bits(self, rng, tree, e):
+        a = _rows_with_zeros(rng, tree)
+        assert np.array_equal(_bits(abs_power(a, e)), _bits(np.abs(a) ** e))
+        assert np.array_equal(_bits(signed_power(a, e)), _bits(np.abs(a) ** e * np.sign(a)))
+
+    @pytest.mark.parametrize("e", [0.5, 1.0, 1.5, 2.0, 2.5, 3.0, 4.0, 5.0])
+    def test_out_matches_a_fresh_result(self, rng, e):
+        a = _rows_with_zeros(rng, KERNEL_TREES[1])
+        for kernel in (abs_power, signed_power):
+            out = a.copy()
+            assert kernel(out, e, out=out) is out
+            assert np.array_equal(_bits(out), _bits(kernel(a, e)))
+            other = np.empty_like(a)
+            assert kernel(a, e, out=other) is other
+            assert np.array_equal(_bits(other), _bits(out))
+        before = a.copy()
+        signed_power(a, 1.0)
+        assert np.array_equal(_bits(a), _bits(before))  # no `out`: the input is left alone
+
+    @pytest.mark.parametrize("e", [0.5, 1.0, 1.5, 2.0, 2.5, 3.0, 4.0, 5.0])
+    def test_zeros_give_zero(self, e):
+        zeros = np.array([[0.0, -0.0, 0.0, -0.0]])
+        for value in (abs_power(zeros, e), signed_power(zeros, e)):
+            assert not np.isnan(value).any()
+            assert np.all(value == 0.0)
+
+    def test_q2_dual_keeps_its_bits(self, rng):
+        """At q = 2 the gradient's dual lam * sgn(u)|u| is lam * u: the bits of
+        lam * |u| ** 1.0 * sign(u), up to the sign of a zero where u is -0.0."""
+        tree = KERNEL_TREES[1]
+        u = _rows_with_zeros(rng, tree)
+        lamm = Weight.power_weight(tree, 1.0).cell_mass
+        got, want = lamm * signed_power(u, 1.0), lamm * np.abs(u) ** 1.0 * np.sign(u)
+        assert np.array_equal(got, want)
+        signed_zero = (u == 0.0) & np.signbit(u)
+        assert np.array_equal(_bits(got[~signed_zero]), _bits(want[~signed_zero]))
 
 
 class TestBmoNorm:
