@@ -323,7 +323,8 @@ def empirical_operator_norm(
     Haar bumps, supplied extras) and seeded random fields.  A start of zero
     norm is skipped.  Each start keeps its own step, takes at most
     `iterations` gradients, and stops on a vanishing gradient or a failed
-    line search.
+    line search.  U must be linear: each gradient g is applied once, and a
+    trial v + step g / |g| takes the image Uv + step Ug / |g|.
 
     This is `empirical_operator_norms` for one member, whose operator is U
     on every row: the starts share the row pool, at most
@@ -357,24 +358,26 @@ def empirical_operator_norms(
 
     All members' starts stream, in member then start order, through one
     pool of at most max(1, _GROUP_CELLS // n_cells) rows, whose buffers are
-    allocated once: per slot v, Uv and the gradient g, and the round
-    buffers x and t.  A gradient is written into x and t in place (the
-    rows gathered by `np.take`, then `*=`, `/=` and `-=`) and stored in g;
-    a round's trial steps and fresh rows are written into x, which is the
-    stack the apply gets, and an accepted trial is divided into its slot
-    with `out=`.  Each round makes one `adjoint` call for the rows that
-    want a gradient, gives the free slots the next starts, and makes one
-    `apply` call for the rows still searching (one line-search trial each)
-    and those fresh starts; each call moves its rows on.  Each row keeps
-    its image Uv from its last accepted trial (from its first apply before
-    that), so a trial is the only forward apply and a gradient is one
-    adjoint apply.  Elementwise powers come from `abs_power` and
-    `signed_power` (products at the whole exponents 1-4); per-row norms
-    and their powers are raised as scalars, so every row follows the bits
-    of a start run on its own.  A finished
+    allocated once: per slot v and Uv, and the round buffers x, t and u.
+    Each round makes one `adjoint` call for the rows that want a gradient,
+    gives the free slots the next starts, makes one `apply` call for the
+    nonzero gradients and those fresh starts, and then runs the line search
+    of every row that has a direction, to its end, on images alone: U is
+    linear, so the trial v + step g / gn has the image Uv + step Ug / gn.
+    So a gradient is one adjoint and one forward apply, a fresh start one
+    forward apply, and a trial none.  A gradient is written into x and t
+    (the powers of the rows' Uv and v, then `*=`, `/=` and `-=` in place)
+    and kept in x, where the fresh rows, gathered by `np.take`, join it as
+    the stack the apply gets;
+    each trial's vector is written into t and its image into u, and an
+    accepted trial is divided into its slot with `out=`.  Elementwise
+    powers come from `abs_power` and `signed_power` (products at the whole
+    exponents 1-4); per-row norms and their powers are raised as scalars,
+    so every row follows the bits of a start run on its own.  A finished
     row folds into its member: the earliest start of the largest ratio is
-    the certificate (a zero ratio never replaces the all-ones default), so
-    every report has the bits of its member run alone.
+    the certificate, copied into the member's all-ones default (which a
+    zero ratio never replaces), so every report has the bits of its member
+    run alone.
     """
     tree, mum, lamm = mu.tree, mu.cell_mass, lam.cell_mass
     extras = list(extra_starts) or [()] * len(seeds)
@@ -386,16 +389,16 @@ def empirical_operator_norms(
     )
     n_starts, evals = [0] * len(seeds), [0] * len(seeds)
     ratios: list[dict[int, float]] = [{} for _ in seeds]  # per member: start -> final ratio
-    best = [(0.0, -1, np.ones(tree.shape)) for _ in seeds]  # per member: (ratio, start, row)
+    best = [(0.0, -1) for _ in seeds]  # per member: (ratio, start) of its certificate
+    certificates = [np.ones(tree.shape) for _ in seeds]  # all ones until a start beats 0
 
     size = max(1, _GROUP_CELLS // tree.n_cells)
-    # per slot: the row, its image and its gradient; x and t hold a round's rows
-    v, uv, g, x, t = (np.empty((size,) + tree.shape) for _ in range(5))
+    # per slot: the row and its image; x, t and u hold a round's rows
+    v, uv, x, t, u = (np.empty((size,) + tree.shape) for _ in range(5))
     member, start_of = [0] * size, [0] * size
-    r_cur, step, gn, left = [0.0] * size, [1.0] * size, [0.0] * size, [0] * size
+    r_cur, step, left = [0.0] * size, [1.0] * size, [0] * size
     free = list(range(size - 1, -1, -1))
     wanting: list[int] = []  # rows whose next move is a gradient
-    searching: list[int] = []  # rows with a direction and a step to try
 
     def handle(rows: list[int]) -> OperatorHandle:
         return handle_for(np.array([member[i] for i in rows]))
@@ -404,86 +407,106 @@ def empirical_operator_norms(
         k, j, r = member[i], start_of[i], r_cur[i]
         ratios[k][j] = r
         if r > best[k][0] or (r == best[k][0] and j < best[k][1]):
-            best[k] = (r, j, v[i].copy())
+            best[k] = (r, j)
+            np.copyto(certificates[k], v[i])
         free.append(i)
 
-    def gather(rows: list[int], source: np.ndarray, into: np.ndarray) -> np.ndarray:
-        # mode="clip" takes straight into `into`; "raise" would buffer a copy
-        return np.take(source, rows, axis=0, out=into[:len(rows)], mode="clip")
+    def rows_of(source: np.ndarray, rows: list[int]) -> np.ndarray:
+        """source[rows], as a view when the rows are consecutive (one row always is)."""
+        first = rows[0]
+        if rows == list(range(first, first + len(rows))):
+            return source[first:first + len(rows)]
+        return source[rows]
 
-    # The two applies of a round; each moves its rows on.  They work in the
-    # pool's buffers, so a round allocates little beyond the handle's own
-    # arrays, and nothing it makes is held through the next apply.
-    def gradients(rows: list[int]) -> None:
-        """Writes into g the gradients of log ||Uv||_{L^q(lam)} - log ||v||_{L^p(mu)} of the
-        rows (unit L^p(mu) norm, nonzero ratio), into gn their Euclidean norms, and counts
-        them off `left`; a row then searches along its gradient, or finishes on a zero one."""
-        dual = gather(rows, uv, x)
-        signed_power(dual, q - 1.0, out=dual)
+    # The two applies of a round.  They work in the pool's buffers, so a round
+    # allocates little beyond the handle's own arrays, and nothing it makes,
+    # Ug included, is held into the next round.
+    def gradients(rows: list[int]) -> tuple[list[int], list[float]]:
+        """Writes into x the gradients of log ||Uv||_{L^q(lam)} - log ||v||_{L^p(mu)} of the
+        rows (unit L^p(mu) norm, nonzero ratio) that are not zero, in the order of `rows`,
+        and counts every row off `left`.  Returns those rows and their gradients' Euclidean
+        norms; a row of zero gradient finishes."""
+        n = len(rows)
+        dual = signed_power(rows_of(uv, rows), q - 1.0, out=x[:n])
         dual *= lamm
         ga = handle(rows).adjoint(dual)  # may be `dual` itself, which is free to overwrite
         ga /= _column([r_cur[i] ** q for i in rows], ga)
-        gb = gather(rows, v, t)
-        signed_power(gb, p - 1.0, out=gb)
+        gb = signed_power(rows_of(v, rows), p - 1.0, out=t[:n])
         gb *= mum
-        ga -= gb
-        g[rows] = ga
-        squares = np.multiply(ga, ga, out=gb)
-        for i, norm in zip(rows, np.sqrt(squares.reshape(len(rows), -1).sum(axis=1))):
+        grads = np.subtract(ga, gb, out=x[:n])
+        squares = np.multiply(grads, grads, out=gb)
+        movers, at, norms = [], [], []
+        for j, (i, norm) in enumerate(zip(rows, np.sqrt(squares.reshape(n, -1).sum(axis=1)))):
             left[i] -= 1
-            gn[i] = float(norm)
-            if gn[i] >= 1e-15:
-                searching.append(i)
+            if norm >= 1e-15:
+                movers.append(i)
+                at.append(j)
+                norms.append(float(norm))
             else:
                 finish(i)
+        if len(at) < n:
+            x[:len(at)] = grads[at]
+        return movers, norms
 
-    def forward(fresh: list[int]) -> None:
-        """One apply of each searching row's trial and of each fresh row, then each row's
-        next move.  An improved row moves to its trial, normalized, with the trial's image,
-        grows its step, and wants a gradient while it has any left; a row that did not
-        improve halves its step, and its line search fails once the step has run out.  A
-        fresh row takes its image, and finishes at once if it may take no gradient or its
-        ratio is 0."""
-        trials = searching.copy()
-        searching.clear()
-        n = len(trials)
+    def forward(movers: list[int], gn: list[float], fresh: list[int]) -> None:
+        """One apply of the movers' gradients in x and of the fresh rows.  A fresh row takes
+        its image, and wants a gradient unless it may take none or its ratio is 0.  Each
+        mover then runs its whole line search on images alone: U is linear, so the trial
+        v + step g / gn has the image Uv + step Ug / gn.  An improved row moves to its
+        trial, normalized, with the trial's image, grows its step, and wants a gradient
+        while it has any left; a row that did not improve halves its step and tries again,
+        and its line search fails once the step has run out."""
+        n = len(movers)
         xs = x[:n + len(fresh)]
-        gather(fresh, v, xs[n:])
-        moves = gather(trials, g, xs)  # v + step * g / gn, in place
-        moves *= _column([step[i] for i in trials], moves)
-        moves /= _column([gn[i] for i in trials], moves)
-        moves += gather(trials, v, t)
-        ux = handle(trials + fresh).apply(xs)
-        dens = _row_norms(xs, mum, p)
-        r_new = [num / den if den != 0.0 else 0.0 for num, den in zip(_row_norms(ux, lamm, q), dens)]
-        for j, i in enumerate(trials):
-            evals[member[i]] += 1
-            if r_new[j] > r_cur[i] * (1.0 + 1e-13):
-                r_cur[i], step[i] = r_new[j], step[i] * 1.8
-                np.divide(xs[j], dens[j], out=v[i])
-                np.divide(ux[j], dens[j], out=uv[i])
-                if left[i] > 0:
+        # mode="clip" takes straight into xs; "raise" would buffer a copy
+        np.take(v, fresh, axis=0, out=xs[n:], mode="clip")
+        dens = _row_norms(xs[n:], mum, p) if fresh else []
+        ug = handle(movers + fresh).apply(xs)  # leaves xs, the gradients, as they were
+        if fresh:
+            uv[fresh] = ug[n:]
+            for i, num, den in zip(fresh, _row_norms(ug[n:], lamm, q), dens):
+                r_cur[i] = num / den if den != 0.0 else 0.0
+                if iterations > 0 and r_cur[i] != 0.0:
                     wanting.append(i)
                 else:
                     finish(i)
-            else:
-                step[i] *= 0.5
-                if step[i] > 1e-12:
-                    searching.append(i)
+        active = list(range(n))  # the searching movers' positions in x and in ug
+        while active:
+            trials = [movers[a] for a in active]
+            steps = _column([step[i] for i in trials], t)
+            norms = _column([gn[a] for a in active], t)
+            w = np.multiply(rows_of(x, active), steps, out=t[:len(active)])
+            w /= norms
+            w += rows_of(v, trials)  # v + step * g / gn
+            uw = np.multiply(rows_of(ug, active), steps, out=u[:len(active)])
+            uw /= norms
+            uw += rows_of(uv, trials)  # Uv + step * Ug / gn
+            dens = _row_norms(w, mum, p)
+            r_new = [num / den if den != 0.0 else 0.0
+                     for num, den in zip(_row_norms(uw, lamm, q), dens)]
+            searching = []
+            for j, (a, i) in enumerate(zip(active, trials)):
+                evals[member[i]] += 1
+                if r_new[j] > r_cur[i] * (1.0 + 1e-13):
+                    r_cur[i], step[i] = r_new[j], step[i] * 1.8
+                    np.divide(w[j], dens[j], out=v[i])
+                    np.divide(uw[j], dens[j], out=uv[i])
+                    if left[i] > 0:
+                        wanting.append(i)
+                    else:
+                        finish(i)
                 else:
-                    finish(i)
-        uv[fresh] = ux[n:]
-        for j, i in enumerate(fresh, n):
-            r_cur[i] = r_new[j]
-            if iterations > 0 and r_cur[i] != 0.0:
-                wanting.append(i)
-            else:
-                finish(i)
+                    step[i] *= 0.5
+                    if step[i] > 1e-12:
+                        searching.append(a)
+                    else:
+                        finish(i)
+            active = searching
 
     while True:
-        if wanting:
-            gradients(wanting)
-            wanting.clear()
+        rows = wanting.copy()
+        wanting.clear()
+        movers, gn = gradients(rows) if rows else ([], [])
         fresh = []
         while free and (item := next(queue, None)) is not None:
             k, j, start = item
@@ -494,9 +517,9 @@ def empirical_operator_norms(
                 member[i], start_of[i], step[i], left[i] = k, j, 1.0, iterations
                 np.divide(start, norm, out=v[i])
                 fresh.append(i)
-        if not searching and not fresh:
+        if not movers and not fresh:
             break
-        forward(fresh)
+        forward(movers, gn, fresh)
 
     reports = []
     for k in range(len(seeds)):
@@ -508,7 +531,7 @@ def empirical_operator_norms(
         reports.append(NormReport(
             value=top,
             method="gradient-ascent",
-            certificate=best[k][2],
+            certificate=certificates[k],
             trace=trace,
             details={"restarts": float(n_starts[k]), "ratio_evals": float(evals[k])},
         ))

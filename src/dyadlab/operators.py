@@ -338,8 +338,13 @@ class OperatorHandle:
 
     `apply` and `adjoint` take one cell array (`tree.shape`) or a stack of
     rows (`(..., *tree.shape)`), and act on each row alone, with the same
-    bits as on that row by itself.  They return a new array or their input:
-    the norm estimator writes into what they return.
+    bits as on that row by itself.  They leave their input as it was, and
+    return a new array or, where they act as the identity, the input
+    itself: the norm estimator writes into what they return, and reads the
+    gradients it applied after the apply.  Both are linear,
+    U(a x + y) = a Ux + Uy to float rounding: the norm estimator applies
+    each gradient g once and takes the image of a trial v + s g as
+    Uv + s Ug.
     """
 
     name: str

@@ -1706,16 +1706,30 @@ def reference_discretized_sharp_sup(b: GridFunction, nu: Weight, r: float,
 #
 # `empirical_operator_norm` runs its starts in lockstep; this is the same
 # ascent one start at a time, carrying (v, Uv, ratio) the same way, and the
-# lockstep estimator must match it bit for bit.  Its powers come from the
-# estimator's kernels `abs_power` and `signed_power` (products at whole
-# exponents 1-4), so the match tests the pool, not the last bits of libm's pow.
+# lockstep estimator must match it bit for bit.  It applies U once per
+# gradient and takes each trial's image by linearity, Uv + step * Ug / gn.
+# Its powers come from the estimator's kernels `abs_power` and
+# `signed_power` (products at whole exponents 1-4), so the match tests the
+# pool, not the last bits of libm's pow.  The same ascent with one apply per
+# trial, U(v + step * g / gn), is `reference_empirical_operator_norm_per_trial`:
+# the estimator stays within float reordering of it.
 
 
 def _reference_weighted_norm(vals: np.ndarray, masses, p: float) -> float:
     return float((abs_power(vals, p) * masses).sum() ** (1.0 / p))
 
 
-def reference_empirical_operator_norm(
+def reference_empirical_operator_norm(U, mu, lam, p, q, tree, **kwargs) -> NormReport:
+    """The sequential ascent, one forward apply per gradient and trial images by linearity."""
+    return _sequential_ascent(U, mu, lam, p, q, tree, per_trial=False, **kwargs)
+
+
+def reference_empirical_operator_norm_per_trial(U, mu, lam, p, q, tree, **kwargs) -> NormReport:
+    """The sequential ascent, one forward apply per line-search trial."""
+    return _sequential_ascent(U, mu, lam, p, q, tree, per_trial=True, **kwargs)
+
+
+def _sequential_ascent(
     U,
     mu: Weight | None,
     lam: Weight | None,
@@ -1726,16 +1740,17 @@ def reference_empirical_operator_norm(
     iterations: int = 60,
     seed: int = 0x5EED,
     extra_starts=(),
+    per_trial: bool = False,
 ) -> NormReport:
     mum = mu.cell_mass if mu is not None else np.full(tree.shape, tree.cell_volume)
     lamm = lam.cell_mass if lam is not None else np.full(tree.shape, tree.cell_volume)
 
-    def ratio(v: np.ndarray) -> tuple[float, np.ndarray]:
-        u = U.apply(v)
+    def ratio(v: np.ndarray, u: np.ndarray) -> tuple[float, float]:
+        # u = Uv; returns the ratio and v's norm
         denom = _reference_weighted_norm(v, mum, p)
         if denom == 0.0:
-            return 0.0, u
-        return _reference_weighted_norm(u, lamm, q) / denom, u
+            return 0.0, denom
+        return _reference_weighted_norm(u, lamm, q) / denom, denom
 
     def log_grad(v: np.ndarray, u: np.ndarray, r: float) -> np.ndarray:
         # v has unit L^p(mu) norm and u = Uv, so r = ||Uv||_{L^q(lam)}
@@ -1773,7 +1788,8 @@ def reference_empirical_operator_norm(
         if nv == 0.0:
             continue
         v = v / nv
-        r_cur, uv = ratio(v)
+        uv = U.apply(v)
+        r_cur, _ = ratio(v, uv)
         step = 1.0
         for _ in range(iterations):
             g = log_grad(v, uv, r_cur)
@@ -1781,12 +1797,13 @@ def reference_empirical_operator_norm(
             if gn < 1e-15:
                 break
             improved = False
+            ug = None if per_trial else U.apply(g)
             while step > 1e-12:
                 w = v + step * g / gn
-                r_new, uw = ratio(w)
+                uw = U.apply(w) if per_trial else uv + step * ug / gn
+                r_new, den = ratio(w, uw)
                 evals += 1
                 if r_new > r_cur * (1.0 + 1e-13):
-                    den = _reference_weighted_norm(w, mum, p)
                     v, uv = w / den, uw / den
                     r_cur = r_new
                     step *= 1.8

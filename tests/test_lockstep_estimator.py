@@ -4,7 +4,10 @@
 operators through one row pool, and `norms.empirical_operator_norm` is its
 one-member call; `oracles.reference_empirical_operator_norm` runs the same
 ascent one start of one operator at a time.  Value, certificate, trace and
-details must be equal, not close.
+details must be equal, not close.  Against
+`oracles.reference_empirical_operator_norm_per_trial`, which applies U to
+every line-search trial instead of taking its image by linearity, they
+must agree to float reordering.
 """
 
 import numpy as np
@@ -21,6 +24,7 @@ from oracles import (
     identity_handle,
     multiplication_handle,
     reference_empirical_operator_norm,
+    reference_empirical_operator_norm_per_trial,
     zero_handle,
 )
 
@@ -55,21 +59,52 @@ def _both(U, mu, lam, p, q, tree, **kwargs):
             reference_empirical_operator_norm(U, mu, lam, p, q, tree, **kwargs))
 
 
-@pytest.mark.parametrize("pq", [(4.0, 2.0), (2.0, 3.0)], ids=["q<p", "p<q"])
-@pytest.mark.parametrize("weights", ["lebesgue", "power"])
-@pytest.mark.parametrize("name,dim", [
+# the handles, weights and exponents of the sequential match and of its drift guard
+ASCENT_CASES = pytest.mark.parametrize("pq", [(4.0, 2.0), (2.0, 3.0)], ids=["q<p", "p<q"])
+ASCENT_WEIGHTS = pytest.mark.parametrize("weights", ["lebesgue", "power"])
+ASCENT_HANDLES = pytest.mark.parametrize("name,dim", [
     ("paraproduct", "d1"), ("paraproduct", "d2"), ("commutator", "d1"),
     ("multiply", "d1"), ("multiply", "d2"), ("identity", "d1"), ("zero", "d2"),
 ])
-def test_matches_sequential_ascent(rng, name, dim, weights, pq):
+
+
+def _ascent_case(rng, name, dim, weights):
     tree = TREES[dim]
     U = _handle(name, tree, rng)
     mu = Weight.power_weight(tree, 1.0) if weights == "power" else None
     lam = Weight.power_weight(tree, -0.5) if weights == "power" else None
+    return U, mu, lam, tree
+
+
+@ASCENT_CASES
+@ASCENT_WEIGHTS
+@ASCENT_HANDLES
+def test_matches_sequential_ascent(rng, name, dim, weights, pq):
+    U, mu, lam, tree = _ascent_case(rng, name, dim, weights)
     got, want = _both(U, mu, lam, *pq, tree, restarts=14, iterations=10, seed=3)
     _assert_same(got, want)
     if name == "zero":
         assert got.value == 0.0 and got.details["ratio_evals"] == 0.0
+
+
+def _assert_within_reordering(got, want):
+    """Value and every trace entry within 1e-12 relative; the same trials and starts."""
+    for a, b in zip([got.value] + got.trace, [want.value] + want.trace, strict=True):
+        assert abs(a - b) <= 1e-12 * max(abs(a), abs(b)), (a, b)
+    assert got.details == want.details
+
+
+@ASCENT_CASES
+@ASCENT_WEIGHTS
+@ASCENT_HANDLES
+def test_stays_within_reordering_of_one_apply_per_trial(rng, name, dim, weights, pq):
+    """Trial images by linearity move the ascent by float reordering only: against the
+    ascent that applies U to every trial, the value and each trace entry agree to 1e-12
+    relative, and `ratio_evals` and `restarts` are equal."""
+    U, mu, lam, tree = _ascent_case(rng, name, dim, weights)
+    got = empirical_operator_norm(U, mu, lam, *pq, tree, restarts=14, iterations=10, seed=3)
+    _assert_within_reordering(got, reference_empirical_operator_norm_per_trial(
+        U, mu, lam, *pq, tree, restarts=14, iterations=10, seed=3))
 
 
 @pytest.mark.parametrize("iterations", [0, 1, 7])
@@ -99,16 +134,28 @@ def test_uneven_groups(rng, monkeypatch, dim, cells_per_group):
     _assert_same(got, want)
 
 
-def test_counterexample_depth_ten_member():
-    """The counterexample's depth-10 paraproduct estimate, where an array power of the
-    per-start norms moves the value's last bit."""
+def _counterexample_depth_ten():
     tree = DyadicTree(1, 10, 4.0)
     b = GridFunction.ball_indicator(tree, 1.0)
     mu = Weight.power_weight(tree, 1.0)
     extra = (np.abs(b.values - 0.5) + 0.25) * mu.density ** (-0.5)
-    got, want = _both(paraproduct_handle(b), mu, Weight.lebesgue(tree), 4.0, 2.0, tree,
-                      restarts=8, iterations=35, seed=1, extra_starts=[extra])
-    _assert_same(got, want)
+    return (paraproduct_handle(b), mu, Weight.lebesgue(tree), 4.0, 2.0, tree), dict(
+        restarts=8, iterations=35, seed=1, extra_starts=[extra])
+
+
+def test_counterexample_depth_ten_member():
+    """The counterexample's depth-10 paraproduct estimate, where an array power of the
+    per-start norms moves the value's last bit."""
+    args, kwargs = _counterexample_depth_ten()
+    _assert_same(*_both(*args, **kwargs))
+
+
+def test_counterexample_depth_ten_member_stays_within_reordering():
+    """The depth-10 member's 35 iterations carry Uv through every accepted trial by
+    linearity; it stays within 1e-12 of the ascent that applies U to every trial."""
+    args, kwargs = _counterexample_depth_ten()
+    _assert_within_reordering(empirical_operator_norm(*args, **kwargs),
+                              reference_empirical_operator_norm_per_trial(*args, **kwargs))
 
 
 def test_handle_sees_every_call_as_a_stack(rng):
@@ -236,11 +283,14 @@ def test_bloom_pools_match_each_member_alone(tmp_path, monkeypatch, dim, depth):
 
 def test_bloom_round_structure_is_pinned(tmp_path, monkeypatch):
     """The pool's rounds on bloom.cfg with 6 members at seed 1 (the bloom-d1 benchmark
-    workload): 553 apply calls carrying 7,874 rows and 399 adjoint calls carrying 2,578,
+    workload): 196 apply calls carrying 2,698 rows and 193 adjoint calls carrying 2,578,
     over the paraproduct's and the commutator's pools.  They pin the round: one adjoint
-    call for the rows that want a gradient, the refill of the free slots, then one apply
-    call for the trials and the fresh rows.  Boyd's power method (ROADMAP item 1) replaces
-    the line search and will change these counts on purpose."""
+    call for the rows that want a gradient, the refill of the free slots, one apply call
+    for the nonzero gradients and the fresh rows, then each row's whole line search on
+    images alone.  So the apply rows are the 120 live starts and the 2,578 gradients, where
+    one apply per line-search trial made them 7,874 in 553 calls; the adjoint rows did not
+    move.  Boyd's power method (ROADMAP item 1) replaces the line search and will change
+    these counts on purpose."""
     cfg = ScenarioConfig(name="bloom-q-lt-p", dim=1, half_width_exponent=2, depth=8, p=4.0,
                          q=2.0, b_family="mixed", family_size=6, restarts=10, iterations=45,
                          mu="power(1.0)", lam="lebesgue", seed=1, out_dir=str(tmp_path))
@@ -266,4 +316,29 @@ def test_bloom_round_structure_is_pinned(tmp_path, monkeypatch):
 
     monkeypatch.setattr(scenarios, "empirical_operator_norms", spy_pool)
     run_bloom_comparability(cfg)
-    assert counts == {"apply": [553, 7874], "adjoint": [399, 2578]}
+    assert counts == {"apply": [196, 2698], "adjoint": [193, 2578]}
+
+
+def test_counterexample_certificates_reevaluate(tmp_path, monkeypatch):
+    """counterexample.cfg as shipped at seed 1 (the counterexample-d1 benchmark workload):
+    depths 4-12, 8 restarts, 35 iterations.  Each depth's paraproduct and commutator
+    estimates carry Uv by linearity through up to 35 accepted trials; all 10 certificates
+    re-evaluate through their handles to their values within 1e-12."""
+    cfg = ScenarioConfig(name="counterexample", dim=1, half_width_exponent=2, depth=12,
+                         depth_min=4, p=4.0, q=2.0, restarts=8, iterations=35, seed=1,
+                         out_dir=str(tmp_path))
+    estimates = []
+
+    def spy(U, mu, lam, p, q, tree, **kwargs):
+        rep = empirical_operator_norm(U, mu, lam, p, q, tree, **kwargs)
+        estimates.append((U, mu, lam, p, q, tree, rep))
+        return rep
+
+    monkeypatch.setattr(scenarios, "empirical_operator_norm", spy)
+    scenarios.run_counterexample(cfg)
+    assert [e[5].depth for e in estimates] == [4, 4, 6, 6, 8, 8, 10, 10, 12, 12]
+    for U, mu, lam, p, q, tree, rep in estimates:
+        v = rep.certificate
+        value = lp_norm(GridFunction(tree, U.apply(v)), lam, q) / lp_norm(GridFunction(tree, v),
+                                                                           mu, p)
+        assert abs(value - rep.value) <= 1e-12 * rep.value, (tree.depth, U.name)

@@ -327,8 +327,9 @@ class TestEmpiricalNorm:
     @pytest.mark.parametrize("iterations", [0, 1, 6])
     @pytest.mark.parametrize("group", ["one", "all"])
     def test_one_forward_apply_per_trial(self, rng, monkeypatch, group, iterations):
-        """The forward applies cover each live start once and each line-search trial once,
-        and the adjoint applies cover each gradient once: a gradient re-applies nothing."""
+        """The forward applies cover each live start once and each nonzero gradient once,
+        and the adjoint applies cover each gradient once: a line-search trial takes its
+        image by linearity, and applies nothing.  `ratio_evals` still counts the trials."""
         tree = DyadicTree(1, 5, 4.0)
         monkeypatch.setattr(norms, "_GROUP_CELLS", tree.n_cells * (1 if group == "one" else 100))
         inner = paraproduct_handle(GridFunction(tree, rng.normal(size=tree.shape)))
@@ -350,10 +351,15 @@ class TestEmpiricalNorm:
         want = oracles.reference_empirical_operator_norm(*args, **kwargs)
         assert (got.value, got.trace, got.details) == (want.value, want.trace, want.details)
         live = len(got.trace)  # the starts of nonzero norm
-        assert applied == live + got.details["ratio_evals"] == rows["apply"]
+        # a random b's paraproduct has no zero gradient here, so every gradient is applied
+        assert applied == live + adjoined == rows["apply"]
         # the sequential ascent takes its gradients one row at a time, one adjoint each
         assert adjoined == rows["adjoint"]
         assert (adjoined > 0) == (iterations > 0)
+        rows.update(apply=0, adjoint=0)
+        per_trial = oracles.reference_empirical_operator_norm_per_trial(*args, **kwargs)
+        assert per_trial.details == got.details
+        assert rows["apply"] == live + got.details["ratio_evals"]
 
 
 class TestSequentialTesting:

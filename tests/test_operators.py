@@ -578,6 +578,30 @@ class TestHandleRowStacks:
         assert np.array_equal(handle.apply(f.values), commutator(b, f).values)
         assert np.array_equal(handle.adjoint(f.values), -commutator(b, f).values)
 
+    @pytest.mark.parametrize("side", ["apply", "adjoint"])
+    @pytest.mark.parametrize("form", ["single", "family"])
+    @pytest.mark.parametrize("factory,tree", [
+        (paraproduct_handle, DyadicTree(1, 6, 2.0)), (paraproduct_handle, DyadicTree(1, 10, 4.0)),
+        (paraproduct_handle, DyadicTree(2, 3, 1.0)), (commutator_handle, DyadicTree(1, 6, 2.0)),
+        (commutator_handle, DyadicTree(1, 10, 4.0)),
+    ], ids=["paraproduct-d1", "paraproduct-d1-N10", "paraproduct-d2", "commutator-d1",
+            "commutator-d1-N10"])
+    def test_linear_on_row_stacks(self, rng, factory, tree, form, side):
+        """U(a x + y) = a Ux + Uy row by row, to 1e-12 of the row's largest |a Ux| + |Uy|:
+        the norm estimator takes a trial's image Uv + s Ug by this linearity."""
+        a = np.array([1.0, -0.37, 1e-3, 2.5e2, 0.5 ** 40]).reshape((-1,) + (1,) * tree.dim)
+        x, y = (rng.normal(size=(len(a),) + tree.shape) for _ in range(2))
+        if form == "single":
+            op = getattr(factory(GridFunction(tree, rng.normal(size=tree.shape))), side)
+        else:
+            bs = [GridFunction(tree, rng.normal(size=tree.shape)) for _ in range(3)]
+            op = getattr(factory(bs)(np.array([2, 0, 1, 1, 0])), side)
+        ux, uy = op(x.copy()), op(y.copy())
+        lhs, rhs = op(a * x + y), a * ux + uy
+        scale = (np.abs(a * ux) + np.abs(uy)).reshape(len(a), -1).max(axis=1)
+        gap = np.abs(lhs - rhs).reshape(len(a), -1).max(axis=1)
+        assert np.all(gap <= 1e-12 * scale), gap / scale
+
     def test_paraproduct_handle_keeps_b_levels(self, rng, monkeypatch):
         """b's level averages are taken when the handle is built, not on each apply."""
         tree = DyadicTree(1, 5, 1.0)
