@@ -39,12 +39,13 @@ from .lattice import (
 
 _GAUSS_NODES, _GAUSS_WEIGHTS = np.polynomial.legendre.leggauss(10)
 _SUBDIVISION_DEPTH = 30  # halvings toward the origin before a plain Gauss rule
-# Cells whose node norms one d >= 2 quadrature block holds, 3.1 MiB at d = 2.  Blocks of
-# 1,024 cells take the same time per exponent.  Since the norm estimator writes its rows
-# into its pool's buffers, the block size no longer sets how often the estimator faults in
-# fresh pages: one norms-d2 `run_norms` (seed 1) takes 5.7k minor page faults with 4,096-cell
-# blocks and 6.8k with 1,024-cell blocks, where row temporaries took 5.9k and 97k
-# (`resource.getrusage`, 5 fresh processes each, 2-CPU x86-64 Linux host).
+# Cells whose node norms one d >= 2 quadrature block holds, 3.1 MiB at d = 2.  The cells are
+# those of the positive orthant (and of the rows off their mirror); their sums fill every
+# orthant.  Blocks of 1,024 cells take the same time per exponent.  Since the norm estimator
+# writes its rows into its pool's buffers, the block size no longer sets how often the
+# estimator faults in fresh pages: one norms-d2 `run_norms` (seed 1) takes 5.7k minor page
+# faults with 4,096-cell blocks and 6.8k with 1,024-cell blocks, where row temporaries took
+# 5.9k and 97k (`resource.getrusage`, 5 fresh processes each, 2-CPU x86-64 Linux host).
 _BLOCK_CELLS = 4096
 
 
@@ -142,19 +143,27 @@ class _QuadraturePlan:
 
     `mid_radii` are the cells' midpoint norms, `node_coords` the Gauss node
     coordinates of every cell along one axis (the same on every axis) and
-    `node_weights` one cell's tensor weights.  Each cell touching the
+    `node_weights` one cell's tensor weights.  A negative row is mirrored
+    when its node coordinates are, bit for bit, those of its mirror row
+    n - 1 - row negated and reversed; its products are then its mirror's
+    with the node axis reversed.  Products are taken on the cells of
+    `rows` along every axis: first the rows of no mirrored pair, then the
+    last `folded` rows, the positive rows of the mirrored pairs, whose
+    products every orthant sums through a view.  Each cell touching the
     origin keeps (index, midpoint norm, summation tree) over the boxes of
     its subdivision, whose node norms and weights are `box_radii` and
-    `box_weights`, one box per leading row.  The cells' node norms are
-    never held whole: `evaluate` builds them for a block of rows along the
-    leading cell axis at a time, about `_BLOCK_CELLS` cells, so the plan
-    and an evaluation hold O(n_cells) floats.
+    `box_weights`, one box per leading row.  The node norms are never held
+    whole: `evaluate` builds them for a block of rows along the leading
+    cell axis at a time, about `_BLOCK_CELLS` cells, so the plan and an
+    evaluation hold O(n_cells) floats.
     """
 
     side: float
     mid_radii: np.ndarray
     node_coords: np.ndarray
     node_weights: np.ndarray
+    rows: np.ndarray
+    folded: int
     origin_cells: list
     box_radii: np.ndarray
     box_weights: np.ndarray
@@ -164,21 +173,35 @@ class _QuadraturePlan:
         d = self.mid_radii.ndim
         density = self.mid_radii**gamma
         mass = np.empty(self.mid_radii.shape)
-        n = len(self.node_coords)
-        rows = max(1, _BLOCK_CELLS * n // self.mid_radii.size)
+        n, rows = len(self.node_coords), self.rows
+        tail = len(rows) - self.folded
+        step = max(1, _BLOCK_CELLS // len(rows) ** (d - 1))
         # the squared node coordinates per axis; a node's squared norm adds them in axis
         # order, as `_squares_root` does (0 + x == x for the first)
-        squares = [_on_axes(self.node_coords**2, (a, d + a), 2 * d) for a in range(d)]
-        buffer = np.empty((min(rows, n),) + self.mid_radii.shape[1:] + self.node_weights.shape)
-        for lo in range(0, n, rows):
-            block = buffer[:min(rows, n - lo)]
-            np.add(squares[0][lo:lo + rows], squares[1], out=block)
+        squares = [_on_axes(self.node_coords[rows]**2, (a, d + a), 2 * d) for a in range(d)]
+        nodes = tuple(range(d, 2 * d))
+        buffer = np.empty((min(step, len(rows)),) + (len(rows),) * (d - 1)
+                          + self.node_weights.shape)
+        for lo in range(0, len(rows), step):
+            block = buffer[:min(step, len(rows) - lo)]
+            np.add(squares[0][lo:lo + step], squares[1], out=block)
             for part in squares[2:]:
                 block += part
             np.sqrt(block, out=block)
             np.power(block, gamma, out=block)
             block *= self.node_weights
-            block.sum(axis=tuple(range(d, 2 * d)), out=mass[lo:lo + rows])
+            # per axis, the block's rows and the position of its first folded row
+            spans = [(rows[lo:lo + step], max(tail - lo, 0))] + [(rows, tail)] * (d - 1)
+            # the orthant flipped on `flips`: a flipped axis takes the folded rows' products
+            # in reverse node order, which sum in the mirror cells' own order
+            for flips in itertools.product((False, True), repeat=d):
+                index, cells = [slice(None)] * (2 * d), []
+                for a, (flip, (own, first)) in enumerate(zip(flips, spans)):
+                    if flip:
+                        index[a], index[d + a] = slice(first, None), slice(None, None, -1)
+                        own = n - 1 - own[first:]
+                    cells.append(own)
+                mass[np.ix_(*cells)] = block[tuple(index)].sum(axis=nodes)
         if gamma <= -d:
             # non-integrable: midpoint convention on the cells at the origin
             for idx, r, _ in self.origin_cells:
@@ -201,6 +224,12 @@ def _quadrature_plan(tree: DyadicTree) -> _QuadraturePlan:
     mid_radii = _squares_root([_on_axes(edges + 0.5 * s, (a,), d) for a in range(d)])
     node_coords = edges[:, None] + nodes
     node_weights = _tensor_weights([_on_axes(_GAUSS_WEIGHTS * half, (a,), d) for a in range(d)])
+    n = len(edges)
+    mirror = -node_coords[::-1, ::-1]  # row i: row n - 1 - i's nodes negated and reversed
+    mirrored = np.flatnonzero(np.all(node_coords[:n // 2] == mirror[:n // 2], axis=1))
+    folded = n - 1 - mirrored[::-1]
+    unpaired = np.ones(n, dtype=bool)
+    unpaired[mirrored] = unpaired[folded] = False
     boxes: list = []
     origin_cells = []
     near = np.flatnonzero((edges <= 0.0) & (edges + s >= 0.0))
@@ -220,8 +249,9 @@ def _quadrature_plan(tree: DyadicTree) -> _QuadraturePlan:
     box_weights = _tensor_weights(
         [_on_axes(_GAUSS_WEIGHTS * halves[:, None], (0, 1 + a), 1 + d) for a in range(d)]
     )
-    return _QuadraturePlan(s, mid_radii, node_coords, node_weights, origin_cells, box_radii,
-                           box_weights)
+    return _QuadraturePlan(s, mid_radii, node_coords, node_weights,
+                           np.concatenate([np.flatnonzero(unpaired), folded]), len(folded),
+                           origin_cells, box_radii, box_weights)
 
 
 class Weight:
@@ -267,15 +297,20 @@ class Weight:
     def power_weight(cls, tree: DyadicTree, gamma: float) -> "Weight":
         """|x|^gamma with exact cell masses (d=1 closed form, else quadrature).
 
-        In d >= 2 a 10-point tensor Gauss rule runs over all cells at once,
-        and the 2^d cells whose closure touches the origin are subdivided
+        In d >= 2 a 10-point tensor Gauss rule runs over every cell, and
+        the 2^d cells whose closure touches the origin are subdivided
         toward it 30 times.  Everything but the exponent is a quadrature
         plan built once per tree and kept resident until a weight on
         another tree is built: per-axis node coordinates, midpoint norms
         and the subdivision boxes, O(n_cells) floats.  Each exponent builds
-        the cells' node norms in blocks of `_BLOCK_CELLS` cells (10^d nodes
-        each, 3.1 MiB at d = 2) and takes one power, product and sum per
-        block.  gamma = 0 (either sign) is Lebesgue measure, exactly.
+        node norms in blocks of `_BLOCK_CELLS` cells (10^d nodes each,
+        3.1 MiB at d = 2) and takes the power only on the positive
+        orthant's cells: every other orthant sums the same products
+        through a view with the node axes of its negative axes reversed,
+        in the order its own nodes give, so the masses keep their bits.  A
+        negative row whose nodes are not its mirror's negated bit for bit
+        (at a non-dyadic H, or next to the origin) takes products of its
+        own.  gamma = 0 (either sign) is Lebesgue measure, exactly.
         """
         if gamma == 0.0:
             return cls(tree, np.ones(tree.shape), power=gamma)

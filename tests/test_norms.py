@@ -326,7 +326,7 @@ class TestEmpiricalNorm:
 
     @pytest.mark.parametrize("iterations", [0, 1, 6])
     @pytest.mark.parametrize("group", ["one", "all"])
-    def test_one_forward_apply_per_trial(self, rng, monkeypatch, group, iterations):
+    def test_one_forward_apply_per_gradient(self, rng, monkeypatch, group, iterations):
         """The forward applies cover each live start once and each nonzero gradient once,
         and the adjoint applies cover each gradient once: a line-search trial takes its
         image by linearity, and applies nothing.  `ratio_evals` still counts the trials."""

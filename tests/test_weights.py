@@ -142,6 +142,40 @@ class TestQuadraturePlan:
         Weight.power_weight(DyadicTree(1, 5, 1.0), 0.5)
         assert plan_builds() == 0
 
+    @pytest.mark.filterwarnings("ignore:divide by zero encountered in power:RuntimeWarning")
+    @pytest.mark.parametrize("half_width", [1.0, 4.0])
+    @pytest.mark.parametrize("gamma", [g for g in PLAN_GAMMAS if g != 0.0])
+    def test_d2_depth_zero(self, half_width, gamma):
+        """The one cell is the origin cell, on no mirror pair of rows.  Its midpoint is the
+        origin, so the plan's density is 0 or infinite (a `Weight` refuses the 0); the
+        plan is checked, not the weight."""
+        tree = DyadicTree(2, 0, half_width)
+        plan = weights._quadrature_plan(tree)
+        assert plan.rows.tolist() == [0] and plan.folded == 0
+        density, mass, _ = oracles.reference_power_weight(tree, gamma)
+        got = plan.evaluate(gamma)
+        assert np.array_equal(got[0], density) and np.array_equal(got[1], mass)
+
+    @pytest.mark.parametrize("depth,half_width,folded", [(5, 3.0, 7), (6, 3.0, 23), (4, 0.3, 0)])
+    @pytest.mark.parametrize("gamma", PLAN_GAMMAS)
+    def test_d2_rows_off_their_mirror(self, depth, half_width, folded, gamma):
+        """At a non-dyadic H some or all negative rows' nodes are not their mirror's
+        negated bit for bit; those rows take products of their own."""
+        tree = DyadicTree(2, depth, half_width)
+        assert weights._quadrature_plan(tree).folded == folded
+        _assert_reference_power(tree, gamma)
+
+    @pytest.mark.parametrize("gamma", [1.0, -1.0 / 3.0, -2.5])
+    def test_d3_depth_three(self, gamma):
+        _assert_reference_power(DyadicTree(3, 3, 4.0), gamma)
+
+    @pytest.mark.parametrize("gamma", [1.0, -1.0])
+    def test_norms_d2_tree(self, gamma):
+        """The benchmark's d = 2 tree, at mu's exponent and at the multiplier's."""
+        tree = DyadicTree(2, 8, 4.0)
+        assert weights._quadrature_plan(tree).folded == 127  # row 127 is off row 128's mirror
+        _assert_reference_power(tree, gamma)
+
 
 class TestQuadratureBlocks:
     @pytest.mark.parametrize("block_cells", [1, 24, 40, 10**6])
@@ -153,6 +187,19 @@ class TestQuadratureBlocks:
         monkeypatch.setattr(weights, "_BLOCK_CELLS", block_cells)
         for gamma in (0.7, -1.0 / 3.0, -2.5):
             _assert_reference_power(DyadicTree(dim, depth, 4.0), gamma)
+
+    @pytest.mark.parametrize("rows_per_block", [1, 3])
+    @pytest.mark.parametrize("dim,depth", [(2, 5), (3, 3)])
+    def test_orthant_blocks_keep_the_bits(self, monkeypatch, dim, depth, rows_per_block):
+        """Blocks of one row, and of three rows (the first straddling the rows with products
+        of their own and the folded rows, the last shorter) give the per-call bits."""
+        weights._quadrature_plan.cache_clear()
+        tree = DyadicTree(dim, depth, 4.0)
+        plan = weights._quadrature_plan(tree)
+        assert len(plan.rows) - plan.folded == 2 and len(plan.rows) % 3 != 0
+        monkeypatch.setattr(weights, "_BLOCK_CELLS", rows_per_block * len(plan.rows) ** (dim - 1))
+        for gamma in (0.7, -1.0 / 3.0, -2.5):
+            _assert_reference_power(tree, gamma)
 
 
 class TestApCharacteristic:
