@@ -20,7 +20,6 @@ from .operators import OperatorHandle, oscillation_levels, sharp_maximal
 from .sparse import SparseFamily, family_to_text, principal_cubes, verify_sparse
 from .weights import BloomTriple, Weight, batch_masses
 
-GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 DEFAULT_SEED = 0x5EED
 
 
@@ -143,72 +142,61 @@ def sharp_maximal_r_norm(b: GridFunction, nu: Weight, r: float, scope: str = "dy
 # -- multiplier norm -------------------------------------------------------------
 
 
+def _multiplier_terms(b: GridFunction, nu: Weight, r: float):
+    """(h, g) on one build of nu^(1-r)'s masses m: h(c) = sum |b - c|^r m, and
+    g(c) = sum sgn(b - c)|b - c|^(r-1) m = -h'(c)/r, decreasing in c."""
+    masses, vals = nu.pointwise_power(1.0 - r).cell_mass, b.values
+
+    def h(c: float) -> float:
+        return float((np.abs(vals - c) ** r * masses).sum())
+
+    def g(c: float) -> float:
+        return float((signed_power(vals - c, r - 1.0) * masses).sum())
+
+    return h, g
+
+
 def multiplier_objective(b: GridFunction, nu: Weight, r: float) -> Callable[[float], float]:
     """c -> int |b - c|^r nu^(1-r) dx on the resolved grid (the r-th power).
 
     nu^(1-r) masses follow the weight's power rules: exact closed form per
     cell, with the resolved-scale midpoint convention on cells where the
     exponent is non-integrable; those singular cells are what make the
-    truncated objective depth-dependent.
+    truncated objective depth-dependent.  |b - c|^r stays on libm's pow:
+    products would move the counterexample's reported grid values by ulps.
     """
-    transformed = nu.pointwise_power(1.0 - r)
-    masses = transformed.cell_mass
-    vals = b.values
-
-    # |b - c|^r stays on libm's pow, not `abs_power`: products move h by an ulp, which
-    # flips golden-section near-ties and moves reports far past float reordering
-    # (7e-9 in counterexample.json, a relative 2 in a norms.json trace entry)
-    def h(c: float) -> float:
-        return float((np.abs(vals - c) ** r * masses).sum())
-
-    return h
-
-
-def golden_section(h: Callable[[float], float], lo: float, hi: float):
-    """Golden-section minimization on [lo, hi] in at most 200 steps; returns (argmin, min, trace)."""
-    trace = []
-    a, b = lo, hi
-    c = b - GOLDEN * (b - a)
-    d = a + GOLDEN * (b - a)
-    fc, fd = h(c), h(d)
-    trace.extend([(c, fc), (d, fd)])
-    for _ in range(200):
-        if fc <= fd:
-            b, d, fd = d, c, fc
-            c = b - GOLDEN * (b - a)
-            fc = h(c)
-            trace.append((c, fc))
-        else:
-            a, c, fc = c, d, fd
-            d = a + GOLDEN * (b - a)
-            fd = h(d)
-            trace.append((d, fd))
-        if b - a < 1e-14 * max(1.0, abs(a) + abs(b)):
-            break
-    x = c if fc <= fd else d
-    return x, min(fc, fd), trace
+    return _multiplier_terms(b, nu, r)[0]
 
 
 def multiplier_norm(b: GridFunction, nu: Weight, r: float) -> NormReport:
     """inf over constants c of the norm ||(b - c) nu^(-1)||_{L^r(nu)}.
 
-    The r-th-power objective is convex in c, so golden-section search over
-    the bracket [min b - range, max b + range] finds the infimum; the
-    certificate is the minimizing constant.
+    The r-th-power objective h is convex in c, so the sign of h' fixes its
+    minimizer: bisection from the bracket [min b - range, max b + range]
+    keeps h' <= 0 at lo and h' >= 0 at hi, and stops at adjacent floats, at
+    an exact zero of h' or after 200 steps.  The certificate is the end of
+    the last bracket with the smaller h, the value h there to the 1/r; the
+    trace holds the bracket (lo, hi) after each step.
     """
     if not 1.0 < r < math.inf:
         raise ValueError("r must lie in (1, infinity)")
-    h = multiplier_objective(b, nu, r)
+    h, g = _multiplier_terms(b, nu, r)
     bmin, bmax = float(b.values.min()), float(b.values.max())
     span = max(bmax - bmin, 1e-12)
-    c_star, h_star, trace = golden_section(h, bmin - span, bmax + span)
-    return NormReport(
-        value=h_star ** (1.0 / r),
-        method="golden-section",
-        certificate=float(c_star),
-        trace=[(float(c), float(v)) for c, v in trace],
-        details={"objective": h_star},
-    )
+    lo, hi = bmin - span, bmax + span
+    trace = []
+    while len(trace) < 200 and lo < 0.5 * (lo + hi) < hi:
+        mid = 0.5 * (lo + hi)
+        slope = g(mid)
+        if slope >= 0.0:
+            lo = mid
+        if slope <= 0.0:
+            hi = mid
+        trace.append((lo, hi))
+    h_lo, h_hi = h(lo), h(hi)
+    c_star, h_star = (lo, h_lo) if h_lo <= h_hi else (hi, h_hi)
+    return NormReport(value=h_star ** (1.0 / r), method="bisection", certificate=c_star,
+                      trace=trace, details={"objective": h_star})
 
 
 # -- discretized sharp supremum ---------------------------------------------------

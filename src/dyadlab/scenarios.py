@@ -174,6 +174,8 @@ def half_split(tree: DyadicTree, cube: Cube, scale: float = 1.0) -> GridFunction
 
 def random_haar_sum(tree: DyadicTree, rng: np.random.Generator) -> GridFunction:
     """Twelve half-splits at random cubes, with Cauchy coefficients clipped to [-50, 50]."""
+    if tree.depth == 0:
+        raise ConfigError("random-haar needs depth >= 1: its half-splits sit at levels below depth")
     out = GridFunction.constant(tree, 0.0)
     for _ in range(12):
         level = int(rng.integers(0, tree.depth))
@@ -297,6 +299,9 @@ def run_characteristics(cfg: ScenarioConfig, sweep: bool = True) -> dict:
     at `depth` only.
     """
     points = _sweep(cfg, cfg.depth_min)
+    if sweep and cfg.dim == 1 and points[0].depth == 0:
+        raise ConfigError("the power-window sweep needs depth_min >= 1: "
+                          "a depth-0 cell's midpoint is the origin")
     depths = [c.depth for c in points]
     rows: list[list[object]] = []
     results: dict[str, object] = {}
@@ -508,6 +513,9 @@ def run_counterexample(cfg: ScenarioConfig) -> dict:
     values (each diverges with depth while c stays off the plateau value),
     and the two empirical operator norms (stay bounded).
     """
+    if cfg.half_width_exponent < 1:
+        raise ConfigError("counterexample needs half_width_exponent >= 1: "
+                          "its tail points lie in [2, 0.98 H]")
     points = [counterexample_point(c) for c in _sweep(cfg, max(4, cfg.depth_min), 2)]
     columns = ["depth", "sharp_norm", "multiplier_inf", "paraproduct_norm", "commutator_norm", "tail_slope"]
     rows = [[pt[k] for k in columns] for pt in points]

@@ -40,12 +40,12 @@ from .lattice import (
 _GAUSS_NODES, _GAUSS_WEIGHTS = np.polynomial.legendre.leggauss(10)
 _SUBDIVISION_DEPTH = 30  # halvings toward the origin before a plain Gauss rule
 # Cells whose node norms one d >= 2 quadrature block holds, 3.1 MiB at d = 2.  The cells are
-# those of the positive orthant (and of the rows off their mirror); their sums fill every
-# orthant.  Blocks of 1,024 cells take the same time per exponent.  Since the norm estimator
-# writes its rows into its pool's buffers, the block size no longer sets how often the
-# estimator faults in fresh pages: one norms-d2 `run_norms` (seed 1) takes 5.7k minor page
-# faults with 4,096-cell blocks and 6.8k with 1,024-cell blocks, where row temporaries took
-# 5.9k and 97k (`resource.getrusage`, 5 fresh processes each, 2-CPU x86-64 Linux host).
+# those of the positive orthant; every other cell copies its mirror's mass.  Blocks of 1,024
+# cells take the same time per exponent.  Since the norm estimator writes its rows into its
+# pool's buffers, the block size no longer sets how often the estimator faults in fresh
+# pages: one norms-d2 `run_norms` (seed 1) takes 5.7k minor page faults with 4,096-cell
+# blocks and 6.8k with 1,024-cell blocks, where row temporaries took 5.9k and 97k
+# (`resource.getrusage`, 5 fresh processes each, 2-CPU x86-64 Linux host).
 _BLOCK_CELLS = 4096
 
 
@@ -139,32 +139,28 @@ class _QuadraturePlan:
     """The exponent-independent part of the d >= 2 power-weight quadrature on one tree.
 
     Tensor Gauss quadrature per cell, with dyadic subdivision toward the
-    origin; relative tolerance ~1e-8 for gamma > -d.
+    origin; relative tolerance ~1e-8 for gamma > -d.  |x|^gamma on the
+    symmetric window is the same on every orthant, so the rule runs on the
+    positive orthant's cells only (at depth 0 on the one cell) and every
+    cell takes its mirror's mass.
 
-    `mid_radii` are the cells' midpoint norms, `node_coords` the Gauss node
-    coordinates of every cell along one axis (the same on every axis) and
-    `node_weights` one cell's tensor weights.  A negative row is mirrored
-    when its node coordinates are, bit for bit, those of its mirror row
-    n - 1 - row negated and reversed; its products are then its mirror's
-    with the node axis reversed.  Products are taken on the cells of
-    `rows` along every axis: first the rows of no mirrored pair, then the
-    last `folded` rows, the positive rows of the mirrored pairs, whose
-    products every orthant sums through a view.  Each cell touching the
-    origin keeps (index, midpoint norm, summation tree) over the boxes of
-    its subdivision, whose node norms and weights are `box_radii` and
-    `box_weights`, one box per leading row.  The node norms are never held
-    whole: `evaluate` builds them for a block of rows along the leading
-    cell axis at a time, about `_BLOCK_CELLS` cells, so the plan and an
-    evaluation hold O(n_cells) floats.
+    `mid_radii` are the midpoint norms of every cell, `node_coords` the
+    Gauss node coordinates of the positive rows along one axis (the same on
+    every axis) and `node_weights` one cell's tensor weights.  The corner
+    cell [0, s)^d, or the root at depth 0, keeps its midpoint norm and the
+    summation tree over the boxes of its subdivision, whose node norms and
+    weights are `box_radii` and `box_weights`, one box per leading row.
+    The node norms are never held whole: `evaluate` builds them for a block
+    of rows along the leading cell axis at a time, about `_BLOCK_CELLS`
+    cells, so the plan and an evaluation hold O(n_cells) floats.
     """
 
     side: float
     mid_radii: np.ndarray
     node_coords: np.ndarray
     node_weights: np.ndarray
-    rows: np.ndarray
-    folded: int
-    origin_cells: list
+    corner_radius: float
+    corner_tree: object
     box_radii: np.ndarray
     box_weights: np.ndarray
 
@@ -172,46 +168,33 @@ class _QuadraturePlan:
         """Midpoint densities and cell masses of |x|^gamma."""
         d = self.mid_radii.ndim
         density = self.mid_radii**gamma
-        mass = np.empty(self.mid_radii.shape)
-        n, rows = len(self.node_coords), self.rows
-        tail = len(rows) - self.folded
-        step = max(1, _BLOCK_CELLS // len(rows) ** (d - 1))
+        m = len(self.node_coords)
+        half = np.empty((m,) * d)
+        step = max(1, _BLOCK_CELLS // m ** (d - 1))
         # the squared node coordinates per axis; a node's squared norm adds them in axis
         # order, as `_squares_root` does (0 + x == x for the first)
-        squares = [_on_axes(self.node_coords[rows]**2, (a, d + a), 2 * d) for a in range(d)]
+        squares = [_on_axes(self.node_coords**2, (a, d + a), 2 * d) for a in range(d)]
         nodes = tuple(range(d, 2 * d))
-        buffer = np.empty((min(step, len(rows)),) + (len(rows),) * (d - 1)
-                          + self.node_weights.shape)
-        for lo in range(0, len(rows), step):
-            block = buffer[:min(step, len(rows) - lo)]
+        buffer = np.empty((min(step, m),) + (m,) * (d - 1) + self.node_weights.shape)
+        for lo in range(0, m, step):
+            block = buffer[:min(step, m - lo)]
             np.add(squares[0][lo:lo + step], squares[1], out=block)
             for part in squares[2:]:
                 block += part
             np.sqrt(block, out=block)
             np.power(block, gamma, out=block)
             block *= self.node_weights
-            # per axis, the block's rows and the position of its first folded row
-            spans = [(rows[lo:lo + step], max(tail - lo, 0))] + [(rows, tail)] * (d - 1)
-            # the orthant flipped on `flips`: a flipped axis takes the folded rows' products
-            # in reverse node order, which sum in the mirror cells' own order
-            for flips in itertools.product((False, True), repeat=d):
-                index, cells = [slice(None)] * (2 * d), []
-                for a, (flip, (own, first)) in enumerate(zip(flips, spans)):
-                    if flip:
-                        index[a], index[d + a] = slice(first, None), slice(None, None, -1)
-                        own = n - 1 - own[first:]
-                    cells.append(own)
-                mass[np.ix_(*cells)] = block[tuple(index)].sum(axis=nodes)
+            block.sum(axis=nodes, out=half[lo:lo + step])
+        corner = (0,) * d
         if gamma <= -d:
-            # non-integrable: midpoint convention on the cells at the origin
-            for idx, r, _ in self.origin_cells:
-                mass[idx] = r**gamma * self.side**d
-            return density, mass
-        values = (self.box_radii**gamma * self.box_weights).sum(axis=tuple(range(1, d + 1)))
-        values = values.tolist()
-        for idx, _, tree in self.origin_cells:
-            mass[idx] = _fold(tree, values)
-        return density, mass
+            # non-integrable: midpoint convention on the cell at the origin
+            half[corner] = self.corner_radius**gamma * self.side**d
+        else:
+            values = (self.box_radii**gamma * self.box_weights).sum(axis=tuple(range(1, d + 1)))
+            half[corner] = _fold(self.corner_tree, values.tolist())
+        n = len(self.mid_radii)
+        fold = np.abs(2 * np.arange(n) - (n - 1)) // 2  # cell i's mirror row in the positive half
+        return density, half[np.ix_(*[fold] * d)]
 
 
 @lru_cache(maxsize=1)
@@ -222,24 +205,15 @@ def _quadrature_plan(tree: DyadicTree) -> _QuadraturePlan:
     edges = tree.cell_edges()[:-1]
     nodes = half * (_GAUSS_NODES + 1.0)
     mid_radii = _squares_root([_on_axes(edges + 0.5 * s, (a,), d) for a in range(d)])
-    node_coords = edges[:, None] + nodes
+    positive = edges[len(edges) // 2:]
+    node_coords = positive[:, None] + nodes
     node_weights = _tensor_weights([_on_axes(_GAUSS_WEIGHTS * half, (a,), d) for a in range(d)])
-    n = len(edges)
-    mirror = -node_coords[::-1, ::-1]  # row i: row n - 1 - i's nodes negated and reversed
-    mirrored = np.flatnonzero(np.all(node_coords[:n // 2] == mirror[:n // 2], axis=1))
-    folded = n - 1 - mirrored[::-1]
-    unpaired = np.ones(n, dtype=bool)
-    unpaired[mirrored] = unpaired[folded] = False
+    corner = (float(positive[0]),) * d
+    radius = math.sqrt(sum((c + 0.5 * s) ** 2 for c in corner))
+    if radius == 0.0:
+        radius = 0.25 * s * math.sqrt(d)
     boxes: list = []
-    origin_cells = []
-    near = np.flatnonzero((edges <= 0.0) & (edges + s >= 0.0))
-    h = tree.half_width
-    for idx in itertools.product(near.tolist(), repeat=d):
-        corner = tuple(-h + i * s for i in idx)
-        r = math.sqrt(sum((c + 0.5 * s) ** 2 for c in corner))
-        if r == 0.0:
-            r = 0.25 * s * math.sqrt(d)
-        origin_cells.append((idx, r, _subdivision(corner, s, boxes)))
+    corner_tree = _subdivision(corner, s, boxes)
     corners = np.array([c for c, _ in boxes]).reshape(len(boxes), d)
     halves = 0.5 * np.array([side for _, side in boxes])
     box_nodes = halves[:, None] * (_GAUSS_NODES + 1.0)
@@ -249,9 +223,8 @@ def _quadrature_plan(tree: DyadicTree) -> _QuadraturePlan:
     box_weights = _tensor_weights(
         [_on_axes(_GAUSS_WEIGHTS * halves[:, None], (0, 1 + a), 1 + d) for a in range(d)]
     )
-    return _QuadraturePlan(s, mid_radii, node_coords, node_weights,
-                           np.concatenate([np.flatnonzero(unpaired), folded]), len(folded),
-                           origin_cells, box_radii, box_weights)
+    return _QuadraturePlan(s, mid_radii, node_coords, node_weights, radius, corner_tree,
+                           box_radii, box_weights)
 
 
 class Weight:
@@ -297,20 +270,17 @@ class Weight:
     def power_weight(cls, tree: DyadicTree, gamma: float) -> "Weight":
         """|x|^gamma with exact cell masses (d=1 closed form, else quadrature).
 
-        In d >= 2 a 10-point tensor Gauss rule runs over every cell, and
-        the 2^d cells whose closure touches the origin are subdivided
-        toward it 30 times.  Everything but the exponent is a quadrature
-        plan built once per tree and kept resident until a weight on
-        another tree is built: per-axis node coordinates, midpoint norms
-        and the subdivision boxes, O(n_cells) floats.  Each exponent builds
-        node norms in blocks of `_BLOCK_CELLS` cells (10^d nodes each,
-        3.1 MiB at d = 2) and takes the power only on the positive
-        orthant's cells: every other orthant sums the same products
-        through a view with the node axes of its negative axes reversed,
-        in the order its own nodes give, so the masses keep their bits.  A
-        negative row whose nodes are not its mirror's negated bit for bit
-        (at a non-dyadic H, or next to the origin) takes products of its
-        own.  gamma = 0 (either sign) is Lebesgue measure, exactly.
+        In d >= 2 |x|^gamma is the same on every orthant of the window, so
+        a 10-point tensor Gauss rule runs over the positive orthant's cells
+        only, its corner cell at the origin (the root at depth 0) subdivided
+        toward it 30 times, and every other cell takes its mirror cell's
+        mass by one gather: the masses are mirror-symmetric bit for bit.
+        Everything but the exponent is a quadrature plan built once per
+        tree and kept resident until a weight on another tree is built:
+        node coordinates, midpoint norms and the subdivision boxes,
+        O(n_cells) floats.  Each exponent builds node norms in blocks of
+        `_BLOCK_CELLS` cells (10^d nodes each, 3.1 MiB at d = 2).  gamma = 0
+        (either sign) is Lebesgue measure, exactly.
         """
         if gamma == 0.0:
             return cls(tree, np.ones(tree.shape), power=gamma)

@@ -25,11 +25,8 @@ from dyadlab.lattice import (
     DyadicTree,
     GridFunction,
     LatticeError,
-    as_blocks,
     coarsen_once,
-    coarsen_to,
     level_sums,
-    per_block,
     refine_once,
     shifted_intervals_1d,
 )
@@ -364,15 +361,6 @@ def carleson_from_sparse(family: SparseFamily, measure: Weight | None = None,
     return value
 
 
-def trace_is_convex(trace: Sequence[tuple[float, float]], rel_tol: float = 1e-9) -> bool:
-    """Midpoint-below-endpoints check on a (c, h(c)) evaluation trace."""
-    pts = sorted(trace)
-    for (c1, h1), (c2, h2), (c3, h3) in zip(pts, pts[1:], pts[2:]):
-        if h2 > max(h1, h3) * (1.0 + rel_tol) + 1e-300:
-            return False
-    return True
-
-
 def fefferman_stein_check(b: GridFunction, nu: Weight, r: float) -> dict:
     """Both directions of the multiplier-norm vs sharp-maximal comparison.
 
@@ -575,19 +563,6 @@ def carleson_all_ones():
     stack = [np.ones((2**k,)) for k in range(depth + 1)]
     got = carleson_norm(stack, None, tree)
     return "Carleson: all-ones closed form", got, float(depth + 1), 1e-12
-
-
-@oracle
-def relative_ainfty_single_cube():
-    """Single-cube coefficient families give ratio exactly 1."""
-    tree = DyadicTree(1, 3, 1.0)
-    w = _two_cell_weight(tree, 3.0, 1.0)
-    worst = 0.0
-    for cube in tree.cubes():
-        stack = dict_stack(tree, {cube: 1.0})
-        ratio = carleson_norm(stack, w, tree) / carleson_norm(stack, None, tree)
-        worst = max(worst, abs(ratio - 1.0))
-    return "relative A_inf: single-cube ratios", worst, 0.0, 1e-12
 
 
 @oracle
@@ -963,25 +938,6 @@ def maximal_inequality_battery():
     return "maximal inequality: slack <= 0", max(worst, 0.0), 0.0, 1e-12
 
 
-@oracle
-def testing_inequality_battery():
-    """Oscillation bounded by twice the cube-tested paraproduct, randomized."""
-    rng = np.random.default_rng(66)
-    tree = DyadicTree(1, 6, 1.0)
-    worst = -math.inf
-    for _ in range(40):
-        b = GridFunction(tree, rng.normal(size=tree.shape) * np.exp(rng.normal(size=tree.shape)))
-        level = int(rng.integers(0, tree.depth))
-        q = Cube(tree, level, (int(rng.integers(0, 2**level)),))
-        ind = GridFunction.indicator(tree, q)
-        pp = paraproduct(b, ind)
-        lhs = float(np.abs(b.values[q.cell_slices()] - b.values[q.cell_slices()].mean()).sum()
-                    * tree.cell_volume)
-        rhs = 2.0 * float(np.abs(pp.values[q.cell_slices()]).sum() * tree.cell_volume)
-        worst = max(worst, lhs - rhs * (1.0 + 1e-9))
-    return "testing inequality: slack <= 0", max(worst, 0.0), 0.0, 1e-12
-
-
 # -- closed forms for the counterexample scenario (criteria 5 and 7) ------------------
 #
 # b = 1_[-rho, rho], nu = |x|^(1/3), r = 4.  The multiplier objective and the
@@ -1101,13 +1057,6 @@ def _window_against_whole_line(radius: float):
 
 
 @oracle
-def whole_line_sharp_sup_unit_bump():
-    """Sliding-window sharp maximal of the unit bump against the whole-line supremum (x in [2, 3.95])."""
-    got, want = _window_against_whole_line(1.0)
-    return "sharp window: whole-line supremum, bump radius 1", got, want, 1e-2
-
-
-@oracle
 def whole_line_sharp_sup_small_bump():
     """The same at bump radius 2^-4, where x/rho in [32, 63.2] shows the -5 tail."""
     got, want = _window_against_whole_line(2.0**-4)
@@ -1120,43 +1069,6 @@ def whole_line_sharp_sup_slope_unit_bump():
     """Local tail slope of the exact supremum for the unit bump on [2, 3.95]: -1.02, far from -5."""
     slope = _tail_slope(_tail_values(1.0)[1])
     return "sharp window: whole-line slope on [2, 3.95], bump radius 1", slope, -1.02, 1e-2
-
-
-@oracle
-def scalar_lebesgue_masses():
-    """Scalar Lebesgue level masses give the bits of the per-cube `np.full` arrays.
-
-    `_averages_by_level` against level sums over cell counts, and `carleson_norm`
-    with no measure and `fujii_wilson_ainfty` against `Weight.lebesgue`, against
-    their formulas evaluated on full arrays of `tree.volume(k)`.
-    """
-    same = True
-    for dim, depth, half_width in ((1, 6, 1.0), (1, 7, 3.0), (2, 4, 0.7), (2, 5, 5.0)):
-        tree = DyadicTree(dim, depth, half_width)
-        full = [np.full((2**k,) * dim, tree.volume(k)) for k in range(depth + 1)]
-        rng = np.random.default_rng(depth)
-        f = GridFunction(tree, rng.standard_t(3, size=tree.shape))
-        sums = level_sums(tree, f.values)
-        want = [sums[k] / 2 ** (dim * (depth - k)) for k in range(depth + 1)]
-        same &= all(np.array_equal(a, w) for a, w in zip(_averages_by_level(f), want))
-
-        coeffs = [rng.random((2**k,) * dim) for k in range(depth + 1)]
-        acc = np.abs(coeffs[depth]) * full[depth]
-        packing = float((acc / full[depth]).max())
-        for k in range(depth - 1, -1, -1):
-            acc = coarsen_once(acc) + np.abs(coeffs[k]) * full[k]
-            packing = max(packing, float((acc / full[k]).max()))
-        same &= carleson_norm(coeffs, None, tree) == packing
-
-        w = Weight(tree, np.exp(rng.standard_normal(tree.shape)))
-        w_levels = w.level_masses()
-        running, ainfty = w_levels[depth] / full[depth], 1.0
-        for k in range(depth, -1, -1):
-            ratio_k = per_block(w_levels[k] / full[k])
-            running = np.maximum(ratio_k, as_blocks(running, k)).reshape(tree.shape)
-            ainfty = max(ainfty, float((coarsen_to(running * full[depth], k) / w_levels[k]).max()))
-        same &= fujii_wilson_ainfty(w, Weight.lebesgue(tree)) == ainfty
-    return "lebesgue level masses: scalars against np.full arrays", float(same), 1.0, 0.0
 
 
 # -- Fraction references for the d = 1 interval engine -------------------------------

@@ -14,7 +14,6 @@ from dyadlab.norms import (
     bmo_alpha_norm,
     discretized_sharp_sup,
     empirical_operator_norm,
-    golden_section,
     lp_norm,
     multiplier_norm,
     q_ge_p_testing,
@@ -39,7 +38,6 @@ from oracles import (
     fefferman_stein_check,
     from_callable,
     identity_handle,
-    trace_is_convex,
     zero_handle,
 )
 
@@ -189,14 +187,18 @@ class TestMultiplierNorm:
         name, got, want, tol = oracles.multiplier_quadratic()
         assert got == pytest.approx(want, rel=tol)
 
-    def test_trace_is_convex(self, rng):
+    def test_brackets_nest(self, rng):
+        """Each step's bracket lies inside the one before, from the starting bracket on."""
         tree = DyadicTree(1, 6, 1.0)
-        nu = Weight.power_weight(tree, 0.2)
         b = GridFunction(tree, rng.normal(size=tree.shape))
-        rep = multiplier_norm(b, nu, 3.0)
-        assert trace_is_convex(rep.trace)
+        rep = multiplier_norm(b, Weight.power_weight(tree, 0.2), 3.0)
+        span = float(b.values.max() - b.values.min())
+        brackets = [(float(b.values.min()) - span, float(b.values.max()) + span)] + rep.trace
+        assert rep.method == "bisection" and len(rep.trace) > 50
+        assert all(lo <= lo2 <= hi2 <= hi for (lo, hi), (lo2, hi2) in zip(brackets, brackets[1:]))
+        assert rep.certificate in rep.trace[-1]
 
-    def test_golden_section_beats_grid(self, rng):
+    def test_minimum_beats_grid(self, rng):
         tree = DyadicTree(1, 6, 1.0)
         nu = Weight.power_weight(tree, 0.2)
         b = GridFunction(tree, rng.normal(size=tree.shape))
@@ -206,6 +208,75 @@ class TestMultiplierNorm:
         rep = multiplier_norm(b, nu, 3.0)
         grid_best = min(h(c) for c in np.linspace(b.values.min(), b.values.max(), 33))
         assert rep.details["objective"] <= grid_best * (1.0 + 1e-9)
+
+    @staticmethod
+    def _counterexample(depth):
+        """The counterexample's b = 1_[-1, 1] and nu = |x|^(1/3) at H = 4, r = 4."""
+        tree = DyadicTree(1, depth, 4.0)
+        return GridFunction.ball_indicator(tree, 1.0), Weight.power_weight(tree, 1.0 / 3.0)
+
+    @pytest.mark.parametrize("depth", [4, 6, 8, 10, 12])
+    def test_two_valued_b_closed_form(self, depth):
+        """h(c) = |1 - c|^r B + |c|^r A, A and B the masses where b = 0 and b = 1, is least
+        at c* = 1 / (1 + (A/B)^(1/(r-1))): the argmin lies within 2 ulps of it."""
+        b, nu = self._counterexample(depth)
+        masses = nu.pointwise_power(-3.0).cell_mass
+        a, bb = masses[b.values == 0.0].sum(), masses[b.values == 1.0].sum()
+        closed = 1.0 / (1.0 + (a / bb) ** (1.0 / 3.0))
+        assert abs(multiplier_norm(b, nu, 4.0).certificate - closed) <= 2 * np.spacing(closed)
+
+    @pytest.mark.parametrize("depth", [4, 8, 12])
+    @pytest.mark.parametrize("start,direction", [(0, np.inf), (1, -np.inf)])
+    def test_one_ulp_in_half_the_masses(self, monkeypatch, depth, start, direction):
+        """Every second mass of nu^(1-r) one ulp up (or down) moves the argmin by at most
+        4 ulps and the value by at most 1e-15 relative."""
+        b, nu = self._counterexample(depth)
+        before = multiplier_norm(b, nu, 4.0)
+        power = Weight.pointwise_power
+
+        def nudged(w, t):
+            out = power(w, t)
+            mass = out.cell_mass.copy()
+            mass[start::2] = np.nextafter(mass[start::2], direction)
+            return Weight(out.tree, out.density, mass)
+
+        monkeypatch.setattr(Weight, "pointwise_power", nudged)
+        after = multiplier_norm(b, nu, 4.0)
+        assert abs(after.certificate - before.certificate) <= 4 * np.spacing(before.certificate)
+        assert after.value == pytest.approx(before.value, rel=1e-15)
+
+    @staticmethod
+    def _law_inputs(rng, dim):
+        tree = DyadicTree(dim, 6 if dim == 1 else 3, 1.0)
+        density = np.exp(rng.normal(size=tree.shape))
+        return tree, GridFunction(tree, rng.normal(size=tree.shape)), density
+
+    @pytest.mark.parametrize("dim", [1, 2])
+    def test_doubling_b_doubles_value_and_argmin(self, rng, dim):
+        tree, b, density = self._law_inputs(rng, dim)
+        nu = Weight.from_density(tree, density)
+        one, two = multiplier_norm(b, nu, 3.0), multiplier_norm(GridFunction(tree, 2.0 * b.values), nu, 3.0)
+        assert abs(two.value - 2.0 * one.value) <= 2 * np.spacing(two.value)
+        assert abs(two.certificate - 2.0 * one.certificate) <= 2 * np.spacing(abs(two.certificate))
+
+    @pytest.mark.parametrize("dim", [1, 2])
+    def test_shifting_b_shifts_the_argmin(self, rng, dim):
+        tree, b, density = self._law_inputs(rng, dim)
+        nu = Weight.from_density(tree, density)
+        one, moved = multiplier_norm(b, nu, 3.0), multiplier_norm(GridFunction(tree, b.values + 3.0), nu, 3.0)
+        assert abs(moved.value - one.value) <= 4 * np.spacing(one.value)
+        assert abs(moved.certificate - (one.certificate + 3.0)) <= 4 * np.spacing(moved.certificate)
+
+    @pytest.mark.parametrize("dim", [1, 2])
+    def test_scaled_masses_scale_the_value(self, rng, dim):
+        """nu -> nu / 16 at r = 3 scales nu^(1-r)'s masses by 2^8 exactly: the value by
+        2^(8/r), the argmin not at all."""
+        tree, b, density = self._law_inputs(rng, dim)
+        one = multiplier_norm(b, Weight.from_density(tree, density), 3.0)
+        scaled = multiplier_norm(b, Weight.from_density(tree, density / 16.0), 3.0)
+        want = 2.0 ** (8.0 / 3.0) * one.value
+        assert abs(scaled.value - want) <= 4 * np.spacing(want)
+        assert scaled.certificate == one.certificate
 
     def test_bloom_wrapper_guards_regime(self, rng):
         """A Bloom triple's multiplier norm is taken at its r, which is infinite unless q < p."""

@@ -24,12 +24,18 @@ field of the package takes `None` for it, but for those in
 
 A run writes its files in one place, `scenarios.write_report`: no other
 code of the package calls `open` in a mode that writes.
+
+Every top-level name of `tests/oracles.py` is reached from the test
+modules: a name they use reaches each name its definition uses, and
+`CHECKS` reaches every `@oracle` function, which the decorator appends to
+it (criterion 8 runs them all through `run_all`).
 """
 
 import ast
 import pathlib
 
-SRC = pathlib.Path(__file__).resolve().parent.parent / "src" / "dyadlab"
+TESTS = pathlib.Path(__file__).resolve().parent
+SRC = TESTS.parent / "src" / "dyadlab"
 
 ITEM_3 = "the lower-bound half of the paper, to be wired into the reports"
 ITEM_5 = "the d = 2 shifted scope, to be wired into the reports"
@@ -205,3 +211,35 @@ def _test_only_parameters() -> set[str]:
 
 def test_no_test_only_parameters():
     assert sorted(_test_only_parameters()) == sorted(TEST_PARAMETERS)
+
+
+def _identifiers(node: ast.AST) -> set[str]:
+    return {n.id if isinstance(n, ast.Name) else n.attr for n in ast.walk(node)
+            if isinstance(n, (ast.Name, ast.Attribute))}
+
+
+def _unreached_oracles() -> set[str]:
+    """Top-level names of `tests/oracles.py` that no test module reaches."""
+    uses: dict[str, set[str]] = {}
+    for node in ast.parse((TESTS / "oracles.py").read_text()).body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            uses[node.name] = _identifiers(node)
+            if any(isinstance(d, ast.Name) and d.id == "oracle" for d in node.decorator_list):
+                uses.setdefault("CHECKS", set()).add(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            for name in _bound_names(node):
+                uses.setdefault(name, set()).update(_identifiers(node))
+    todo = set()
+    for path in TESTS.glob("*.py"):
+        if path.name != "oracles.py":
+            todo |= _identifiers(ast.parse(path.read_text())) & set(uses)
+    reached = set()
+    while todo:
+        name = todo.pop()
+        reached.add(name)
+        todo |= (uses[name] & set(uses)) - reached
+    return set(uses) - reached
+
+
+def test_every_oracle_is_reached_from_a_test():
+    assert sorted(_unreached_oracles()) == []

@@ -336,6 +336,29 @@ class TestCli:
         err = capsys.readouterr().err
         assert "config error" in err and "power(abc)" in err
 
+    @pytest.mark.parametrize("command,text", [
+        ("counterexample", "depth = 4\ndepth_min = 4\nhalf_width_exponent = 0\n"),
+        ("bloom", "depth = 0\nb_family = random-haar\nfamily_size = 2\n"),
+        ("bloom", "depth = 0\nb_family = mixed\nfamily_size = 2\n"),
+        ("char", "depth = 2\ndepth_min = 0\n"),
+    ], ids=["counterexample-window-of-one", "random-haar-at-depth-0", "mixed-at-depth-0",
+            "char-sweep-from-depth-0"])
+    def test_config_the_run_cannot_take_exit_3(self, tmp_path, capsys, command, text):
+        """A counterexample window H <= 1 (its tail points lie past it), a random-haar
+        member at depth 0 (no level below the root) and the power-window sweep at depth 0
+        (the one cell's midpoint is the origin) are refused before a report is written."""
+        cfgfile = tmp_path / "c.cfg"
+        cfgfile.write_text("[scenario]\n" + text)
+        out = tmp_path / "out"
+        assert main([command, "--config", str(cfgfile), "--out", str(out)]) == 3
+        assert "config error:" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_char_without_sweep_runs_from_depth_0(self, tmp_path):
+        cfgfile = tmp_path / "c.cfg"
+        cfgfile.write_text("[scenario]\ndepth = 2\ndepth_min = 0\n")
+        assert main(["char", "--config", str(cfgfile), "--out", str(tmp_path), "--no-sweep"]) == 0
+
     def test_norms_takes_a_depth_below_depth_min(self, tmp_path):
         """`norms` sweeps no depths, so depth_min does not bound it."""
         assert main(["norms", "--depth", "3", "--out", str(tmp_path)]) == 0

@@ -87,17 +87,32 @@ PLAN_GAMMAS = [1.0, 1.0 / 3.0, -1.0 / 3.0, 0.0, -0.0, -1.0, -1.7, -2.0, -2.5, 2.
 
 
 def _assert_reference_power(tree, gamma):
-    """Density, masses and flag of the resident-plan quadrature equal the per-call one.
+    """The resident-plan quadrature against the per-call one: densities, the flag and
+    the positive orthant's masses bit for bit, every mass its mirror cell's bit for bit,
+    and every mass within 1e-13 relative.
 
-    gamma = 0 of either sign is Lebesgue measure exactly, with no quadrature.
+    At a non-dyadic H the edges are not mirror-exact, and the per-call rule's cell below
+    the origin, [edge, edge + s), ends past it (by 2.1e-17 at H = 0.3, depth 4): its
+    cells at the origin are not their mirror cells, and take up to 3.7e-8 relative
+    (gamma = -1.7), inside the rule's own ~1e-8 scale.  gamma = 0 of either sign is
+    Lebesgue measure exactly, with no quadrature.
     """
     if gamma == 0.0:
         density, mass, singular = np.ones(tree.shape), np.full(tree.shape, tree.cell_volume), False
     else:
         density, mass, singular = oracles.reference_power_weight(tree, gamma)
     w = Weight.power_weight(tree, gamma)
+    d, n = tree.dim, 2**tree.depth
+    positive = (slice(n // 2, None),) * d
     assert np.array_equal(w.density, density)
-    assert np.array_equal(w.cell_mass, mass)
+    assert np.array_equal(w.cell_mass[positive], mass[positive])
+    assert all(np.array_equal(w.cell_mass, np.flip(w.cell_mass, axis=a)) for a in range(d))
+    edges = tree.cell_edges()
+    loose = np.zeros(tree.shape, dtype=bool)
+    if not np.array_equal(edges, -edges[::-1]):
+        loose[(slice(n // 2 - 1, n // 2 + 1),) * d] = True
+    rel = np.abs(w.cell_mass - mass) / mass
+    assert rel[~loose].max() <= 1e-13 and rel[loose].max(initial=0.0) <= 1e-7
     assert w.singular == singular
 
 
@@ -146,23 +161,25 @@ class TestQuadraturePlan:
     @pytest.mark.parametrize("half_width", [1.0, 4.0])
     @pytest.mark.parametrize("gamma", [g for g in PLAN_GAMMAS if g != 0.0])
     def test_d2_depth_zero(self, half_width, gamma):
-        """The one cell is the origin cell, on no mirror pair of rows.  Its midpoint is the
-        origin, so the plan's density is 0 or infinite (a `Weight` refuses the 0); the
-        plan is checked, not the weight."""
+        """The one cell is the corner cell, subdivided toward the origin at its center.  Its
+        midpoint is the origin, so the plan's density is 0 or infinite (a `Weight` refuses
+        the 0); the plan is checked, not the weight."""
         tree = DyadicTree(2, 0, half_width)
         plan = weights._quadrature_plan(tree)
-        assert plan.rows.tolist() == [0] and plan.folded == 0
+        assert len(plan.node_coords) == 1
         density, mass, _ = oracles.reference_power_weight(tree, gamma)
         got = plan.evaluate(gamma)
         assert np.array_equal(got[0], density) and np.array_equal(got[1], mass)
 
-    @pytest.mark.parametrize("depth,half_width,folded", [(5, 3.0, 7), (6, 3.0, 23), (4, 0.3, 0)])
+    @pytest.mark.parametrize("depth,half_width,mirrored", [(5, 3.0, 7), (6, 3.0, 23), (4, 0.3, 0)])
     @pytest.mark.parametrize("gamma", PLAN_GAMMAS)
-    def test_d2_rows_off_their_mirror(self, depth, half_width, folded, gamma):
-        """At a non-dyadic H some or all negative rows' nodes are not their mirror's
-        negated bit for bit; those rows take products of their own."""
+    def test_d2_rows_off_their_mirror(self, depth, half_width, mirrored, gamma):
+        """At a non-dyadic H only `mirrored` negative rows have nodes that are their mirror
+        row's negated bit for bit; every other row still takes its mirror's masses."""
         tree = DyadicTree(2, depth, half_width)
-        assert weights._quadrature_plan(tree).folded == folded
+        edges, n = tree.cell_edges()[:-1], 2**depth
+        nodes = edges[:, None] + 0.5 * tree.cell_side * (weights._GAUSS_NODES + 1.0)
+        assert np.all(nodes[:n // 2] == -nodes[::-1, ::-1][:n // 2], axis=1).sum() == mirrored
         _assert_reference_power(tree, gamma)
 
     @pytest.mark.parametrize("gamma", [1.0, -1.0 / 3.0, -2.5])
@@ -173,7 +190,7 @@ class TestQuadraturePlan:
     def test_norms_d2_tree(self, gamma):
         """The benchmark's d = 2 tree, at mu's exponent and at the multiplier's."""
         tree = DyadicTree(2, 8, 4.0)
-        assert weights._quadrature_plan(tree).folded == 127  # row 127 is off row 128's mirror
+        assert len(weights._quadrature_plan(tree).node_coords) == 128  # the positive rows
         _assert_reference_power(tree, gamma)
 
 
@@ -191,13 +208,13 @@ class TestQuadratureBlocks:
     @pytest.mark.parametrize("rows_per_block", [1, 3])
     @pytest.mark.parametrize("dim,depth", [(2, 5), (3, 3)])
     def test_orthant_blocks_keep_the_bits(self, monkeypatch, dim, depth, rows_per_block):
-        """Blocks of one row, and of three rows (the first straddling the rows with products
-        of their own and the folded rows, the last shorter) give the per-call bits."""
+        """Blocks of one positive row, and of three (the last shorter), give the per-call
+        bits."""
         weights._quadrature_plan.cache_clear()
         tree = DyadicTree(dim, depth, 4.0)
-        plan = weights._quadrature_plan(tree)
-        assert len(plan.rows) - plan.folded == 2 and len(plan.rows) % 3 != 0
-        monkeypatch.setattr(weights, "_BLOCK_CELLS", rows_per_block * len(plan.rows) ** (dim - 1))
+        rows = len(weights._quadrature_plan(tree).node_coords)
+        assert rows % 3 != 0
+        monkeypatch.setattr(weights, "_BLOCK_CELLS", rows_per_block * rows ** (dim - 1))
         for gamma in (0.7, -1.0 / 3.0, -2.5):
             _assert_reference_power(tree, gamma)
 
