@@ -2,16 +2,17 @@
 
 The universe for every computation in this package is a complete dyadic
 tree over the root cube [-H, H)^d: the root splits into 2^d half-open
-children, recursively, down to a finest level N.  Because H is a power of
-two and every corner is a dyadic rational times H, all cell volumes and
-partition identities are exact in binary floating point.
+children, recursively, down to a finest level N.  Coordinates count from
+the origin, so x -> -x maps edges and midpoints onto edges and midpoints
+bit for bit at any H; with H a power of two, cell volumes and partition
+identities are exact in binary floating point.
 
-Shifted lattices (the three per-axis shifts 0, 1/3, 2/3) are geometry
-only: they are integration domains against the base-tree cell partition,
-never carriers of data.  The d = 1 interval engine at the end of this
-module is their one representation: it counts every shifted endpoint as
-an exact integer number of sixths of a finest cell and batches whole
-(shift, level) families as integer arrays.
+The shifted scope adds the lattices shifted by 1/3 and 2/3 of a side to
+the tree (shift 0 is the tree).  They are geometry only: integration
+domains against the cell partition, never carriers of data.  The d = 1
+interval engine at the end of this module is their one representation:
+it counts every shifted endpoint as an exact integer number of sixths of
+a finest cell and batches whole (shift, level) families as integer arrays.
 """
 
 from __future__ import annotations
@@ -161,13 +162,14 @@ class DyadicTree:
             yield from self.cubes_at_level(level)
 
     def cell_centers(self) -> np.ndarray:
-        """Midpoints of the finest cells along any one axis."""
+        """Midpoints of the finest cells along any one axis, counted from the origin."""
         n = 2**self.depth
-        return -self.half_width + (np.arange(n) + 0.5) * self.cell_side
+        return (np.arange(n) + 0.5 - n / 2) * self.cell_side
 
     def cell_edges(self) -> np.ndarray:
+        """Cell edges along any one axis, counted from the origin: edge n - i is -edge i."""
         n = 2**self.depth
-        return -self.half_width + np.arange(n + 1) * self.cell_side
+        return (np.arange(n + 1) - n / 2) * self.cell_side
 
 
 @dataclass(frozen=True)
@@ -196,8 +198,8 @@ class Cube:
 
     @property
     def corner(self) -> tuple[float, ...]:
-        s = self.side
-        return tuple(-self.tree.half_width + i * s for i in self.index)
+        s, half = self.side, 2**self.level / 2
+        return tuple((i - half) * s for i in self.index)
 
     def __repr__(self) -> str:
         return f"Cube(level={self.level}, index={self.index})"
@@ -296,14 +298,15 @@ def shifted_intervals_1d(
 
     Units are sixths of a finest cell from the origin: level-k interval j of
     shift alpha is [L j + t, L (j + 1) + t) with L = 6 * 2^(N-k) and
-    t = (-1)^k 6 alpha 2^(N-k), 6 alpha being 0, 2 or 4.  Families come by
-    shift alpha = 0, 1/3, 2/3, then by level.  inside=True keeps the
-    intervals inside the root window, inside=False every interval meeting it.
+    t = (-1)^k 6 alpha 2^(N-k), 6 alpha being 2 or 4: 2 (N + 1) families,
+    by shift alpha = 1/3, 2/3, then by level.  Shift 0 is the tree, whose
+    cubes callers take from its level arrays.  inside=True keeps the
+    intervals inside the root window, inside=False every one meeting it.
     """
     if tree.dim != 1:
         raise LatticeError("shifted scope is implemented for d=1 only")
     half = 3 * 2**tree.depth  # H in sixths of a cell
-    for six_alpha in (0, 2, 4):
+    for six_alpha in (2, 4):
         for level in range(tree.depth + 1):
             length = 6 * 2 ** (tree.depth - level)
             t = (-1) ** level * six_alpha * 2 ** (tree.depth - level)
@@ -368,7 +371,7 @@ def _cut_batches(tree, lo, hi, edges, coord) -> Iterator[IntervalBatch]:
 
 
 def shifted_batches(tree: DyadicTree) -> Iterator[IntervalBatch]:
-    """The shifted-lattice intervals inside the root window, one batch per (shift, level)."""
+    """The 1/3- and 2/3-shifted intervals inside the root window, batched per (shift, level)."""
     n = 2**tree.depth
     edges = 6 * np.arange(n + 1) - 3 * n
     for lo, hi in shifted_intervals_1d(tree):
@@ -395,7 +398,7 @@ def _sliding_windows(tree: DyadicTree) -> tuple[np.ndarray, np.ndarray]:
 def scope_batches(tree: DyadicTree, scope: str) -> Iterator[IntervalBatch]:
     """The interval batches a scope sweeps besides the dyadic cubes, checked before any is built.
 
-    "dyadic" adds none; "shifted" adds the three shifted lattices (d = 1);
+    "dyadic" adds none; "shifted" adds the 1/3- and 2/3-shifted lattices (d = 1);
     "window" further adds a sliding family of non-lattice intervals at four
     scales, a diagnostic for how far the lattice suprema sit from the
     generic-cube one.

@@ -324,8 +324,7 @@ def commutator_test_pairs(b: GridFunction, cube: Cube):
     forms = np.abs((g_rows * comm).sum(axis=-1)) * tree.cell_volume
     total = float(forms.sum())
     measured = osc / total if total > 0.0 else math.inf
-    corner = (-tree.half_width + t_start * tree.cell_side,)
-    partner = {"corner": corner, "side": cube.side}
+    partner = {"corner": (float(tree.cell_edges()[t_start]),), "side": cube.side}
     return pairs, partner, measured
 
 

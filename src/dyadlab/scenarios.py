@@ -299,9 +299,6 @@ def run_characteristics(cfg: ScenarioConfig, sweep: bool = True) -> dict:
     at `depth` only.
     """
     points = _sweep(cfg, cfg.depth_min)
-    if sweep and cfg.dim == 1 and points[0].depth == 0:
-        raise ConfigError("the power-window sweep needs depth_min >= 1: "
-                          "a depth-0 cell's midpoint is the origin")
     depths = [c.depth for c in points]
     rows: list[list[object]] = []
     results: dict[str, object] = {}

@@ -4,7 +4,8 @@ A weight is stored as one exact mass per finest cell plus a representative
 (midpoint) density.  Power weights |x|^gamma keep their exponent
 symbolically so that duals and pointwise powers stay closed-form: in d=1
 the cell masses come from the antiderivative, including the sign change at
-the origin.  A power with a non-integrable exponent (gamma <= -1 on a cell
+the origin; at every d they are computed on one half or orthant and
+mirrored.  A power with a non-integrable exponent (gamma <= -d on a cell
 touching 0) cannot have an exact mass; those cells fall back to the
 midpoint-density convention and the weight is flagged `singular`, which is
 exactly the mechanism by which divergent characteristics grow under depth
@@ -40,7 +41,7 @@ from .lattice import (
 _GAUSS_NODES, _GAUSS_WEIGHTS = np.polynomial.legendre.leggauss(10)
 _SUBDIVISION_DEPTH = 30  # halvings toward the origin before a plain Gauss rule
 # Cells whose node norms one d >= 2 quadrature block holds, 3.1 MiB at d = 2.  The cells are
-# those of the positive orthant; every other cell copies its mirror's mass.  Blocks of 1,024
+# those of the positive orthant; `Weight.power_weight` mirrors them onto the rest.  Blocks of 1,024
 # cells take the same time per exponent.  Since the norm estimator writes its rows into its
 # pool's buffers, the block size no longer sets how often the estimator faults in fresh
 # pages: one norms-d2 `run_norms` (seed 1) takes 5.7k minor page faults with 4,096-cell
@@ -67,14 +68,15 @@ def power_interval_mass(lo: float, hi: float, gamma: float) -> float:
         return 0.0
     if lo < 0.0 < hi:
         return power_interval_mass(lo, 0.0, gamma) + power_interval_mass(0.0, hi, gamma)
-    if gamma > -1.0:
+    e = gamma + 1.0
+    if e >= 1e-3 or (e > 0.0 and (lo == 0.0 or hi == 0.0)):
         return _power_antiderivative(hi, gamma) - _power_antiderivative(lo, gamma)
     a, b = abs(lo), abs(hi)
     a, b = min(a, b), max(a, b)
     if a > 0.0:
-        if gamma == -1.0:
-            return math.log(b / a)
-        return (b ** (gamma + 1.0) - a ** (gamma + 1.0)) / (gamma + 1.0)
+        if e > -1e-3:  # b^e - a^e cancels (to 0 at |e| ~ 1e-16); expm1 does not
+            return a**e * math.expm1(e * math.log(b / a)) / e if e else math.log(b / a)
+        return (b**e - a**e) / e
     # interval with one endpoint at the origin
     mid = 0.5 * b
     return mid**gamma * b
@@ -104,17 +106,13 @@ def _on_axes(arr: np.ndarray, axes: Sequence[int], ndim: int) -> np.ndarray:
     return arr.reshape(shape)
 
 
-def _touches_origin(corner: Sequence[float], side: float) -> bool:
-    return all(c <= 0.0 <= c + side for c in corner)
-
-
 def _subdivision(corner: tuple, side: float, boxes: list, depth: int = 0):
     """The dyadic subdivision of a box toward the origin, as a summation tree.
 
     A leaf is the index of one Gauss box appended to `boxes`; an inner node
     lists its 2^d children, whose values are added in that order.
     """
-    if not _touches_origin(corner, side) or depth >= _SUBDIVISION_DEPTH:
+    if not all(c <= 0.0 <= c + side for c in corner) or depth >= _SUBDIVISION_DEPTH:
         boxes.append((corner, side))
         return len(boxes) - 1
     half = 0.5 * side
@@ -134,29 +132,34 @@ def _fold(node, values: list[float]) -> float:
     return total
 
 
+def _mid_radii(tree: DyadicTree) -> np.ndarray:
+    """Midpoint norms of the positive half's (d = 1) or orthant's cells; a depth-0 tree's
+    one cell, whose midpoint is the origin, takes s sqrt(d) / 4, its box [0, s/2)^d's."""
+    d, s = tree.dim, tree.cell_side
+    if tree.depth == 0:
+        return np.full((1,) * d, 0.25 * s * math.sqrt(d))
+    centers = tree.cell_centers()[2**tree.depth // 2:]
+    return _squares_root([_on_axes(centers, (a,), d) for a in range(d)])
+
+
 @dataclass
 class _QuadraturePlan:
     """The exponent-independent part of the d >= 2 power-weight quadrature on one tree.
 
-    Tensor Gauss quadrature per cell, with dyadic subdivision toward the
-    origin; relative tolerance ~1e-8 for gamma > -d.  |x|^gamma on the
-    symmetric window is the same on every orthant, so the rule runs on the
-    positive orthant's cells only (at depth 0 on the one cell) and every
-    cell takes its mirror's mass.
-
-    `mid_radii` are the midpoint norms of every cell, `node_coords` the
-    Gauss node coordinates of the positive rows along one axis (the same on
-    every axis) and `node_weights` one cell's tensor weights.  The corner
-    cell [0, s)^d, or the root at depth 0, keeps its midpoint norm and the
+    Tensor Gauss quadrature over the positive orthant's cells (at depth 0
+    the one cell), with dyadic subdivision toward the origin; relative
+    tolerance ~1e-8 for gamma > -d.  `node_coords` are the Gauss node
+    coordinates of the positive rows along one axis (the same on every
+    axis) and `node_weights` one cell's tensor weights.  The corner cell
+    [0, s)^d, or the root at depth 0, keeps its midpoint norm and the
     summation tree over the boxes of its subdivision, whose node norms and
     weights are `box_radii` and `box_weights`, one box per leading row.
-    The node norms are never held whole: `evaluate` builds them for a block
-    of rows along the leading cell axis at a time, about `_BLOCK_CELLS`
-    cells, so the plan and an evaluation hold O(n_cells) floats.
+    `evaluate` builds node norms for a block of rows along the leading cell
+    axis at a time, about `_BLOCK_CELLS` cells, so the plan and an
+    evaluation hold O(n_cells) floats.
     """
 
     side: float
-    mid_radii: np.ndarray
     node_coords: np.ndarray
     node_weights: np.ndarray
     corner_radius: float
@@ -164,10 +167,9 @@ class _QuadraturePlan:
     box_radii: np.ndarray
     box_weights: np.ndarray
 
-    def evaluate(self, gamma: float) -> tuple[np.ndarray, np.ndarray]:
-        """Midpoint densities and cell masses of |x|^gamma."""
-        d = self.mid_radii.ndim
-        density = self.mid_radii**gamma
+    def evaluate(self, gamma: float) -> np.ndarray:
+        """The masses of |x|^gamma on the positive orthant's cells."""
+        d = self.node_weights.ndim
         m = len(self.node_coords)
         half = np.empty((m,) * d)
         step = max(1, _BLOCK_CELLS // m ** (d - 1))
@@ -192,9 +194,7 @@ class _QuadraturePlan:
         else:
             values = (self.box_radii**gamma * self.box_weights).sum(axis=tuple(range(1, d + 1)))
             half[corner] = _fold(self.corner_tree, values.tolist())
-        n = len(self.mid_radii)
-        fold = np.abs(2 * np.arange(n) - (n - 1)) // 2  # cell i's mirror row in the positive half
-        return density, half[np.ix_(*[fold] * d)]
+        return half
 
 
 @lru_cache(maxsize=1)
@@ -202,16 +202,11 @@ def _quadrature_plan(tree: DyadicTree) -> _QuadraturePlan:
     """The d >= 2 quadrature plan of `tree`, resident until another tree asks for one."""
     d, s = tree.dim, tree.cell_side
     half = 0.5 * s
-    edges = tree.cell_edges()[:-1]
-    nodes = half * (_GAUSS_NODES + 1.0)
-    mid_radii = _squares_root([_on_axes(edges + 0.5 * s, (a,), d) for a in range(d)])
-    positive = edges[len(edges) // 2:]
-    node_coords = positive[:, None] + nodes
+    positive = tree.cell_edges()[2**tree.depth // 2:-1]
+    node_coords = positive[:, None] + half * (_GAUSS_NODES + 1.0)
     node_weights = _tensor_weights([_on_axes(_GAUSS_WEIGHTS * half, (a,), d) for a in range(d)])
     corner = (float(positive[0]),) * d
-    radius = math.sqrt(sum((c + 0.5 * s) ** 2 for c in corner))
-    if radius == 0.0:
-        radius = 0.25 * s * math.sqrt(d)
+    radius = float(_mid_radii(tree)[(0,) * d])
     boxes: list = []
     corner_tree = _subdivision(corner, s, boxes)
     corners = np.array([c for c, _ in boxes]).reshape(len(boxes), d)
@@ -223,8 +218,8 @@ def _quadrature_plan(tree: DyadicTree) -> _QuadraturePlan:
     box_weights = _tensor_weights(
         [_on_axes(_GAUSS_WEIGHTS * halves[:, None], (0, 1 + a), 1 + d) for a in range(d)]
     )
-    return _QuadraturePlan(s, mid_radii, node_coords, node_weights, radius, corner_tree,
-                           box_radii, box_weights)
+    return _QuadraturePlan(s, node_coords, node_weights, radius, corner_tree, box_radii,
+                           box_weights)
 
 
 class Weight:
@@ -270,28 +265,31 @@ class Weight:
     def power_weight(cls, tree: DyadicTree, gamma: float) -> "Weight":
         """|x|^gamma with exact cell masses (d=1 closed form, else quadrature).
 
-        In d >= 2 |x|^gamma is the same on every orthant of the window, so
-        a 10-point tensor Gauss rule runs over the positive orthant's cells
-        only, its corner cell at the origin (the root at depth 0) subdivided
-        toward it 30 times, and every other cell takes its mirror cell's
-        mass by one gather: the masses are mirror-symmetric bit for bit.
-        Everything but the exponent is a quadrature plan built once per
-        tree and kept resident until a weight on another tree is built:
-        node coordinates, midpoint norms and the subdivision boxes,
-        O(n_cells) floats.  Each exponent builds node norms in blocks of
-        `_BLOCK_CELLS` cells (10^d nodes each, 3.1 MiB at d = 2).  gamma = 0
-        (either sign) is Lebesgue measure, exactly.
+        |x|^gamma is the same on every orthant of the window, so masses and
+        midpoint densities (`_mid_radii`) are computed on the positive half
+        (d = 1) or orthant only, and every cell takes its mirror cell's by
+        one gather: both are mirror-symmetric bit for bit.  In d >= 2 a
+        10-point tensor Gauss rule runs over each cell, the corner cell at
+        the origin (the root at depth 0) subdivided toward it 30 times.
+        Everything but the exponent is a quadrature plan built once per tree
+        and kept resident until a weight on another tree is built: node
+        coordinates and subdivision boxes, O(n_cells) floats.  Each exponent
+        builds node norms in blocks of `_BLOCK_CELLS` cells (10^d nodes
+        each, 3.1 MiB at d = 2).  gamma = 0 (either sign) is Lebesgue
+        measure, exactly.
         """
         if gamma == 0.0:
             return cls(tree, np.ones(tree.shape), power=gamma)
-        singular = gamma <= -tree.dim
-        if tree.dim == 1:
-            edges = tree.cell_edges()
+        d, n = tree.dim, 2**tree.depth
+        if d == 1:
+            edges = tree.cell_edges()[n // 2:]
             mass = power_interval_masses(edges[:-1], edges[1:], gamma)
-            density = np.abs(tree.cell_centers()) ** gamma
         else:
-            density, mass = _quadrature_plan(tree).evaluate(gamma)
-        return cls(tree, density, mass, power=gamma, singular=singular)
+            mass = _quadrature_plan(tree).evaluate(gamma)
+        fold = np.abs(2 * np.arange(n) - (n - 1)) // 2  # each cell's mirror in the positive half
+        mirror = np.ix_(*[fold] * d)
+        density = _mid_radii(tree) ** gamma
+        return cls(tree, density[mirror], mass[mirror], power=gamma, singular=gamma <= -d)
 
     def pointwise_power(self, t: float) -> "Weight":
         """The weight w^t; exact for power weights, cellwise for the rest."""
@@ -525,10 +523,10 @@ def power_weight_cube_lower_bound(tree: DyadicTree, gamma: float, scope: str = "
 
     Nonnegative powers give every cube mass at least proportional to its
     side raised to gamma+d; this measures the constant on the finite model.
-    scope="dyadic" sweeps the tree; scope="shifted" adds the three shifted
-    lattices (d=1 only), every interval that meets the window: power
-    masses are closed form, so intervals poking past it still get their
-    true mass.
+    scope="dyadic" sweeps the tree; scope="shifted" adds the 1/3- and
+    2/3-shifted lattices (d=1 only), every interval that meets the window:
+    power masses are closed form, so intervals poking past it still get
+    their true mass.
     """
     if gamma < 0.0:
         raise ValueError("gamma must be nonnegative")

@@ -458,18 +458,27 @@ def haar_two_cell():
 
 def one_third_shifts(tree: DyadicTree, corner, side: int, unit: int = 1) -> dict[int, np.ndarray]:
     """Per level whose interval length L has 1.5 side <= L <= 3 side, the first shift
-    (0, 1, 2 for alpha = 0, 1/3, 2/3) whose engine interval holds each target
+    (0, 1, 2 for alpha = 0, 1/3, 2/3) whose interval holds each target
     [corner, corner + side), or -1 where none does.
 
     Positions count 1/unit of a sixth of a finest cell from the origin, as
-    integers; the intervals are `shifted_intervals_1d(tree, inside=False)`.
-    The levels depend only on the side, so a cube of side `side` in d
-    dimensions is held, at any of them, by the product of its per-axis
-    intervals, each from its own shift: one cube of a shifted lattice.
+    integers; the intervals of shift 0 are the tree's cubes, the others
+    `shifted_intervals_1d(tree, inside=False)`.  The levels depend only on
+    the side, so a cube of side `side` in d dimensions is held, at any of
+    them, by the product of its per-axis intervals, each from its own
+    shift: one cube of a shifted lattice.
     """
+
+    def tree_family(level: int) -> tuple[np.ndarray, np.ndarray]:
+        length = 6 * 2 ** (tree.depth - level)
+        lo = length * np.arange(2**level) - 3 * 2**tree.depth
+        return lo, lo + length
+
     out: dict[int, np.ndarray] = {}
     families = itertools.product(range(3), range(tree.depth + 1))
-    for (shift, level), (lo, hi) in zip(families, shifted_intervals_1d(tree, inside=False)):
+    intervals = itertools.chain(map(tree_family, range(tree.depth + 1)),
+                                shifted_intervals_1d(tree, inside=False))
+    for (shift, level), (lo, hi) in zip(families, intervals):
         lo, hi = unit * lo, unit * hi
         if 3 * side <= 2 * (hi[0] - lo[0]) <= 6 * side:
             i = np.searchsorted(lo, corner, side="right") - 1  # lo[i] <= corner < lo[i + 1]
@@ -1106,13 +1115,17 @@ class ShiftedCube:
 
 
 class ShiftedLattice:
-    """The family of 3^d shifted lattices over a tree's root window, geometry only."""
+    """The 3^d - 1 shifted lattices over a tree's root window, geometry only.
+
+    The all-zero shift is the tree itself, whose cubes the functionals take
+    from their level arrays, so it is not one of them.
+    """
 
     def __init__(self, tree: DyadicTree):
         self.tree = tree
         self.root_side = Fraction(tree.root_side)
         thirds = (Fraction(0), Fraction(1, 3), Fraction(2, 3))
-        self.alphas = list(itertools.product(thirds, repeat=tree.dim))
+        self.alphas = list(itertools.product(thirds, repeat=tree.dim))[1:]
 
     def side_frac(self, level: int) -> Fraction:
         return self.root_side / 2**level
@@ -1853,11 +1866,23 @@ def _reference_power_box_mass(corner, side: float, gamma: float) -> float:
 
 
 def reference_power_weight(tree: DyadicTree, gamma: float) -> tuple[np.ndarray, np.ndarray, bool]:
-    """(density, cell masses, singular) of |x|^gamma on a d >= 2 tree, per-call quadrature."""
+    """(density, cell masses, singular) of |x|^gamma, every cell on its own: the closed
+    form at d = 1, a per-call quadrature at d >= 2.
+
+    Densities are taken at the cell midpoints, except that a depth-0 tree's one cell,
+    whose midpoint is the origin, takes radius s sqrt(d) / 4.
+    """
     d, s = tree.dim, tree.cell_side
-    corners = np.meshgrid(*(tree.cell_edges()[:-1],) * d, indexing="ij")
-    mids = [c + 0.5 * s for c in corners]
-    density = np.sqrt(sum(m**2 for m in mids)) ** gamma
+    edges = tree.cell_edges()
+    mids = np.meshgrid(*(tree.cell_centers(),) * d, indexing="ij")
+    radius = np.abs(mids[0]) if d == 1 else np.sqrt(sum(m**2 for m in mids))
+    if tree.depth == 0:
+        radius = np.full(tree.shape, 0.25 * s * math.sqrt(d))
+    density = radius**gamma
+    if d == 1:
+        mass = np.array([power_interval_mass(a, b, gamma) for a, b in zip(edges[:-1], edges[1:])])
+        return density, mass, gamma <= -1
+    corners = np.meshgrid(*(edges[:-1],) * d, indexing="ij")
     half = 0.5 * s
     node_grids = np.meshgrid(*([_REFERENCE_NODES] * d), indexing="ij")
     wgrid = np.ones(node_grids[0].shape)
@@ -1874,9 +1899,8 @@ def reference_power_weight(tree: DyadicTree, gamma: float) -> tuple[np.ndarray, 
     touching = np.ones(tree.shape, dtype=bool)
     for axis in range(d):
         touching &= (corners[axis] <= 0.0) & (corners[axis] + s >= 0.0)
-    h = tree.half_width
     for idx in zip(*np.nonzero(touching)):
-        corner = tuple(-h + i * s for i in idx)
+        corner = tuple(float(edges[i]) for i in idx)
         mass[idx] = _reference_power_box_mass(corner, s, gamma)
     return density, mass, gamma <= -d
 

@@ -22,8 +22,7 @@ import oracles
 
 DEPTHS = (0, 1, 3, 6)
 WEIGHTS = ("power(1/3)", "power(-0.5)", "power(-1.2)", "piecewise")
-# a one-cell tree has its midpoint at the origin, where no power density exists
-CASES = [(d, s) for d in DEPTHS for s in WEIGHTS if d > 0 or s == "piecewise"]
+CASES = [(d, s) for d in DEPTHS for s in WEIGHTS]
 
 
 def _weight(tree: DyadicTree, spec: str) -> Weight:
@@ -118,7 +117,7 @@ def test_shifted_ap_characteristic(depth, spec):
 
 
 @pytest.mark.parametrize(
-    "depth, gamma", [(d, g) for d in DEPTHS for g in (0.0, 1.0 / 3.0, 1.5) if d > 0 or g == 0.0]
+    "depth, gamma", [(d, g) for d in DEPTHS for g in (0.0, 1.0 / 3.0, 1.5)]
 )
 def test_shifted_cube_lower_bound(depth, gamma):
     tree = DyadicTree(1, depth, 4.0)

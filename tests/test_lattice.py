@@ -237,7 +237,8 @@ class TestShiftedLattice:
         """Each level-(k+1) interval of a shift lies inside a level-k interval of that shift."""
         for depth in (1, 3, 6):
             families = list(shifted_intervals_1d(DyadicTree(1, depth, 1.0), inside=False))
-            for shift in range(3):
+            assert len(families) == 2 * (depth + 1)  # shifts 1/3 and 2/3; shift 0 is the tree
+            for shift in range(2):
                 per_level = families[shift * (depth + 1):(shift + 1) * (depth + 1)]
                 for (lo, hi), (flo, fhi) in zip(per_level, per_level[1:]):
                     i = np.searchsorted(lo, flo, side="right") - 1

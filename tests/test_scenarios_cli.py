@@ -43,6 +43,7 @@ lam = lebesgue
 """
 
 HEADER_KEYS = ("schema", "scenario", "seed", "dim", "depth", "half_width")
+POWERS_AT_0 = "\n[weights]\nmu = power(1.0)\nlam = power(-0.5)\n"
 
 
 def _numbers(obj):
@@ -340,19 +341,41 @@ class TestCli:
         ("counterexample", "depth = 4\ndepth_min = 4\nhalf_width_exponent = 0\n"),
         ("bloom", "depth = 0\nb_family = random-haar\nfamily_size = 2\n"),
         ("bloom", "depth = 0\nb_family = mixed\nfamily_size = 2\n"),
-        ("char", "depth = 2\ndepth_min = 0\n"),
-    ], ids=["counterexample-window-of-one", "random-haar-at-depth-0", "mixed-at-depth-0",
-            "char-sweep-from-depth-0"])
+    ], ids=["counterexample-window-of-one", "random-haar-at-depth-0", "mixed-at-depth-0"])
     def test_config_the_run_cannot_take_exit_3(self, tmp_path, capsys, command, text):
-        """A counterexample window H <= 1 (its tail points lie past it), a random-haar
-        member at depth 0 (no level below the root) and the power-window sweep at depth 0
-        (the one cell's midpoint is the origin) are refused before a report is written."""
+        """A counterexample window H <= 1 (its tail points lie past it) and a random-haar
+        member at depth 0 (no level below the root) are refused before a report is
+        written."""
         cfgfile = tmp_path / "c.cfg"
         cfgfile.write_text("[scenario]\n" + text)
         out = tmp_path / "out"
         assert main([command, "--config", str(cfgfile), "--out", str(out)]) == 3
         assert "config error:" in capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.parametrize("command,stem,text", [
+        ("char", "characteristics", "depth = 2\ndepth_min = 0\n"),
+        ("char", "characteristics", "depth = 0\ndepth_min = 0\n" + POWERS_AT_0),
+        ("bloom", "bloom", "depth = 0\nfamily_size = 2\nrestarts = 1\niterations = 1\n"
+         + POWERS_AT_0),
+        ("norms", "norms", "depth = 0\n" + POWERS_AT_0),
+        ("char", "characteristics", "depth = 4\ndepth_min = 3\nhalf_width_exponent = 1\n"
+         "p = 2\nq = 1.5\n\n[weights]\nmu = power(1.0)\nlam = power(-1.0)\n"),
+        ("norms", "norms", "depth = 4\nhalf_width_exponent = -3\np = 2\nq = 1.5\n\n[weights]\n"
+         "mu = power(1.0)\nlam = power(0.5)\n"),
+    ], ids=["char-sweep-from-depth-0", "char-powers-at-depth-0", "bloom-powers-at-depth-0",
+            "norms-powers-at-depth-0", "char-exponent-a-rounding-off-minus-1",
+            "norms-exponent-a-rounding-off-minus-1"])
+    def test_config_the_run_takes_exit_0(self, tmp_path, command, stem, text):
+        """Configs that once ended in a traceback or a refusal.  A depth-0 tree's power
+        weights take their one density at radius s sqrt(d) / 4.  A derived exponent (a dual
+        of nu) a rounding away from -1 once gave d = 1 cells away from 0 a zero mass, b^e -
+        a^e having cancelled; those masses are now taken through expm1."""
+        cfgfile = tmp_path / "c.cfg"
+        cfgfile.write_text("[scenario]\n" + text)
+        out = tmp_path / "out"
+        assert main([command, "--config", str(cfgfile), "--out", str(out)]) == 0
+        assert all(math.isfinite(v) for v in _numbers(_strict_json(out / f"{stem}.json")))
 
     def test_char_without_sweep_runs_from_depth_0(self, tmp_path):
         cfgfile = tmp_path / "c.cfg"

@@ -64,6 +64,18 @@ class TestMasses:
         want = np.trapezoid(np.abs(xs) ** 0.4, xs)
         assert got == pytest.approx(want, rel=1e-6)
 
+    @pytest.mark.parametrize("offset", [2.2e-16, -2.2e-16, 1e-9, -5e-4, 9e-4])
+    def test_masses_a_little_off_minus_one(self, offset):
+        """Within 1e-3 of gamma = -1 a mass away from 0 is a^e expm1(e log(b/a)) / e, e =
+        gamma + 1: (b^e - a^e) / e cancelled, to 0 at |e| ~ 1e-16."""
+        e = offset
+        for a, b in ((1.0, 1.5), (3.0, 3.0001), (1e-6, 2.0)):
+            ell = np.log(b / a)
+            x = e * ell  # |x| < 0.014, and the series's tail below x^5 / 720 < 1e-12
+            want = a**e * ell * (1.0 + x / 2.0 + x**2 / 6.0 + x**3 / 24.0 + x**4 / 120.0)
+            assert power_interval_mass(a, b, -1.0 + e) == pytest.approx(want, rel=1e-11)
+            assert power_interval_mass(-b, -a, -1.0 + e) == power_interval_mass(a, b, -1.0 + e)
+
     def test_d2_power_mass(self):
         tree = DyadicTree(2, 2, 1.0)
         w = Weight.power_weight(tree, 2.0)
@@ -87,15 +99,11 @@ PLAN_GAMMAS = [1.0, 1.0 / 3.0, -1.0 / 3.0, 0.0, -0.0, -1.0, -1.7, -2.0, -2.5, 2.
 
 
 def _assert_reference_power(tree, gamma):
-    """The resident-plan quadrature against the per-call one: densities, the flag and
-    the positive orthant's masses bit for bit, every mass its mirror cell's bit for bit,
-    and every mass within 1e-13 relative.
+    """The weight against the per-cell oracle: the flag, and the positive half's or
+    orthant's densities and masses bit for bit; every density and every mass its mirror
+    cell's bit for bit along each axis, and every mass within 1e-13 relative.
 
-    At a non-dyadic H the edges are not mirror-exact, and the per-call rule's cell below
-    the origin, [edge, edge + s), ends past it (by 2.1e-17 at H = 0.3, depth 4): its
-    cells at the origin are not their mirror cells, and take up to 3.7e-8 relative
-    (gamma = -1.7), inside the rule's own ~1e-8 scale.  gamma = 0 of either sign is
-    Lebesgue measure exactly, with no quadrature.
+    gamma = 0 of either sign is Lebesgue measure exactly, with no quadrature.
     """
     if gamma == 0.0:
         density, mass, singular = np.ones(tree.shape), np.full(tree.shape, tree.cell_volume), False
@@ -104,16 +112,34 @@ def _assert_reference_power(tree, gamma):
     w = Weight.power_weight(tree, gamma)
     d, n = tree.dim, 2**tree.depth
     positive = (slice(n // 2, None),) * d
-    assert np.array_equal(w.density, density)
-    assert np.array_equal(w.cell_mass[positive], mass[positive])
-    assert all(np.array_equal(w.cell_mass, np.flip(w.cell_mass, axis=a)) for a in range(d))
-    edges = tree.cell_edges()
-    loose = np.zeros(tree.shape, dtype=bool)
-    if not np.array_equal(edges, -edges[::-1]):
-        loose[(slice(n // 2 - 1, n // 2 + 1),) * d] = True
-    rel = np.abs(w.cell_mass - mass) / mass
-    assert rel[~loose].max() <= 1e-13 and rel[loose].max(initial=0.0) <= 1e-7
+    for got, want in ((w.density, density), (w.cell_mass, mass)):
+        assert np.array_equal(got[positive], want[positive])
+        assert all(np.array_equal(got, np.flip(got, axis=a)) for a in range(d))
+    assert (np.abs(w.cell_mass - mass) / mass).max() <= 1e-13
     assert w.singular == singular
+
+
+MIRROR_GAMMAS = [1.0, -1.0 / 3.0, -1.0, -1.7, -2.5, -3.5]  # -1, -2.5 and -3.5 singular at d = 1, 2, 3
+
+
+class TestMirrorSymmetry:
+    """Every power weight, at every d and at dyadic and non-dyadic H, is mirror-symmetric
+    bit for bit in masses and densities, and its positive half or orthant is the oracle's
+    bit for bit (`_assert_reference_power`)."""
+
+    @pytest.mark.parametrize("gamma", MIRROR_GAMMAS)
+    @pytest.mark.parametrize("half_width", [4.0, 0.3, 1.7])
+    @pytest.mark.parametrize("dim,depth", [(1, n) for n in range(7)] + [(2, n) for n in range(7)])
+    def test_d1_d2(self, dim, depth, half_width, gamma):
+        _assert_reference_power(DyadicTree(dim, depth, half_width), gamma)
+
+    @pytest.mark.parametrize("gamma", [-1.7, -3.5])
+    @pytest.mark.parametrize("half_width", [0.3, 1.7])
+    @pytest.mark.parametrize("depth", [0, 2])
+    def test_d3(self, depth, half_width, gamma):
+        """Non-dyadic H; `test_d3_matches_per_call_quadrature` and `test_d3_depth_three`
+        take d = 3 at H = 1 and 4 through the same checks."""
+        _assert_reference_power(DyadicTree(3, depth, half_width), gamma)
 
 
 @pytest.fixture
@@ -157,19 +183,18 @@ class TestQuadraturePlan:
         Weight.power_weight(DyadicTree(1, 5, 1.0), 0.5)
         assert plan_builds() == 0
 
-    @pytest.mark.filterwarnings("ignore:divide by zero encountered in power:RuntimeWarning")
     @pytest.mark.parametrize("half_width", [1.0, 4.0])
-    @pytest.mark.parametrize("gamma", [g for g in PLAN_GAMMAS if g != 0.0])
+    @pytest.mark.parametrize("gamma", PLAN_GAMMAS)
     def test_d2_depth_zero(self, half_width, gamma):
         """The one cell is the corner cell, subdivided toward the origin at its center.  Its
-        midpoint is the origin, so the plan's density is 0 or infinite (a `Weight` refuses
-        the 0); the plan is checked, not the weight."""
+        midpoint is the origin, so its density is taken at radius s sqrt(2) / 4."""
         tree = DyadicTree(2, 0, half_width)
-        plan = weights._quadrature_plan(tree)
-        assert len(plan.node_coords) == 1
-        density, mass, _ = oracles.reference_power_weight(tree, gamma)
-        got = plan.evaluate(gamma)
-        assert np.array_equal(got[0], density) and np.array_equal(got[1], mass)
+        assert len(weights._quadrature_plan(tree).node_coords) == 1
+        _assert_reference_power(tree, gamma)
+        if gamma != 0.0:
+            radius = 0.25 * tree.cell_side * np.sqrt(2.0)
+            assert Weight.power_weight(tree, gamma).density[0, 0] == pytest.approx(radius**gamma,
+                                                                                rel=1e-15)
 
     @pytest.mark.parametrize("depth,half_width,mirrored", [(5, 3.0, 7), (6, 3.0, 23), (4, 0.3, 0)])
     @pytest.mark.parametrize("gamma", PLAN_GAMMAS)
@@ -360,6 +385,15 @@ class TestBloomTriple:
         assert -1.0 < a < (cfg.p - 1.0) and -1.0 < b < (cfg.q - 1.0)
         t = power_triple(tree, a, b, cfg.p, cfg.q)
         assert t.nu.power == pytest.approx(gamma, rel=1e-12)
+
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    def test_depth_zero_power_triple(self, dim):
+        """A depth-0 tree's one cell takes every power density at the same radius, so the
+        defining relation of nu holds there too."""
+        tree = DyadicTree(dim, 0, 4.0)
+        t = power_triple(tree, 0.5 * dim, -0.25 * dim, 4.0, 2.0)
+        assert t.nu.density[(0,) * dim] == pytest.approx(
+            (0.25 * tree.cell_side * dim**0.5) ** t.nu.power, rel=1e-15)
 
     def test_factorization_rejects_outside_window(self):
         cfg = ExponentConfig(4.0, 2.0)
